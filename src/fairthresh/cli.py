@@ -126,7 +126,6 @@ def _train_config(cfg: ExperimentConfig) -> sc.TrainConfig:
         learning_rate=cfg.learning_rate,
         epochs=cfg.epochs,
         per_group=cfg.per_group,
-        seed=cfg.seed,
     )
 
 
@@ -179,9 +178,9 @@ def _synth_rep(args):
                 "oracle_acc": oracle_acc,
                 "pop_acc_gap": abs(oracle_acc - pop_acc_fit),
                 "cal_disparity": res.achieved_disparity,
-                "t_hat": res.t_hat,
-                "t_star": t_or,
-                "q_err": (abs(res.rule.thresholds[0] - q0), abs(res.rule.thresholds[1] - q1)),
+                "t_err": abs(res.t_hat - t_or),
+                "q0_err": abs(res.rule.thresholds[0] - q0),
+                "q1_err": abs(res.rule.thresholds[1] - q1),
             }
         )
     return out
@@ -214,10 +213,36 @@ def _map(fn, tasks, jobs: int):
         return list(pool.map(fn, tasks))
 
 
-def _mean_sd(values) -> tuple:
-    arr = np.asarray(values, dtype=np.float64)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), sd
+_STATS = {
+    "mean": lambda v: float(v.mean()),
+    "sd": lambda v: float(v.std(ddof=1)) if v.size > 1 else 0.0,
+    "max": lambda v: float(v.max()),
+}
+
+
+def _aggregate(kind: str, cells: list, **fixed) -> dict:
+    """One report row over the repetitions' cells.
+
+    A column ``<key>_mean``, ``<key>_sd`` or ``<key>_max`` summarizes
+    ``cell[key]`` across the cells; every other column comes from ``fixed``.
+    """
+    row = {}
+    for col in COLUMNS[kind]:
+        key, _, stat = col.rpartition("_")
+        if stat in _STATS:
+            row[col] = _STATS[stat](np.asarray([c[key] for c in cells], dtype=np.float64))
+        else:
+            row[col] = fixed[col]
+    return row
+
+
+def _aggregate_per_delta(cfg: ExperimentConfig, per_rep: list) -> list:
+    """One row per tolerance; ``per_rep[r][i]`` is repetition r's cell for delta i."""
+    return [
+        _aggregate(cfg.kind, [rep[i] for rep in per_rep],
+                   measure=cfg.measure, delta=float(delta), reps=cfg.reps)
+        for i, delta in enumerate(cfg.delta_grid())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -227,54 +252,12 @@ def _mean_sd(values) -> tuple:
 
 def run_synth_binary(cfg: ExperimentConfig) -> tuple:
     per_rep = _map(_synth_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    rows = []
-    for i, delta in enumerate(cfg.delta_grid()):
-        cells = [rep[i] for rep in per_rep]
-        disp_m, disp_s = _mean_sd([c["disparity"] for c in cells])
-        acc_m, acc_s = _mean_sd([c["acc"] for c in cells])
-        oacc_m, oacc_s = _mean_sd([c["oracle_acc"] for c in cells])
-        gap_m, _ = _mean_sd([c["pop_acc_gap"] for c in cells])
-        cal_m, _ = _mean_sd([c["cal_disparity"] for c in cells])
-        rows.append(
-            {
-                "measure": cfg.measure,
-                "delta": float(delta),
-                "reps": cfg.reps,
-                "disparity_mean": disp_m,
-                "disparity_sd": disp_s,
-                "acc_mean": acc_m,
-                "acc_sd": acc_s,
-                "oracle_acc_mean": oacc_m,
-                "oracle_acc_sd": oacc_s,
-                "pop_acc_gap_mean": gap_m,
-                "pop_acc_gap_max": max(c["pop_acc_gap"] for c in cells),
-                "cal_disparity_mean": cal_m,
-            }
-        )
-    return rows, {"per_rep": per_rep}
+    return _aggregate_per_delta(cfg, per_rep), {"per_rep": per_rep}
 
 
 def run_multiclass(cfg: ExperimentConfig) -> tuple:
     cells = _map(_multiclass_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    ddp_m, ddp_s = _mean_sd([c["ddp"] for c in cells])
-    acc_m, acc_s = _mean_sd([c["acc"] for c in cells])
-    oacc_m, oacc_s = _mean_sd([c["oracle_acc"] for c in cells])
-    gap_m, _ = _mean_sd([c["pop_acc_gap"] for c in cells])
-    rows = [
-        {
-            "n_groups": cfg.n_groups,
-            "reps": cfg.reps,
-            "ddp_mean": ddp_m,
-            "ddp_sd": ddp_s,
-            "acc_mean": acc_m,
-            "acc_sd": acc_s,
-            "oracle_acc_mean": oacc_m,
-            "oracle_acc_sd": oacc_s,
-            "pop_acc_gap_mean": gap_m,
-            "pop_acc_gap_max": max(c["pop_acc_gap"] for c in cells),
-            "sum_t_max": max(c["sum_t"] for c in cells),
-        }
-    ]
+    rows = [_aggregate(cfg.kind, cells, n_groups=cfg.n_groups, reps=cfg.reps)]
     return rows, {"per_rep": cells}
 
 
@@ -321,29 +304,6 @@ def run_tradeoff(cfg: ExperimentConfig) -> tuple:
     return rows, meta
 
 
-def run_oracle_compare(cfg: ExperimentConfig) -> tuple:
-    per_rep = _map(_synth_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    rows = []
-    for i, delta in enumerate(cfg.delta_grid()):
-        cells = [rep[i] for rep in per_rep]
-        t_err = [abs(c["t_hat"] - c["t_star"]) for c in cells]
-        rows.append(
-            {
-                "measure": cfg.measure,
-                "delta": float(delta),
-                "reps": cfg.reps,
-                "t_err_mean": float(np.mean(t_err)),
-                "t_err_max": float(np.max(t_err)),
-                "q0_err_mean": float(np.mean([c["q_err"][0] for c in cells])),
-                "q1_err_mean": float(np.mean([c["q_err"][1] for c in cells])),
-                "pop_acc_gap_mean": float(np.mean([c["pop_acc_gap"] for c in cells])),
-                "pop_acc_gap_max": float(np.max([c["pop_acc_gap"] for c in cells])),
-                "disparity_mean": float(np.mean([c["disparity"] for c in cells])),
-            }
-        )
-    return rows, {"per_rep": per_rep}
-
-
 def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
     """Split raw rows first, then fit the encoding on the training part only."""
     if cfg.schema_path:
@@ -351,15 +311,7 @@ def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
     else:
         schema = tb.adult_schema()
     rows = tb.read_rows(cfg.data_path, schema)
-    rng = np.random.default_rng(split_seed)
-    order = rng.permutation(len(rows))
-    f1, f2, _f3 = cfg.fractions
-    n = len(rows)
-    b1 = int(round(f1 * n))
-    b2 = int(round((f1 + f2) * n))
-    parts = [[rows[i] for i in order[:b1]],
-             [rows[i] for i in order[b1:b2]],
-             [rows[i] for i in order[b2:]]]
+    parts = [[rows[i] for i in idx] for idx in tb.split_indices(len(rows), cfg.fractions, split_seed)]
     tb.fit_schema(schema, parts[0])
     train, _ = tb.encode_rows(parts[0], schema)
     val, _ = tb.encode_rows(parts[1], schema) if parts[1] else (None, None)
@@ -394,32 +346,15 @@ def run_tabular(cfg: ExperimentConfig) -> tuple:
     if not cfg.data_path:
         raise ValueError("tabular runs need --data pointing at a CSV file")
     per_rep = _map(_tabular_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    rows = []
-    for i, delta in enumerate(cfg.delta_grid()):
-        cells = [rep[i] for rep in per_rep]
-        disp_m, disp_s = _mean_sd([c["disparity"] for c in cells])
-        acc_m, acc_s = _mean_sd([c["acc"] for c in cells])
-        cal_m, _ = _mean_sd([c["cal_disparity"] for c in cells])
-        rows.append(
-            {
-                "measure": cfg.measure,
-                "delta": float(delta),
-                "reps": cfg.reps,
-                "disparity_mean": disp_m,
-                "disparity_sd": disp_s,
-                "acc_mean": acc_m,
-                "acc_sd": acc_s,
-                "cal_disparity_mean": cal_m,
-            }
-        )
-    return rows, {"per_rep": per_rep}
+    return _aggregate_per_delta(cfg, per_rep), {"per_rep": per_rep}
 
 
 RUNNERS = {
     "synth": run_synth_binary,
     "multiclass": run_multiclass,
     "tradeoff": run_tradeoff,
-    "oracle-compare": run_oracle_compare,
+    # the synth runs; the report columns select the oracle-tracking statistics
+    "oracle-compare": run_synth_binary,
     "tabular": run_tabular,
 }
 

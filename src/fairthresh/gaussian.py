@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .core import ThresholdRule
-from .metrics import ThresholdCurve, _ScaledCurve
+from .metrics import ThresholdCurve
 
 
 def _logit(q: float) -> float:
@@ -152,19 +152,15 @@ def _check_binary(pop: GaussianPopulation) -> None:
         raise ValueError("binary measures require exactly two groups")
 
 
-def population_curve(pop: GaussianPopulation, measure: str, cost: float = 0.5):
+def population_curve(pop: GaussianPopulation, measure: str, cost: float = 0.5) -> ThresholdCurve:
     """Threshold family with the exact population rates plugged in."""
     _check_binary(pop)
-    base = ThresholdCurve(
+    return ThresholdCurve(
         measure=measure,
         p_a=(float(pop.p_a[0]), float(pop.p_a[1])),
         p_ya=(float(pop.p_ya[0]), float(pop.p_ya[1])),
         cost=cost,
     )
-    if measure == "dp" and cost == 0.5:
-        # the plain-risk dp family is conventionally written 1/2 +- t/(2 p_a)
-        return _ScaledCurve(base, 2.0)
-    return base
 
 
 def population_disparity(pop: GaussianPopulation, curve, t: float) -> float:
@@ -290,32 +286,34 @@ def tau_star(
 # ---------------------------------------------------------------------------
 
 
-def fair_accuracy(pop: GaussianPopulation, rule: ThresholdRule) -> float:
-    """Exact accuracy of a (possibly tie-randomized) group-thresholding rule."""
+def _positive_rates(pop: GaussianPopulation, rule: ThresholdRule) -> list:
+    """Per group (pos1, pos0): the rule's exact positive rates among labels 1 and 0."""
     if rule.n_groups != pop.n_groups:
         raise ValueError("rule and population disagree on the number of groups")
-    acc = 0.0
+    table = []
     for a in range(pop.n_groups):
         q = float(rule.thresholds[a])
         tau = float(rule.tie_prob[a])
-        py = float(pop.p_ya[a])
         pos1 = tail_rate(pop, a, q, 1) + tau * tail_atom(pop, a, q, 1)
         pos0 = tail_rate(pop, a, q, 0) + tau * tail_atom(pop, a, q, 0)
+        table.append((pos1, pos0))
+    return table
+
+
+def fair_accuracy(pop: GaussianPopulation, rule: ThresholdRule) -> float:
+    """Exact accuracy of a (possibly tie-randomized) group-thresholding rule."""
+    acc = 0.0
+    for a, (pos1, pos0) in enumerate(_positive_rates(pop, rule)):
+        py = float(pop.p_ya[a])
         acc += float(pop.p_a[a]) * (py * pos1 + (1.0 - py) * (1.0 - pos0))
     return acc
 
 
 def cost_risk(pop: GaussianPopulation, rule: ThresholdRule, cost: float) -> float:
     """Exact cost-sensitive risk: cost*P(fp) + (1-cost)*P(fn)."""
-    if rule.n_groups != pop.n_groups:
-        raise ValueError("rule and population disagree on the number of groups")
     risk = 0.0
-    for a in range(pop.n_groups):
-        q = float(rule.thresholds[a])
-        tau = float(rule.tie_prob[a])
+    for a, (pos1, pos0) in enumerate(_positive_rates(pop, rule)):
         py = float(pop.p_ya[a])
-        pos1 = tail_rate(pop, a, q, 1) + tau * tail_atom(pop, a, q, 1)
-        pos0 = tail_rate(pop, a, q, 0) + tau * tail_atom(pop, a, q, 0)
         risk += float(pop.p_a[a]) * (
             cost * (1.0 - py) * pos0 + (1.0 - cost) * py * (1.0 - pos1)
         )
@@ -325,10 +323,9 @@ def cost_risk(pop: GaussianPopulation, rule: ThresholdRule, cost: float) -> floa
 def rule_positive_rates(pop: GaussianPopulation, rule: ThresholdRule) -> np.ndarray:
     """Exact per-group positive rates of a rule."""
     out = np.empty(pop.n_groups)
-    for a in range(pop.n_groups):
-        q = float(rule.thresholds[a])
-        tau = float(rule.tie_prob[a])
-        out[a] = tail_rate(pop, a, q) + tau * tail_atom(pop, a, q)
+    for a, (pos1, pos0) in enumerate(_positive_rates(pop, rule)):
+        py = float(pop.p_ya[a])
+        out[a] = py * pos1 + (1.0 - py) * pos0
     return out
 
 

@@ -2,8 +2,9 @@
 
 The four group-fairness measures handled here compare, between the two
 protected groups, the positive rate (dp), the true-positive rate (eo), the
-false-positive rate (pe), and the per-group accuracy (oa).  Each measure
-induces a one-parameter family of group-wise threshold pairs; the
+false-positive rate (pe), and TPR - FPR (oa): the oa statistic is
+(TPR_1 - FPR_1) - (TPR_0 - FPR_0), not a gap in per-group accuracy.  Each
+measure induces a one-parameter family of group-wise threshold pairs; the
 :class:`ThresholdCurve` below maps the scalar family parameter ``t`` to the
 pair of score cutoffs, and the ``*_hat`` functions evaluate the plug-in
 disparity of the resulting rule on a sample.
@@ -43,6 +44,8 @@ class GroupedScores:
         y = np.asarray(label, dtype=np.int64)
         if s.ndim != 1 or s.shape != g.shape or s.shape != y.shape:
             raise ValueError("scores, group and label must be equal-length vectors")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("scores must be finite (found NaN or infinite values)")
         if s.size and (s.min() < 0.0 or s.max() > 1.0):
             raise ValueError("scores must lie in [0, 1]")
         stats = group_stats_arrays(g, y, n_groups)
@@ -71,6 +74,27 @@ class GroupedScores:
         return self.by_group_label[a][y]
 
 
+def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
+    """(above, ties): scores strictly above the cutoff q, and scores equal to it.
+
+    ``q`` may be one cutoff or an array of them.  ``ties`` is None unless
+    ``with_ties``, which costs a second search.
+    """
+    hi = np.searchsorted(sorted_scores, q, side="right")
+    above = sorted_scores.size - hi
+    if not with_ties:
+        return above, None
+    return above, hi - np.searchsorted(sorted_scores, q, side="left")
+
+
+def _rate(sorted_scores: np.ndarray, q, tau: float = 0.0):
+    """Fraction above the cutoff(s) q, plus tau weight on ties; no input checks."""
+    above, ties = _counts(sorted_scores, q, bool(tau))
+    if tau:
+        return (above + tau * ties) / sorted_scores.size
+    return above / sorted_scores.size
+
+
 def positive_rate(sorted_scores: np.ndarray, q: float, tau: float = 0.0) -> float:
     """Fraction predicted positive: scores above q, plus tau weight on ties."""
     s = np.asarray(sorted_scores)
@@ -80,17 +104,7 @@ def positive_rate(sorted_scores: np.ndarray, q: float, tau: float = 0.0) -> floa
         raise ValueError("threshold must lie in [0, 1]")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tie probability must lie in [0, 1]")
-    hi = np.searchsorted(s, q, side="right")
-    above = s.size - hi
-    if tau:
-        ties = hi - np.searchsorted(s, q, side="left")
-        return (above + tau * ties) / s.size
-    return above / s.size
-
-
-def _tie_count(sorted_scores: np.ndarray, q: float) -> int:
-    s = sorted_scores
-    return int(np.searchsorted(s, q, side="right") - np.searchsorted(s, q, side="left"))
+    return _rate(s, q, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +120,11 @@ class ThresholdCurve:
 
     Works with either plug-in rates (empirical solving) or exact population
     rates (oracle computations); only ``p_a`` and ``p_ya`` enter the maps.
-    ``measure`` is "dp", "eo", "pe" or "oa"; a dp curve with ``cost != 0.5``
-    uses the cost-sensitive family centered at the cost value.
+    ``measure`` is "dp", "eo", "pe" or "oa".  The dp family is centered at
+    the cost value c: q_a = c +- t / p_a, except at c = 1/2, where it is
+    conventionally written q_a = 1/2 +- t / (2 p_a), so ``t`` runs at
+    ``scale`` = 2 times the cost-sensitive parameter.  The factor is a power
+    of two, so either scale yields bit-identical cutoffs.
 
     t = 0 always yields the unconstrained thresholds; for each group the
     threshold moves monotonically as t grows, upward for group 1 and downward
@@ -135,7 +152,15 @@ class ThresholdCurve:
             "oa": (1, 0),
         }[self.measure]
 
+    @property
+    def scale(self) -> float:
+        return 2.0 if self.measure == "dp" and self.cost == 0.5 else 1.0
+
     def bracket(self) -> tuple:
+        lo, hi = self._unscaled_bracket()
+        return lo * self.scale, hi * self.scale
+
+    def _unscaled_bracket(self) -> tuple:
         p0, p1 = self.p_a
         py0, py1 = self.p_ya
         if self.measure == "dp":
@@ -151,7 +176,8 @@ class ThresholdCurve:
 
     def thresholds(self, t: float) -> tuple:
         """(q_0, q_1) at parameter t; raises outside the bracket."""
-        lo, hi = self.bracket()
+        t = t / self.scale
+        lo, hi = self._unscaled_bracket()
         span = max(hi - lo, 1.0)
         if t < lo - _EPS * span or t > hi + _EPS * span:
             raise ThresholdRangeError("threshold out of range")
@@ -195,7 +221,7 @@ class ThresholdCurve:
         py = self.p_ya[a]
         sgn = 1.0 if a == 1 else -1.0
         if self.measure == "dp":
-            return sgn * p * (q - self.cost)
+            return sgn * p * (q - self.cost) * self.scale
         if self.measure == "eo":
             if q <= 0.0:
                 return math.nan
@@ -231,20 +257,15 @@ class ThresholdCurve:
         q0, q1 = self.thresholds(t)
         return self.disparity_at(gs, (q0, q1), tie_prob)
 
-    def disparity_at(self, gs: GroupedScores, thresholds, tie_prob=(0.0, 0.0)) -> float:
+    def disparity_at(self, gs: GroupedScores, thresholds, tie_prob=(0.0, 0.0)):
+        """Plug-in disparity at the cutoffs (q_0, q_1), each a scalar or an array."""
         q0, q1 = thresholds
         if self.measure == "oa":
-            g1 = positive_rate(gs.stratum(1, 1), q1, tie_prob[1]) - positive_rate(
-                gs.stratum(1, 0), q1, tie_prob[1]
-            )
-            g0 = positive_rate(gs.stratum(0, 1), q0, tie_prob[0]) - positive_rate(
-                gs.stratum(0, 0), q0, tie_prob[0]
-            )
+            g1 = _rate(gs.stratum(1, 1), q1, tie_prob[1]) - _rate(gs.stratum(1, 0), q1, tie_prob[1])
+            g0 = _rate(gs.stratum(0, 1), q0, tie_prob[0]) - _rate(gs.stratum(0, 0), q0, tie_prob[0])
             return g1 - g0
         y = self.strata[0]
-        return positive_rate(gs.stratum(1, y), q1, tie_prob[1]) - positive_rate(
-            gs.stratum(0, y), q0, tie_prob[0]
-        )
+        return _rate(gs.stratum(1, y), q1, tie_prob[1]) - _rate(gs.stratum(0, y), q0, tie_prob[0])
 
     def tie_effect(self, gs: GroupedScores, thresholds, a: int) -> float:
         """d(disparity)/d(tie_prob[a]) at the given threshold pair."""
@@ -253,10 +274,9 @@ class ThresholdCurve:
         if self.measure == "oa":
             s1 = gs.stratum(a, 1)
             s0 = gs.stratum(a, 0)
-            return sgn * (_tie_count(s1, q) / s1.size - _tie_count(s0, q) / s0.size)
-        y = self.strata[0]
-        s = gs.stratum(a, y)
-        return sgn * _tie_count(s, q) / s.size
+            return sgn * (_counts(s1, q, True)[1] / s1.size - _counts(s0, q, True)[1] / s0.size)
+        s = gs.stratum(a, self.strata[0])
+        return sgn * _counts(s, q, True)[1] / s.size
 
 
 def curve_from_stats(measure: str, stats: GroupStats, cost: float = 0.5) -> ThresholdCurve:
@@ -305,66 +325,13 @@ def dpe_hat(gs: GroupedScores, t: float) -> float:
 
 
 def doa_hat(gs: GroupedScores, t: float) -> float:
-    """Per-group accuracy gap at shift t (raises outside the valid bracket)."""
+    """(TPR_1 - FPR_1) - (TPR_0 - FPR_0) at shift t (raises outside the valid bracket)."""
     return curve_from_stats("oa", gs.stats).disparity(gs, t)
 
 
 def disparity_bracket(gs: GroupedScores, measure: str, cost: float = 0.5) -> tuple:
     """Valid t range for the measure's empirical disparity function."""
     return curve_from_stats(measure, gs.stats, cost).bracket()
-
-
-# dp uses the doubled parameterization q_a = 1/2 +- t / (2 p_a); expose the
-# curve in that scale so ddp_hat and the dp solver agree with it exactly.
-def dp_curve(stats: GroupStats) -> ThresholdCurve:
-    """The dp family q_1 = 1/2 + t/(2 p_1), q_0 = 1/2 - t/(2 p_0)."""
-    return _ScaledCurve(curve_from_stats("dp", stats, cost=0.5), 2.0)
-
-
-@dataclass(frozen=True)
-class _ScaledCurve:
-    """Reparameterize an underlying curve by t -> t / scale."""
-
-    base: ThresholdCurve
-    scale: float
-
-    @property
-    def measure(self):
-        return self.base.measure
-
-    @property
-    def p_a(self):
-        return self.base.p_a
-
-    @property
-    def p_ya(self):
-        return self.base.p_ya
-
-    @property
-    def strata(self):
-        return self.base.strata
-
-    def bracket(self):
-        lo, hi = self.base.bracket()
-        return lo * self.scale, hi * self.scale
-
-    def thresholds(self, t):
-        return self.base.thresholds(t / self.scale)
-
-    def inverse(self, q, a):
-        return self.base.inverse(q, a) * self.scale
-
-    def breakpoints(self, gs):
-        return self.base.breakpoints(gs) * self.scale
-
-    def disparity(self, gs, t, tie_prob=(0.0, 0.0)):
-        return self.base.disparity(gs, t / self.scale, tie_prob)
-
-    def disparity_at(self, gs, thresholds, tie_prob=(0.0, 0.0)):
-        return self.base.disparity_at(gs, thresholds, tie_prob)
-
-    def tie_effect(self, gs, thresholds, a):
-        return self.base.tie_effect(gs, thresholds, a)
 
 
 # ---------------------------------------------------------------------------

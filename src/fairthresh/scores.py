@@ -11,7 +11,6 @@ training data only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,8 +33,6 @@ def reset_fit_count() -> None:
 class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 400
-    batch_size: Optional[int] = None  # None: full batch
-    seed: int = 0
     per_group: bool = False
     l2: float = 0.0
 
@@ -44,8 +41,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
 
@@ -90,37 +85,24 @@ def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: floa
 
 
 def _descend(design, y, config: TrainConfig) -> tuple:
-    """Gradient descent with halving on loss increase; returns (theta, history).
+    """Full-batch gradient descent with halving on loss increase; returns (theta, history).
 
-    Full-batch epochs never increase the recorded loss: a step that would is
-    retried with a halved rate.  Mini-batch mode shuffles with the seeded rng
-    and records the full-batch loss once per epoch, without the guarantee.
+    Epochs never increase the recorded loss: a step that would is retried
+    with a halved rate.
     """
     theta = np.zeros(design.shape[1])
     lr = config.learning_rate
     loss, grad = loss_and_grad(theta, design, y, config.l2)
     history = [loss]
-    if config.batch_size is None:
-        for _ in range(config.epochs):
-            for _ in range(60):
-                cand = theta - lr * grad
-                new_loss, new_grad = loss_and_grad(cand, design, y, config.l2)
-                if new_loss <= loss + 1e-12:
-                    break
-                lr *= 0.5
-            theta, loss, grad = cand, new_loss, new_grad
-            history.append(loss)
-    else:
-        rng = np.random.default_rng(config.seed)
-        n = design.shape[0]
-        for _ in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                _, g = loss_and_grad(theta, design[idx], y[idx], config.l2)
-                theta = theta - lr * g
-            loss, grad = loss_and_grad(theta, design, y, config.l2)
-            history.append(loss)
+    for _ in range(config.epochs):
+        for _ in range(60):
+            cand = theta - lr * grad
+            new_loss, new_grad = loss_and_grad(cand, design, y, config.l2)
+            if new_loss <= loss + 1e-12:
+                break
+            lr *= 0.5
+        theta, loss, grad = cand, new_loss, new_grad
+        history.append(loss)
     return theta, tuple(history)
 
 

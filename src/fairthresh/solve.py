@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, curve_from_stats, dp_curve
+from .metrics import GroupedScores, _counts, _rate, curve_from_stats
 
 
 # Slack allowed in every comparison of a disparity against the tolerance.
@@ -43,76 +42,6 @@ DELTA_SLACK = 1e-12
 
 class SolverError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SupSolveResult:
-    """Outcome of a sup search: the parameter value plus diagnostics."""
-
-    value: float
-    no_crossing: bool
-    saturated: bool
-    iterations: int
-
-
-def sup_solve(
-    f: Callable[[float], float],
-    target: float,
-    bracket: tuple,
-    candidates: Optional[Sequence[float]] = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> SupSolveResult:
-    """Largest t in the bracket with f(t) > target.
-
-    With ``candidates`` given (the breakpoints of a step function) the answer
-    is exact over that candidate set.  Otherwise f must be monotone
-    non-increasing and the crossing is bisected to absolute tolerance ``tol``.
-    Returns bracket_lo with ``no_crossing`` when f never exceeds the target,
-    and bracket_hi with ``saturated`` when it always does.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if hi < lo:
-        raise ValueError("empty bracket")
-    if candidates is not None:
-        return _sup_scan(f, target, lo, hi, candidates)
-    f_lo = f(lo)
-    if not f_lo > target:
-        return SupSolveResult(lo, True, False, 0)
-    f_hi = f(hi)
-    if f_hi > target:
-        return SupSolveResult(hi, False, True, 0)
-    a, b = lo, hi
-    it = 0
-    while b - a > tol and it < max_iter:
-        mid = 0.5 * (a + b)
-        if f(mid) > target:
-            a = mid
-        else:
-            b = mid
-        it += 1
-    return SupSolveResult(0.5 * (a + b), False, False, it)
-
-
-def _sup_scan(f, target, lo, hi, candidates) -> SupSolveResult:
-    pts = np.unique(np.clip(np.asarray(list(candidates) + [lo, hi], dtype=np.float64), lo, hi))
-    best = None
-    evals = 0
-    # constant pieces between consecutive candidates
-    for i in range(len(pts) - 1):
-        mid = 0.5 * (pts[i] + pts[i + 1])
-        evals += 1
-        if f(mid) > target:
-            best = pts[i + 1]
-    # isolated candidate points can also qualify
-    for p in pts:
-        evals += 1
-        if f(float(p)) > target and (best is None or p > best):
-            best = p
-    if best is None:
-        return SupSolveResult(lo, True, False, evals)
-    saturated = bool(best == pts[-1]) and f(0.5 * (pts[-2] + pts[-1])) > target
-    return SupSolveResult(float(best), False, saturated, evals)
 
 
 @dataclass(frozen=True)
@@ -148,20 +77,9 @@ class SolveResult:
     plugin_cost_risk: float
 
 
-def _rates_vec(sorted_scores: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    hi = np.searchsorted(sorted_scores, qs, side="right")
-    return (sorted_scores.size - hi) / sorted_scores.size
-
-
 def _disparity_vec(curve, gs: GroupedScores, ts: np.ndarray) -> np.ndarray:
     qs = np.array([curve.thresholds(float(t)) for t in ts])
-    q0s, q1s = qs[:, 0], qs[:, 1]
-    if curve.measure == "oa":
-        g1 = _rates_vec(gs.stratum(1, 1), q1s) - _rates_vec(gs.stratum(1, 0), q1s)
-        g0 = _rates_vec(gs.stratum(0, 1), q0s) - _rates_vec(gs.stratum(0, 0), q0s)
-        return g1 - g0
-    y = curve.strata[0]
-    return _rates_vec(gs.stratum(1, y), q1s) - _rates_vec(gs.stratum(0, y), q0s)
+    return curve.disparity_at(gs, (qs[:, 0], qs[:, 1]))
 
 
 def _snap_to_scores(q: float, sorted_scores: np.ndarray, atol: float = 1e-9) -> float:
@@ -197,23 +115,18 @@ def _plugin_metrics(gs: GroupedScores, rule: ThresholdRule, cost: float) -> tupl
 
 def _solve_binary(
     gs: GroupedScores,
-    delta: float,
     curve,
     constraint: FairnessConstraint,
     randomize: bool,
 ) -> SolveResult:
-    if delta < 0:
-        raise SolverError("delta must be >= 0")
-    if gs.n_groups != 2:
-        raise SolverError("binary solvers require exactly two groups")
-
+    delta = constraint.delta
     d0 = curve.disparity(gs, 0.0)
     lo, hi = curve.bracket()
-    sup = SupSolveResult(0.0, False, False, 0)
+    t_hat = 0.0
+    saturated = False
     n_candidates = 0
 
     if abs(d0) <= delta + DELTA_SLACK:
-        t_hat = 0.0
         branch = "within-tolerance"
         target = d0
     else:
@@ -236,31 +149,24 @@ def _solve_binary(
         mids = 0.5 * (ts_all[:-1] + ts_all[1:])
         vals_mid = _disparity_vec(curve, gs, mids)
         vals_at = _disparity_vec(curve, gs, ts_all)
+        hits = []
         if branch == "upper":
-            hits = []
             ok = vals_mid <= target + DELTA_SLACK
             if np.any(ok):
                 hits.append(float(ts_all[:-1][ok].min()))
             ok_at = vals_at <= target + DELTA_SLACK
             if np.any(ok_at):
                 hits.append(float(ts_all[ok_at].min()))
-            if hits:
-                sup = SupSolveResult(min(hits), False, False, 0)
-            else:
-                sup = SupSolveResult(float(hi), False, True, 0)
+            t_hat = min(hits) if hits else float(hi)
         else:
-            hits = []
             ok = vals_mid >= target - DELTA_SLACK
             if np.any(ok):
                 hits.append(float(ts_all[1:][ok].max()))
             ok_at = vals_at >= target - DELTA_SLACK
             if np.any(ok_at):
                 hits.append(float(ts_all[ok_at].max()))
-            if hits:
-                sup = SupSolveResult(max(hits), False, False, 0)
-            else:
-                sup = SupSolveResult(float(lo), False, True, 0)
-        t_hat = sup.value
+            t_hat = max(hits) if hits else float(lo)
+        saturated = not hits
 
     q0, q1 = curve.thresholds(t_hat)
     q0 = _snap_to_scores(q0, gs.by_group[0])
@@ -292,30 +198,33 @@ def _solve_binary(
         branch=branch,
         bracket=(float(lo), float(hi)),
         n_candidates=n_candidates,
-        no_crossing=sup.no_crossing,
-        saturated=sup.saturated,
+        no_crossing=False,
+        saturated=saturated,
         randomized=bool(tie[0] or tie[1]),
         plugin_accuracy=acc,
         plugin_cost_risk=risk,
     )
 
 
+def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
+    """Calibrate the threshold family of the constraint's measure (and cost)."""
+    curve = curve_from_stats(constraint.measure, gs.stats, constraint.cost)
+    return _solve_binary(gs, curve, constraint, randomize)
+
+
 def solve_dp(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
     """Demographic-parity calibration with cutoffs 1/2 +- t / (2 p_a)."""
-    curve = dp_curve(gs.stats)
-    return _solve_binary(gs, delta, curve, FairnessConstraint("dp", delta), randomize)
+    return solve(gs, FairnessConstraint("dp", delta), randomize)
 
 
 def solve_eo(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
     """Equal-opportunity (true-positive-rate) calibration."""
-    curve = curve_from_stats("eo", gs.stats)
-    return _solve_binary(gs, delta, curve, FairnessConstraint("eo", delta), randomize)
+    return solve(gs, FairnessConstraint("eo", delta), randomize)
 
 
 def solve_pe(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
     """Predictive-equality (false-positive-rate) calibration."""
-    curve = curve_from_stats("pe", gs.stats)
-    return _solve_binary(gs, delta, curve, FairnessConstraint("pe", delta), randomize)
+    return solve(gs, FairnessConstraint("pe", delta), randomize)
 
 
 def solve_oa(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
@@ -328,30 +237,17 @@ def solve_oa(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveR
     of t = 0 that the initial disparity dictates, which is the most accurate
     feasible rule on that side; the other side is not searched.
     """
-    curve = curve_from_stats("oa", gs.stats)
-    return _solve_binary(gs, delta, curve, FairnessConstraint("oa", delta), randomize)
+    return solve(gs, FairnessConstraint("oa", delta), randomize)
 
 
 def solve_cost_sensitive(
     gs: GroupedScores, cost: float, delta: float, randomize: bool = False
 ) -> SolveResult:
-    """Demographic-parity calibration of the cost-sensitive rule c +- t / p_a."""
-    if not 0.0 <= cost <= 1.0:
-        raise SolverError("cost must lie in [0, 1]")
-    curve = curve_from_stats("dp", gs.stats, cost=cost)
-    return _solve_binary(
-        gs, delta, curve, FairnessConstraint("dp", delta, cost=cost), randomize
-    )
+    """Demographic-parity calibration of the cost-sensitive rule c +- t / p_a.
 
-
-def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
-    """Dispatch on the constraint's measure (and cost, for dp)."""
-    if constraint.measure == "dp":
-        if constraint.cost != 0.5:
-            return solve_cost_sensitive(gs, constraint.cost, constraint.delta, randomize)
-        return solve_dp(gs, constraint.delta, randomize)
-    fn = {"eo": solve_eo, "pe": solve_pe, "oa": solve_oa}[constraint.measure]
-    return fn(gs, constraint.delta, randomize)
+    At ``cost = 0.5`` this is :func:`solve_dp`, parameter scale included.
+    """
+    return solve(gs, FairnessConstraint("dp", delta, cost=cost), randomize)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +281,7 @@ def _count_intervals(sorted_scores: np.ndarray, p_a: float):
     """
     u = np.unique(sorted_scores)
     n = sorted_scores.size
-    counts = n - np.searchsorted(sorted_scores, u, side="right")
+    counts, _ = _counts(sorted_scores, u)
     q_lo = list(u)
     q_hi = list(u[1:]) + [1.0]
     cs = list(counts)
@@ -461,13 +357,7 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     for a in range(k):
         thresholds[a] = _snap_to_scores(float(thresholds[a]), gs.by_group[a])
     rule = ThresholdRule(thresholds)
-    rates = np.array(
-        [
-            (gs.by_group[a].size - np.searchsorted(gs.by_group[a], thresholds[a], side="right"))
-            / gs.by_group[a].size
-            for a in range(k)
-        ]
-    )
+    rates = np.array([_rate(gs.by_group[a], thresholds[a]) for a in range(k)])
     gap = float(rates.max() - rates.min())
     acc, _ = _plugin_metrics(gs, rule, 0.5)
     return MulticlassSolveResult(

@@ -15,6 +15,8 @@ import csv
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 import urllib.request
 import warnings
 from dataclasses import dataclass, field
@@ -228,28 +230,34 @@ class SplitReport:
     stratum_counts: tuple  # per split: (n_groups, 2) array or None
 
 
-def split(data: Dataset, fractions: tuple, seed: int) -> tuple:
-    """Seeded shuffle, then contiguous split into len(fractions) parts.
+def split_indices(n: int, fractions, seed: int) -> list:
+    """Seeded permutation of range(n), cut into len(fractions) contiguous parts.
 
-    Returns (datasets, report); a part receiving zero rows yields None.
-    Parts missing a (group, label) stratum trigger a warning, not an error.
+    Part i ends at round((f_0 + ... + f_i) * n); the last part takes the rest.
     """
     fr = [float(f) for f in fractions]
     if any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise ValueError("fractions must be non-negative and sum to 1")
-    n = data.n
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
+    order = np.random.default_rng(seed).permutation(n)
     bounds = [0]
     acc = 0.0
     for f in fr[:-1]:
         acc += f
         bounds.append(int(round(acc * n)))
     bounds.append(n)
+    return [order[bounds[i] : bounds[i + 1]] for i in range(len(fr))]
+
+
+def split(data: Dataset, fractions: tuple, seed: int) -> tuple:
+    """Seeded shuffle, then contiguous split into len(fractions) parts.
+
+    Returns (datasets, report); a part receiving zero rows yields None.
+    Parts missing a (group, label) stratum trigger a warning, not an error.
+    """
     parts = []
     counts = []
-    for i in range(len(fr)):
-        idx = order[bounds[i] : bounds[i + 1]]
+    index_parts = split_indices(data.n, fractions, seed)
+    for i, idx in enumerate(index_parts):
         if idx.size == 0:
             parts.append(None)
             counts.append(None)
@@ -267,7 +275,7 @@ def split(data: Dataset, fractions: tuple, seed: int) -> tuple:
         if np.any(cnt == 0):
             warnings.warn(f"split part {i} is missing a (group, label) stratum")
     report = SplitReport(
-        sizes=tuple(bounds[i + 1] - bounds[i] for i in range(len(fr))),
+        sizes=tuple(int(idx.size) for idx in index_parts),
         stratum_counts=tuple(counts),
     )
     return tuple(parts), report
@@ -317,19 +325,35 @@ def data_dir() -> Path:
     return Path.home() / ".cache" / "fairthresh"
 
 
+def _verify(path: Path, manifest: FetchManifest) -> None:
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    if digest != manifest.sha256:
+        raise ValueError(
+            f"checksum mismatch for {manifest.filename}: expected {manifest.sha256}, got {digest}"
+        )
+
+
 def fetch(manifest: FetchManifest, dest_dir: Optional[Path] = None, timeout: float = 60.0) -> Path:
-    """Download (if absent) and checksum-verify a data file; returns its path."""
+    """Download (if absent) and checksum-verify a data file; returns its path.
+
+    The download goes to a temporary file in the cache directory and replaces
+    the target only once its checksum matches, so an interrupted or corrupt
+    download never sits at the target.
+    """
     dest = Path(dest_dir) if dest_dir else data_dir()
     dest.mkdir(parents=True, exist_ok=True)
     target = dest / manifest.filename
-    if not target.exists():
-        with urllib.request.urlopen(manifest.url, timeout=timeout) as resp:
-            target.write_bytes(resp.read())
-    digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    if digest != manifest.sha256:
-        raise ValueError(
-            f"checksum mismatch for {target}: expected {manifest.sha256}, got {digest}"
-        )
+    if target.exists():
+        _verify(target, manifest)
+        return target
+    fd, tmp = tempfile.mkstemp(dir=dest, prefix=f".{manifest.filename}.", suffix=".part")
+    try:
+        with os.fdopen(fd, "wb") as fh, urllib.request.urlopen(manifest.url, timeout=timeout) as resp:
+            shutil.copyfileobj(resp, fh)
+        _verify(Path(tmp), manifest)
+        os.replace(tmp, target)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return target
 
 

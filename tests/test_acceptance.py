@@ -18,7 +18,7 @@ from fairthresh import cli
 from fairthresh import gaussian as ga
 from fairthresh import scores as sc
 from fairthresh import tabular as tb
-from fairthresh.metrics import curve_from_stats, dp_curve
+from fairthresh.metrics import curve_from_stats
 from fairthresh.solve import _disparity_vec
 
 from _brute import brute_force_best, brute_force_family_best
@@ -222,7 +222,7 @@ def _random_gs_for_monotone(rng):
 
 
 def _grid_monotone(gs, measure):
-    curve = dp_curve(gs.stats) if measure == "dp" else curve_from_stats(measure, gs.stats)
+    curve = curve_from_stats(measure, gs.stats)
     lo, hi = curve.bracket()
     grid = np.linspace(lo, hi, 401)
     vals = _disparity_vec(curve, gs, grid)

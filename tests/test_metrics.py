@@ -7,7 +7,6 @@ from fairthresh.metrics import (
     ThresholdRangeError,
     curve_from_stats,
     disparity_bracket,
-    dp_curve,
     positive_rate,
 )
 
@@ -45,6 +44,12 @@ def test_positive_rate_pure_tie():
 def test_positive_rate_empty_errors():
     with pytest.raises(ValueError):
         positive_rate(np.array([]), 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grouped_scores_reject_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_gs([0.2, bad, 0.6, 0.7], [0, 0, 1, 1], [0, 1, 0, 1])
 
 
 # ------------------------------------------------------------------- ddp_hat
@@ -131,6 +136,31 @@ def test_bracket_errors():
         ft.dpe_hat(HAND, disparity_bracket(HAND, "pe")[0] * 1.5)
 
 
+@pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
+def test_disparity_at_array_cutoffs_match_scalar_calls(measure):
+    rng = np.random.default_rng(4)
+    gs = _random_gs(rng)
+    curve = curve_from_stats(measure, gs.stats)
+    q0s, q1s = rng.random(25), rng.random(25)
+    q0s[:5], q1s[:5] = gs.by_group[0][:5], gs.by_group[1][:5]  # cutoffs on scores
+    got = curve.disparity_at(gs, (q0s, q1s))
+    want = [curve.disparity_at(gs, (q0, q1)) for q0, q1 in zip(q0s, q1s)]
+    assert got.tolist() == want
+
+
+def test_dp_scale_follows_cost():
+    half = curve_from_stats("dp", HAND.stats, cost=0.5)
+    cost = curve_from_stats("dp", HAND.stats, cost=0.3)
+    assert (half.scale, cost.scale) == (2.0, 1.0)
+    p0, p1 = half.p_a
+    t = 0.1
+    # 1/2 +- t/(2 p_a) at c = 1/2, c +- t/p_a otherwise; a factor of 2 keeps every bit
+    assert half.thresholds(t) == (0.5 - t / (2.0 * p0), 0.5 + t / (2.0 * p1))
+    assert cost.thresholds(t) == (0.3 - t / p0, 0.3 + t / p1)
+    assert half.inverse(half.thresholds(t)[1], 1) == pytest.approx(t)
+    assert half.bracket() == (max(-p1, -p0), min(p1, p0))
+
+
 def test_empty_stratum_errors():
     gs = make_gs([0.2, 0.8, 0.5, 0.6], [0, 0, 1, 1], [0, 1, 1, 1])
     with pytest.raises(ValueError, match="empty stratum"):
@@ -156,7 +186,7 @@ def test_disparity_monotone_nonincreasing(measure):
     rng = np.random.default_rng(5)
     for _ in range(40):
         gs = _random_gs(rng)
-        curve = dp_curve(gs.stats) if measure == "dp" else curve_from_stats(measure, gs.stats)
+        curve = curve_from_stats(measure, gs.stats)
         lo, hi = curve.bracket()
         grid = np.linspace(lo, hi, 301)
         vals = [curve.disparity(gs, float(t)) for t in grid]

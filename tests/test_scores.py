@@ -122,15 +122,6 @@ def test_fit_validation_errors():
         ft.TrainConfig(learning_rate=0.0)
 
 
-def test_fit_minibatch_seeded_and_deterministic():
-    rng = np.random.default_rng(5)
-    data = toy_data(rng, n=120)
-    cfg = ft.TrainConfig(epochs=30, batch_size=16, seed=11)
-    m1 = ft.fit_logistic(data, cfg)
-    m2 = ft.fit_logistic(data, cfg)
-    assert np.array_equal(m1.weights, m2.weights)
-
-
 def test_fit_counter():
     sc.reset_fit_count()
     rng = np.random.default_rng(6)

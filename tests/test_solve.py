@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 import fairthresh as ft
-from fairthresh.solve import sup_solve
-
 from _brute import brute_force_best, brute_force_family_best, swap_groups
 
 
@@ -162,8 +160,8 @@ def test_cost_half_same_classifier_as_dp():
         delta = float(rng.choice([0.0, 0.1, 0.25]))
         r_dp = ft.solve_dp(gs, delta)
         r_c = ft.solve_cost_sensitive(gs, 0.5, delta)
-        # reparameterized family, same classifier: identical predictions
-        assert r_c.t_hat == pytest.approx(r_dp.t_hat / 2, abs=1e-12)
+        # the same family on the same parameter scale: identical results
+        assert r_c.t_hat == r_dp.t_hat
         for a in (0, 1):
             s = gs.by_group[a]
             assert np.array_equal(s > r_dp.rule.thresholds[a], s > r_c.rule.thresholds[a])
@@ -182,33 +180,6 @@ def test_cost_hand_dataset_matches_enumeration():
     best, _ = brute_force_best(HAND, "dp", 0.0, cost=0.3, randomize=True)
     assert -res.plugin_cost_risk == pytest.approx(best, abs=1e-12)
     assert abs(res.achieved_disparity) <= 1e-12
-
-
-# ------------------------------------------------------------------ sup_solve
-
-
-def test_sup_solve_linear():
-    res = sup_solve(lambda t: 1.0 - t, target=0.4, bracket=(0.0, 1.0))
-    assert res.value == pytest.approx(0.6, abs=1e-9)
-    assert not res.no_crossing and not res.saturated
-
-
-def test_sup_solve_step_function_breakpoints():
-    scores = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    f = lambda t: float(np.sum(scores > t)) / scores.size
-    res = sup_solve(f, target=0.5, bracket=(0.0, 1.0), candidates=scores.tolist())
-    # f(t) > 0.5 needs 3 scores above t, so the sup is the breakpoint 0.5
-    assert res.value == 0.5
-    # exhaustive scan over a fine grid agrees
-    grid = np.linspace(0, 1, 10001)
-    assert res.value == pytest.approx(grid[np.array([f(t) for t in grid]) > 0.5].max(), abs=1e-4)
-
-
-def test_sup_solve_saturation_and_no_crossing():
-    res = sup_solve(lambda t: 1.0, target=0.5, bracket=(0.0, 1.0))
-    assert res.value == 1.0 and res.saturated
-    res = sup_solve(lambda t: 0.0, target=0.5, bracket=(0.0, 1.0))
-    assert res.value == 0.0 and res.no_crossing
 
 
 # ------------------------------------------------------ constraint satisfaction
@@ -337,3 +308,18 @@ def test_solve_dispatch():
     assert res.constraint.measure == "eo"
     res = ft.solve(HAND, ft.FairnessConstraint("dp", 0.1, cost=0.3))
     assert res.constraint.cost == 0.3
+
+
+@pytest.mark.parametrize("measure", ["eo", "pe", "oa"])
+def test_solve_keeps_the_constraint_it_is_given(measure):
+    constraint = ft.FairnessConstraint(measure, 0.0, cost=0.3)
+    res = ft.solve(HAND, constraint)
+    assert res.constraint == constraint
+    # the cost weighs the reported plug-in risk only; the rule is the cost-free one
+    plain = ft.solve(HAND, ft.FairnessConstraint(measure, 0.0))
+    assert np.array_equal(res.rule.thresholds, plain.rule.thresholds)
+    s = np.concatenate(HAND.by_group)
+    q = np.concatenate([np.full(g.size, res.rule.thresholds[a]) for a, g in enumerate(HAND.by_group)])
+    pi = (s > q).astype(float)
+    want = np.mean(0.3 * (1 - s) * pi + 0.7 * s * (1 - pi))
+    assert res.plugin_cost_risk == pytest.approx(want, abs=1e-12)

@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,16 @@ def test_split_stratum_counts_sum_to_totals():
     assert np.array_equal(total, expect)
 
 
+def test_split_uses_the_shared_index_split():
+    data = _dataset(200, seed=2)
+    parts, report = tb.split(data, (0.7, 0.1, 0.2), seed=5)
+    idx = tb.split_indices(data.n, (0.7, 0.1, 0.2), seed=5)
+    assert report.sizes == (140, 20, 40) == tuple(i.size for i in idx)
+    for part, i in zip(parts, idx):
+        assert np.array_equal(part.features, data.features[i])
+    assert sorted(np.concatenate(idx).tolist()) == list(range(200))
+
+
 def test_split_validation():
     data = _dataset(10)
     with pytest.raises(ValueError):
@@ -156,6 +169,63 @@ def test_fetch_verifies_checksum(tmp_path):
     bad = tb.FetchManifest(url="file://unused", sha256="0" * 64, filename="file.bin")
     with pytest.raises(ValueError, match="checksum mismatch"):
         tb.fetch(bad, dest_dir=tmp_path)
+
+
+class _FakeResponse(io.BytesIO):
+    """A urlopen response; with ``fail_after`` the stream breaks after that many bytes."""
+
+    def __init__(self, payload, fail_after=None):
+        super().__init__(payload if fail_after is None else payload[:fail_after])
+        self.breaks = fail_after is not None
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        if not chunk and self.breaks:
+            raise ConnectionResetError("connection dropped")
+        return chunk
+
+
+def _serve(monkeypatch, responses):
+    calls = []
+
+    def urlopen(url, timeout=None):
+        calls.append(url)
+        return responses.pop(0)
+
+    monkeypatch.setattr(tb.urllib.request, "urlopen", urlopen)
+    return calls
+
+
+def test_fetch_downloads_verifies_and_moves_into_place(tmp_path, monkeypatch):
+    payload = b"a,b\n1,2\n" * 1000
+    manifest = tb.FetchManifest(url="https://example.invalid/d.csv",
+                                sha256=hashlib.sha256(payload).hexdigest(), filename="d.csv")
+    calls = _serve(monkeypatch, [_FakeResponse(payload)])
+    target = tb.fetch(manifest, dest_dir=tmp_path)
+    assert target == tmp_path / "d.csv" and target.read_bytes() == payload
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
+    assert tb.fetch(manifest, dest_dir=tmp_path) == target  # cached: no second download
+    assert len(calls) == 1
+
+
+def test_fetch_bad_or_partial_download_does_not_poison_the_cache(tmp_path, monkeypatch):
+    payload = b"x" * 5000
+    manifest = tb.FetchManifest(url="https://example.invalid/d.bin",
+                                sha256=hashlib.sha256(payload).hexdigest(), filename="d.bin")
+    calls = _serve(monkeypatch, [
+        _FakeResponse(b"y" * 5000),  # wrong content
+        _FakeResponse(payload, fail_after=1024),  # interrupted
+        _FakeResponse(payload),
+    ])
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        tb.fetch(manifest, dest_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConnectionResetError):
+        tb.fetch(manifest, dest_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    # the next call downloads again and succeeds
+    assert tb.fetch(manifest, dest_dir=tmp_path).read_bytes() == payload
+    assert len(calls) == 3
 
 
 def test_data_dir_env_override(tmp_path, monkeypatch):
