@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,14 @@ class GaussianPopulation:
 
     def score_law(self, a: int) -> "ScoreLaw":
         """Law of the log-odds score within group a, per label stratum."""
+        return self._score_laws[a]
+
+    @cached_property
+    def _score_laws(self) -> tuple:
+        # computed once: the oracle's bisections read a law on every tail rate
+        return tuple(self._score_law(a) for a in range(self.n_groups))
+
+    def _score_law(self, a: int) -> "ScoreLaw":
         mu1 = self.mu[a, 1]
         mu0 = self.mu[a, 0]
         var = self.sigma**2

@@ -113,6 +113,13 @@ def positive_rate(sorted_scores: np.ndarray, q: float, tau: float = 0.0) -> floa
 
 _EPS = 1e-12
 
+# Strata whose rates each measure compares: None = the group marginal, else a label.
+_STRATA = {"dp": (None,), "eo": (1,), "pe": (0,), "oa": (0, 1)}
+
+
+def _clamp(x, lo: float, hi: float):
+    return np.minimum(np.maximum(x, lo), hi)
+
 
 @dataclass(frozen=True)
 class ThresholdCurve:
@@ -129,6 +136,8 @@ class ThresholdCurve:
     t = 0 always yields the unconstrained thresholds; for each group the
     threshold moves monotonically as t grows, upward for group 1 and downward
     for group 0 (in the sense of shrinking that group's relevant rate).
+    ``thresholds``, ``inverse`` and ``disparity`` take a scalar or an array,
+    and an array gives elementwise the same bits as scalar calls.
     """
 
     measure: str
@@ -137,20 +146,14 @@ class ThresholdCurve:
     cost: float = 0.5
 
     def __post_init__(self):
-        if self.measure not in ("dp", "eo", "pe", "oa"):
+        if self.measure not in _STRATA:
             raise ValueError(f"unknown measure {self.measure!r}")
         if len(self.p_a) != 2 or len(self.p_ya) != 2:
             raise ValueError("threshold curves require exactly two groups")
 
-    # strata whose rates the measure compares: None = marginal, else label
     @property
     def strata(self) -> tuple:
-        return {
-            "dp": (None,),
-            "eo": (1,),
-            "pe": (0,),
-            "oa": (1, 0),
-        }[self.measure]
+        return _STRATA[self.measure]
 
     @property
     def scale(self) -> float:
@@ -174,14 +177,14 @@ class ThresholdCurve:
             return -p1 * (1.0 - py1), p0 * (1.0 - py0)
         return -p0 * min(py0, 1.0 - py0), p1 * min(py1, 1.0 - py1)
 
-    def thresholds(self, t: float) -> tuple:
-        """(q_0, q_1) at parameter t; raises outside the bracket."""
+    def thresholds(self, t) -> tuple:
+        """(q_0, q_1) at parameter t; raises if any t is outside the bracket."""
         t = t / self.scale
         lo, hi = self._unscaled_bracket()
         span = max(hi - lo, 1.0)
-        if t < lo - _EPS * span or t > hi + _EPS * span:
+        if np.any((t < lo - _EPS * span) | (t > hi + _EPS * span)):
             raise ThresholdRangeError("threshold out of range")
-        t = min(max(t, lo), hi)
+        t = _clamp(t, lo, hi)
         p0, p1 = self.p_a
         py0, py1 = self.p_ya
         if self.measure == "dp":
@@ -201,61 +204,58 @@ class ThresholdCurve:
         else:
             q1 = self._zeta_oa(t, 1)
             q0 = self._zeta_oa(t, 0)
-        return min(max(q0, 0.0), 1.0), min(max(q1, 0.0), 1.0)
+        return _clamp(q0, 0.0, 1.0), _clamp(q1, 0.0, 1.0)
 
-    def _zeta_oa(self, t: float, a: int) -> float:
+    def _zeta_oa(self, t, a: int):
         p = self.p_a[a]
         py = self.p_ya[a]
         if abs(1.0 - 2.0 * py) < _EPS:
-            return 0.5  # the family pins this group's cutoff (algebraic limit)
+            # the family pins this group's cutoff (algebraic limit)
+            return np.full(np.shape(t), 0.5)
         u = py * (1.0 - py)
         sgn = 1.0 - 2.0 * a
         den = 2.0 * p * u + sgn * t
-        if den <= 0.0:
+        if np.any(den <= 0.0):
             raise ThresholdRangeError("threshold out of range")
         return (p * u + sgn * py * t) / den
 
-    def inverse(self, q: float, a: int) -> float:
-        """Parameter t at which group a's threshold passes the score q."""
+    def inverse(self, q, a: int):
+        """Parameter t at which group a's threshold passes the score q; nan where none does."""
+        q = np.asarray(q, dtype=np.float64)
         p = self.p_a[a]
         py = self.p_ya[a]
         sgn = 1.0 if a == 1 else -1.0
-        if self.measure == "dp":
-            return sgn * p * (q - self.cost) * self.scale
-        if self.measure == "eo":
-            if q <= 0.0:
-                return math.nan
-            return sgn * p * py * (2.0 * q - 1.0) / q
-        if self.measure == "pe":
-            if q >= 1.0:
-                return math.nan
-            return sgn * p * (1.0 - py) * (2.0 * q - 1.0) / (1.0 - q)
-        if abs(q - py) < _EPS or abs(1.0 - 2.0 * py) < _EPS:
-            return math.nan
-        return sgn * p * py * (1.0 - py) * (2.0 * q - 1.0) / (q - py)
+        with np.errstate(all="ignore"):
+            if self.measure == "dp":
+                t = sgn * p * (q - self.cost) * self.scale
+            elif self.measure == "eo":
+                t = np.where(q <= 0.0, np.nan, sgn * p * py * (2.0 * q - 1.0) / q)
+            elif self.measure == "pe":
+                t = np.where(q >= 1.0, np.nan, sgn * p * (1.0 - py) * (2.0 * q - 1.0) / (1.0 - q))
+            else:
+                t = np.where(
+                    (np.abs(q - py) < _EPS) | (abs(1.0 - 2.0 * py) < _EPS),
+                    np.nan,
+                    sgn * p * py * (1.0 - py) * (2.0 * q - 1.0) / (q - py),
+                )
+        return t[()]
 
     def breakpoints(self, gs: GroupedScores) -> np.ndarray:
-        """All t values, inside the bracket, where some indicator can flip."""
-        lo, hi = self.bracket()
-        pts = [lo, hi, 0.0]
-        for a in (0, 1):
-            seen = set()
-            for y in self.strata:
-                for s in np.unique(gs.stratum(a, y)):
-                    seen.add(float(s))
-            # accuracy depends on every score, not only the constrained strata
-            for s in np.unique(gs.by_group[a]):
-                seen.add(float(s))
-            for s in seen:
-                t = self.inverse(s, a)
-                if not math.isnan(t) and lo <= t <= hi:
-                    pts.append(t)
-        return np.unique(np.asarray(pts, dtype=np.float64))
+        """All t values, inside the bracket, where some indicator can flip.
 
-    def disparity(self, gs: GroupedScores, t: float, tie_prob=(0.0, 0.0)) -> float:
+        Every stratum of a group is a subset of the group, and accuracy reads
+        every score, so the group's distinct scores give all the flips.
+        """
+        lo, hi = self.bracket()
+        pts = [np.array([lo, hi, 0.0])]
+        for a in (0, 1):
+            t = self.inverse(np.unique(gs.by_group[a]), a)
+            pts.append(t[(t >= lo) & (t <= hi)])  # nan compares false
+        return np.unique(np.concatenate(pts))
+
+    def disparity(self, gs: GroupedScores, t, tie_prob=(0.0, 0.0)):
         """Plug-in disparity of the rule at parameter t."""
-        q0, q1 = self.thresholds(t)
-        return self.disparity_at(gs, (q0, q1), tie_prob)
+        return self.disparity_at(gs, self.thresholds(t), tie_prob)
 
     def disparity_at(self, gs: GroupedScores, thresholds, tie_prob=(0.0, 0.0)):
         """Plug-in disparity at the cutoffs (q_0, q_1), each a scalar or an array."""
@@ -293,10 +293,9 @@ def curve_from_stats(measure: str, stats: GroupStats, cost: float = 0.5) -> Thre
 
 
 def _check_strata(measure: str, stats: GroupStats) -> None:
-    need = {"dp": (), "eo": (1,), "pe": (0,), "oa": (0, 1)}[measure]
-    for y in need:
+    for y in _STRATA[measure]:
         for a in range(stats.n_groups):
-            if stats.n_ay[a, y] == 0:
+            if y is not None and stats.n_ay[a, y] == 0:
                 raise ValueError(f"empty stratum (group {a}, label {y})")
 
 
@@ -327,11 +326,6 @@ def dpe_hat(gs: GroupedScores, t: float) -> float:
 def doa_hat(gs: GroupedScores, t: float) -> float:
     """(TPR_1 - FPR_1) - (TPR_0 - FPR_0) at shift t (raises outside the valid bracket)."""
     return curve_from_stats("oa", gs.stats).disparity(gs, t)
-
-
-def disparity_bracket(gs: GroupedScores, measure: str, cost: float = 0.5) -> tuple:
-    """Valid t range for the measure's empirical disparity function."""
-    return curve_from_stats(measure, gs.stats, cost).bracket()
 
 
 # ---------------------------------------------------------------------------

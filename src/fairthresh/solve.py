@@ -58,8 +58,6 @@ class SolveResult:
     brings the disparity within the tolerance (up to ``DELTA_SLACK``): the
     half-family holds no feasible rule, and the rule returned is taken at
     the end of the bracket on that side and does not meet the tolerance.
-    The binary solvers never set ``no_crossing``: a disparity that starts
-    within the tolerance takes the "within-tolerance" branch instead.
     """
 
     t_hat: float
@@ -70,16 +68,10 @@ class SolveResult:
     branch: str
     bracket: tuple
     n_candidates: int
-    no_crossing: bool
     saturated: bool
     randomized: bool
     plugin_accuracy: float
     plugin_cost_risk: float
-
-
-def _disparity_vec(curve, gs: GroupedScores, ts: np.ndarray) -> np.ndarray:
-    qs = np.array([curve.thresholds(float(t)) for t in ts])
-    return curve.disparity_at(gs, (qs[:, 0], qs[:, 1]))
 
 
 def _snap_to_scores(q: float, sorted_scores: np.ndarray, atol: float = 1e-9) -> float:
@@ -125,48 +117,33 @@ def _solve_binary(
     t_hat = 0.0
     saturated = False
     n_candidates = 0
+    bound = delta + DELTA_SLACK
 
-    if abs(d0) <= delta + DELTA_SLACK:
+    if abs(d0) <= bound:
         branch = "within-tolerance"
         target = d0
     else:
         # Walk outward from t = 0 on the side the initial disparity dictates
         # and stop at the first parameter where the disparity reaches the
-        # signed tolerance.  The two branches mirror each other, so a plateau
-        # lying exactly on the tolerance is entered at its near end from
-        # either side.  The first crossing is also well-posed for the
-        # accuracy-gap measure, whose empirical steps are not monotone.
-        target = delta if d0 > 0 else -delta
+        # signed tolerance.  In u = sign * t and sign * disparity both sides
+        # are one search: negation is exact and -delta - slack equals
+        # -(delta + slack), so a plateau lying exactly on the tolerance is
+        # entered at its near end from either side.  The first crossing is
+        # also well-posed for the oa statistic (TPR_1 - FPR_1) -
+        # (TPR_0 - FPR_0), whose empirical steps are not monotone.
+        sign = 1.0 if d0 > 0 else -1.0
         branch = "upper" if d0 > 0 else "lower"
+        target = sign * delta
+        end = hi if d0 > 0 else lo
         cands = curve.breakpoints(gs)
         n_candidates = int(cands.size)
-        if branch == "upper":
-            side = cands[(cands >= 0.0) & (cands <= hi)]
-            ts_all = np.unique(np.concatenate([[0.0], side, [hi]]))
-        else:
-            side = cands[(cands >= lo) & (cands <= 0.0)]
-            ts_all = np.unique(np.concatenate([[lo], side, [0.0]]))
-        mids = 0.5 * (ts_all[:-1] + ts_all[1:])
-        vals_mid = _disparity_vec(curve, gs, mids)
-        vals_at = _disparity_vec(curve, gs, ts_all)
-        hits = []
-        if branch == "upper":
-            ok = vals_mid <= target + DELTA_SLACK
-            if np.any(ok):
-                hits.append(float(ts_all[:-1][ok].min()))
-            ok_at = vals_at <= target + DELTA_SLACK
-            if np.any(ok_at):
-                hits.append(float(ts_all[ok_at].min()))
-            t_hat = min(hits) if hits else float(hi)
-        else:
-            ok = vals_mid >= target - DELTA_SLACK
-            if np.any(ok):
-                hits.append(float(ts_all[1:][ok].max()))
-            ok_at = vals_at >= target - DELTA_SLACK
-            if np.any(ok_at):
-                hits.append(float(ts_all[ok_at].max()))
-            t_hat = max(hits) if hits else float(lo)
-        saturated = not hits
+        us = sign * cands
+        us = np.unique(np.concatenate([[0.0], us[(us >= 0.0) & (us <= sign * end)], [sign * end]]))
+        ok_mid = sign * curve.disparity(gs, sign * (0.5 * (us[:-1] + us[1:]))) <= bound
+        ok_at = sign * curve.disparity(gs, sign * us) <= bound
+        hits = np.concatenate([us[:-1][ok_mid], us[ok_at]])
+        saturated = not hits.size
+        t_hat = end if saturated else sign * hits.min()
 
     q0, q1 = curve.thresholds(t_hat)
     q0 = _snap_to_scores(q0, gs.by_group[0])
@@ -198,7 +175,6 @@ def _solve_binary(
         branch=branch,
         bracket=(float(lo), float(hi)),
         n_candidates=n_candidates,
-        no_crossing=False,
         saturated=saturated,
         randomized=bool(tie[0] or tie[1]),
         plugin_accuracy=acc,

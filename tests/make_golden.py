@@ -10,10 +10,17 @@ Regenerate the files only when a report is meant to change, and say why in
 the change log::
 
     PYTHONPATH=src python tests/make_golden.py
+
+A refactor that must keep every report byte for byte checks that with
+``--check``, which writes nothing and exits nonzero naming each case whose
+report differs from its golden file::
+
+    PYTHONPATH=src python tests/make_golden.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 import tempfile
 from pathlib import Path
@@ -72,12 +79,27 @@ def render_case(name: str, fixture: dict) -> str:
     return cli.render(cfg.kind, cfg, rows, "csv")
 
 
-def main() -> int:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write, or check, the golden CSV reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare each report with its golden file byte for byte; write nothing")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         fixture = write_tabular_fixture(tmp)
-        for name in CASES:
-            (GOLDEN_DIR / f"{name}.csv").write_text(render_case(name, fixture), encoding="utf-8")
+        reports = {name: render_case(name, fixture) for name in CASES}
+    if args.check:
+        differ = []
+        for name, text in reports.items():
+            path = GOLDEN_DIR / f"{name}.csv"
+            if not path.is_file() or path.read_bytes() != text.encode("utf-8"):
+                differ.append(path.name)
+        for name in differ:
+            print(f"differs from golden: {name}", file=sys.stderr)
+        print(f"{len(CASES) - len(differ)} of {len(CASES)} reports match {GOLDEN_DIR} byte for byte")
+        return 1 if differ else 0
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, text in reports.items():
+        (GOLDEN_DIR / f"{name}.csv").write_text(text, encoding="utf-8")
     print(f"wrote {len(CASES)} reports to {GOLDEN_DIR}")
     return 0
 

@@ -19,7 +19,6 @@ from fairthresh import gaussian as ga
 from fairthresh import scores as sc
 from fairthresh import tabular as tb
 from fairthresh.metrics import curve_from_stats
-from fairthresh.solve import _disparity_vec
 
 from _brute import brute_force_best, brute_force_family_best
 
@@ -186,8 +185,7 @@ def test_criterion_4_exhaustive_optimality_eo_pe_oa():
         for m, fn in solvers.items():
             res = fn(gs, delta, randomize=True)
             best, _ = brute_force_family_best(gs, m, delta, randomize=True)
-            saturated = res.saturated or res.no_crossing
-            sat_mism[m] += saturated != (best is None)
+            sat_mism[m] += res.saturated != (best is None)
             if best is not None and abs(best - res.plugin_accuracy) > 1e-9:
                 mism[m] += 1
                 gap[m] = max(gap[m], abs(best - res.plugin_accuracy))
@@ -225,7 +223,7 @@ def _grid_monotone(gs, measure):
     curve = curve_from_stats(measure, gs.stats)
     lo, hi = curve.bracket()
     grid = np.linspace(lo, hi, 401)
-    vals = _disparity_vec(curve, gs, grid)
+    vals = curve.disparity(gs, grid)
     return bool(np.all(np.diff(vals) <= 1e-12))
 
 
@@ -310,13 +308,13 @@ def test_criterion_6_randomized_exact_tolerance():
                 continue
             delta = abs(d0) / 2
             res = fn(gs, delta, randomize=True)
-            if res.saturated or res.no_crossing:
+            if res.saturated:
                 continue
             err = abs(res.achieved_disparity - np.sign(d0) * delta)
             worst_exact = max(worst_exact, err)
             ok = ok and err <= 1e-12
             det = fn(gs, delta)
-            if not (det.saturated or det.no_crossing):
+            if not det.saturated:
                 # largest tied-score mass in any stratum the measure reads
                 strata = {"dp": (None,), "eo": (1,), "pe": (0,), "oa": (0, 1)}[measure]
                 step = max(

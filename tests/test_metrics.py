@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairthresh as ft
 from fairthresh.metrics import (
     GroupedScores,
     ThresholdRangeError,
     curve_from_stats,
-    disparity_bracket,
     positive_rate,
 )
 
@@ -121,7 +122,7 @@ def test_six_point_enumeration():
         [0, 1, 1, 0, 1, 1],
     )
     for measure, fn in (("eo", ft.deo_hat), ("pe", ft.dpe_hat), ("oa", ft.doa_hat)):
-        lo, hi = disparity_bracket(gs, measure)
+        lo, hi = curve_from_stats(measure, gs.stats).bracket()
         for t in np.linspace(lo, hi, 23):
             assert fn(gs, float(t)) == pytest.approx(
                 _enumerate_disparity(gs, measure, float(t))
@@ -129,11 +130,11 @@ def test_six_point_enumeration():
 
 
 def test_bracket_errors():
-    lo, hi = disparity_bracket(HAND, "eo")
+    lo, hi = curve_from_stats("eo", HAND.stats).bracket()
     with pytest.raises(ThresholdRangeError, match="threshold out of range"):
         ft.deo_hat(HAND, hi * 1.5)
     with pytest.raises(ThresholdRangeError):
-        ft.dpe_hat(HAND, disparity_bracket(HAND, "pe")[0] * 1.5)
+        ft.dpe_hat(HAND, curve_from_stats("pe", HAND.stats).bracket()[0] * 1.5)
 
 
 @pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
@@ -165,6 +166,114 @@ def test_empty_stratum_errors():
     gs = make_gs([0.2, 0.8, 0.5, 0.6], [0, 0, 1, 1], [0, 1, 1, 1])
     with pytest.raises(ValueError, match="empty stratum"):
         ft.dpe_hat(gs, 0.0)  # group 1 has no label-0 rows
+
+
+# ------------------------------------------------------- array-valued curve maps
+
+# name -> (measure, cost, balance group 0's labels so that p_ya[0] = 1/2)
+ARRAY_CASES = {
+    "dp": ("dp", 0.5, False),
+    "dp_cost_0.3": ("dp", 0.3, False),
+    "eo": ("eo", 0.5, False),
+    "pe": ("pe", 0.5, False),
+    "oa": ("oa", 0.5, False),
+    "oa_pinned_group": ("oa", 0.5, True),
+}
+
+# tie-heavy: most draws come from a few values, the ends of [0, 1] included
+SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _tied_samples(draw, balanced):
+    rows = []
+    for a in (0, 1):
+        n_pos = draw(st.integers(1, 5))
+        for y in (0, 1):
+            n = n_pos if balanced and a == 0 else draw(st.integers(1, 5))
+            rows += [(s, a, y) for s in draw(st.lists(SCORES, min_size=n, max_size=n))]
+    scores, group, label = zip(*rows)
+    return make_gs(scores, group, label)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_array_curve_maps_equal_scalar_calls_bit_for_bit(case, data):
+    measure, cost, balanced = ARRAY_CASES[case]
+    gs = data.draw(_tied_samples(balanced))
+    curve = curve_from_stats(measure, gs.stats, cost)
+    if balanced:
+        assert curve.p_ya[0] == 0.5
+    lo, hi = curve.bracket()
+    ts = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=6)) + [lo, 0.0, hi])
+    qs = np.array(data.draw(st.lists(SCORES, min_size=1, max_size=6)) + list(curve.p_ya))
+
+    for a in (0, 1):
+        want = [curve.inverse(float(q), a) for q in qs]
+        assert _bits(curve.inverse(qs, a)).tolist() == _bits(want).tolist()
+
+    outside = ts.copy()
+    outside[data.draw(st.integers(0, ts.size - 1))] = data.draw(st.sampled_from([lo - 1.0, hi + 1.0]))
+    with pytest.raises(ThresholdRangeError):
+        curve.thresholds(outside)
+    with pytest.raises(ThresholdRangeError):
+        curve.disparity(gs, outside)
+
+    try:
+        want = [curve.thresholds(float(t)) for t in ts]
+    except ThresholdRangeError:  # an oa cutoff map has no image at some t inside the bracket
+        with pytest.raises(ThresholdRangeError):
+            curve.thresholds(ts)
+        return
+    q0s, q1s = curve.thresholds(ts)
+    assert _bits(q0s).tolist() == _bits([q0 for q0, _ in want]).tolist()
+    assert _bits(q1s).tolist() == _bits([q1 for _, q1 in want]).tolist()
+    want = [curve.disparity(gs, float(t)) for t in ts]
+    assert _bits(curve.disparity(gs, ts)).tolist() == _bits(want).tolist()
+
+
+def _breakpoints_restated(curve, gs):
+    """Every stratum's and group's distinct scores, mapped one by one and kept in the bracket."""
+    lo, hi = curve.bracket()
+    pts = {lo, hi, 0.0}
+    for a in (0, 1):
+        scores = set(gs.by_group[a].tolist())
+        for y in (0, 1):
+            scores.update(gs.stratum(a, y).tolist())
+        for s in scores:
+            t = float(curve.inverse(s, a))
+            if lo <= t <= hi:
+                pts.add(t)
+    return np.array(sorted(pts))
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+@pytest.mark.parametrize("kind", ["tied", "saturated"])
+def test_breakpoints_equal_scalar_restatement(case, kind):
+    measure, cost, balanced = ARRAY_CASES[case]
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = 2 * int(rng.integers(2, 12))
+        if kind == "tied":
+            scores = rng.choice([0.0, 0.2, 0.3, 0.5, 0.7, 1.0], size=2 * n)
+        else:  # within 1e-12 of 0 or 1, the exact ends included
+            near = rng.choice([0.0, 1e-15, 1e-13, 1e-12], size=2 * n) * rng.random(2 * n)
+            scores = np.where(rng.random(2 * n) < 0.5, near, 1.0 - near)
+        group = np.repeat([0, 1], n)
+        label = rng.integers(0, 2, 2 * n)
+        label[:2] = [0, 1]
+        label[n : n + 2] = [0, 1]
+        if balanced:
+            label[:n] = np.arange(n) % 2
+        gs = make_gs(scores, group, label)
+        curve = curve_from_stats(measure, gs.stats, cost)
+        got = curve.breakpoints(gs)
+        assert got.tolist() == _breakpoints_restated(curve, gs).tolist()
 
 
 # ------------------------------------------------------------------ monotonicity
