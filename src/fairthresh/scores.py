@@ -60,12 +60,8 @@ class LogisticModel:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: float = 0.0):
@@ -75,9 +71,11 @@ def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: floa
     any logit magnitude.
     """
     z = design @ theta
+    e = np.exp(-np.abs(z))
     # softplus(z) - y z = -log p(y | z)
-    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
-    grad = design.T @ (_sigmoid(z) - y) / design.shape[0]
+    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z))
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # _sigmoid(z), reusing its exponential
+    grad = design.T @ (p - y) / design.shape[0]
     if l2:
         loss += 0.5 * l2 * float(theta @ theta)
         grad = grad + l2 * theta
@@ -88,13 +86,20 @@ def _descend(design, y, config: TrainConfig) -> tuple:
     """Full-batch gradient descent with halving on loss increase; returns (theta, history).
 
     Epochs never increase the recorded loss: a step that would is retried
-    with a halved rate.
+    with a halved rate.  Once ``theta - lr * grad`` rounds back to ``theta``
+    bit for bit (and the loss is not nan), the next epoch would evaluate the
+    same ``theta``, accept its equal loss without halving and leave ``(theta,
+    loss, grad, lr)`` as it was, and so would every later one; descent stops
+    there and repeats the loss to fill ``history`` to ``epochs + 1`` entries.
     """
     theta = np.zeros(design.shape[1])
     lr = config.learning_rate
     loss, grad = loss_and_grad(theta, design, y, config.l2)
     history = [loss]
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
+        if not np.isnan(loss) and (theta - lr * grad).tobytes() == theta.tobytes():
+            history.extend([loss] * (config.epochs - epoch))
+            break
         for _ in range(60):
             cand = theta - lr * grad
             new_loss, new_grad = loss_and_grad(cand, design, y, config.l2)

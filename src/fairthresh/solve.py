@@ -75,18 +75,17 @@ class SolveResult:
 
 
 def _snap_to_scores(q: float, sorted_scores: np.ndarray, atol: float = 1e-9) -> float:
-    """Snap a threshold onto an exactly-equal observed score, within atol.
+    """Snap a threshold onto the nearest observed score, if it lies within atol.
 
     Candidate parameters are breakpoint images, so the intended cutoff is an
     exact score value; this undoes the inverse-then-forward float round trip.
+    Saturated scores can sit closer together than atol, so of the two
+    neighbours the nearer is taken (the lower on a tie), not the first in reach.
     """
-    if sorted_scores.size == 0:
-        return q
-    i = np.searchsorted(sorted_scores, q)
-    for j in (i - 1, i):
-        if 0 <= j < sorted_scores.size and abs(sorted_scores[j] - q) <= atol:
-            return float(sorted_scores[j])
-    return q
+    i = int(np.searchsorted(sorted_scores, q))
+    near = sorted_scores[max(i - 1, 0) : i + 1]
+    dist = np.abs(near - q)
+    return float(near[np.argmin(dist)]) if near.size and dist.min() <= atol else q
 
 
 def _plugin_metrics(gs: GroupedScores, rule: ThresholdRule, cost: float) -> tuple:

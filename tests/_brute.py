@@ -155,9 +155,11 @@ def _half_bracket_end(measure, p_a, p_ya, upper):
 
 
 def _snap(q, scores):
-    """An observed score within 1e-9 of q, else q itself."""
-    near = scores[np.abs(scores - q) <= 1e-9]
-    return float(near[0]) if near.size else q
+    """The observed score nearest to q (the first on a tie) if within 1e-9, else q itself."""
+    dist = np.abs(scores - q)
+    if not dist.size or dist.min() > 1e-9:
+        return q
+    return float(scores[np.argmin(dist)])
 
 
 def brute_force_family_best(gs, measure, delta, randomize=True):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairthresh as ft
 from fairthresh import gaussian as ga
@@ -148,6 +150,132 @@ def test_gradient_matches_central_finite_differences():
             lm, _ = sc.loss_and_grad(theta - e, design, y)
             fd = (lp - lm) / 2e-6
             assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+# ------------------------------------------------ fit kernel and fixed point
+#
+# Restated below: the masked-branch sigmoid, the loss and gradient built on it,
+# and gradient descent run for every epoch.  The fit must match them bit for bit.
+
+
+def _masked_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _masked_loss_and_grad(theta, design, y, l2=0.0):
+    z = design @ theta
+    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
+    grad = design.T @ (_masked_sigmoid(z) - y) / design.shape[0]
+    if l2:
+        loss += 0.5 * l2 * float(theta @ theta)
+        grad = grad + l2 * theta
+    return loss, grad
+
+
+def _every_epoch_descend(design, y, config):
+    theta = np.zeros(design.shape[1])
+    lr = config.learning_rate
+    loss, grad = _masked_loss_and_grad(theta, design, y, config.l2)
+    history = [loss]
+    for _ in range(config.epochs):
+        for _ in range(60):
+            cand = theta - lr * grad
+            new_loss, new_grad = _masked_loss_and_grad(cand, design, y, config.l2)
+            if new_loss <= loss + 1e-12:
+                break
+            lr *= 0.5
+        theta, loss, grad = cand, new_loss, new_grad
+        history.append(loss)
+    return theta, tuple(history)
+
+
+def assert_same_bits(a, b):
+    """Equal float arrays, zero signs included; nan matches nan of any sign."""
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+# ±0, ±inf, nan, exp underflow (|z| > 745), subnormals and values near 0 and 1
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 746.0, -746.0, 1e308,
+            -1e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.7, -36.7, 1e-16, -1e-16]
+_logits = st.lists(
+    st.one_of(st.sampled_from(_SPECIAL),
+              st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+              st.floats(-800.0, 800.0)),
+    min_size=1, max_size=40,
+).map(lambda v: np.array(v, dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_logits)
+def test_sigmoid_equals_masked_branches_bit_for_bit(z):
+    with np.errstate(all="ignore"):
+        assert_same_bits(sc._sigmoid(z), _masked_sigmoid(z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_logits, data=st.data(), l2=st.sampled_from([0.0, 0.3]))
+def test_loss_and_grad_equals_masked_restatement_bit_for_bit(z, data, l2):
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=z.size,
+                                    max_size=z.size)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # one column is z itself; the other two mix it with finite features
+    design = np.column_stack([z, rng.normal(size=z.size), np.ones(z.size)])
+    theta = np.array([1.0, data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0))])
+    with np.errstate(all="ignore"):
+        loss, grad = sc.loss_and_grad(theta, design, y, l2)
+        ref_loss, ref_grad = _masked_loss_and_grad(theta, design, y, l2)
+    assert_same_bits(loss, ref_loss)
+    assert_same_bits(grad, ref_grad)
+
+
+def _fixed_point_data():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 2))
+    y = (rng.random(200) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(int)
+    return ft.Dataset(x, rng.integers(0, 2, 200), y)
+
+
+# (config, whether every fit reaches the fixed point before its last epoch)
+_FIXED_POINT_CASES = [
+    (ft.TrainConfig(learning_rate=1.0, epochs=400), True),
+    (ft.TrainConfig(learning_rate=1.0, epochs=400, per_group=True), True),
+    (ft.TrainConfig(learning_rate=1.0, epochs=50), False),
+    (ft.TrainConfig(learning_rate=1.0, epochs=60, per_group=True, l2=0.1), False),
+]
+
+
+@pytest.mark.parametrize("config, converges", _FIXED_POINT_CASES)
+def test_fit_equals_every_epoch_descent(monkeypatch, config, converges):
+    data = _fixed_point_data()
+    calls = []
+    loss_and_grad = sc.loss_and_grad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "loss_and_grad", counted)
+    model = ft.fit_logistic(data, config)
+    n_fits = data.n_groups if config.per_group else 1
+    monkeypatch.setattr(sc, "_descend", _every_epoch_descend)
+    ref = ft.fit_logistic(data, config)
+
+    assert_same_bits(model.weights, ref.weights)
+    assert_same_bits(model.bias, ref.bias)
+    assert len(model.loss_history) == config.epochs + 1
+    assert_same_bits(model.loss_history, ref.loss_history)
+    # the fixed-point exit skips the evaluations of the repeated epochs
+    assert (len(calls) < n_fits * (config.epochs + 1)) == converges
 
 
 # ---------------------------------------------------------------- persistence

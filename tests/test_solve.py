@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import fairthresh as ft
-from _brute import brute_force_best, brute_force_family_best, swap_groups
+from _brute import _snap, brute_force_best, brute_force_family_best, swap_groups
+from fairthresh.solve import _snap_to_scores
 
 
 def make_gs(scores, group, label):
@@ -31,6 +32,28 @@ def _random_gs(rng, n_lo=8, n_hi=26, distinct=False):
     label[:2] = [0, 1]
     label[n0 : n0 + 2] = [0, 1]
     return make_gs(scores, group, label)
+
+
+# ------------------------------------------------------------------ snapping
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.5 + 4e-10), (1 - 3e-10, 1 - 1e-10)])
+def test_snap_takes_the_nearest_score_within_atol(lo, hi):
+    # both scores lie within atol = 1e-9 of a cutoff one ulp below hi
+    scores = np.array([lo, hi])
+    q = float(np.nextafter(hi, 0.0))
+    assert _snap_to_scores(q, scores) == hi
+    assert _snap_to_scores(float(np.nextafter(lo, 1.0)), scores) == lo
+    assert _snap(q, scores) == hi
+
+
+def test_snap_tie_outside_and_empty():
+    scores = np.array([0.25, 0.25 + 2.0**-32, 0.75])
+    assert _snap_to_scores(0.25 + 2.0**-33, scores) == 0.25  # equidistant: the lower
+    assert _snap(0.25 + 2.0**-33, scores) == 0.25
+    assert _snap_to_scores(0.5, scores) == 0.5  # nothing within atol
+    assert _snap_to_scores(0.75 + 1e-10, scores) == 0.75  # past the last score
+    assert _snap_to_scores(0.5, np.array([])) == 0.5
 
 
 # ------------------------------------------------------------------- solve_dp
