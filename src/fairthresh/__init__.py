@@ -11,10 +11,6 @@ from .core import (
 from .metrics import (
     GroupedScores,
     ThresholdCurve,
-    ddp_hat,
-    deo_hat,
-    doa_hat,
-    dpe_hat,
     evaluate,
     positive_rate,
 )
@@ -23,38 +19,23 @@ from .solve import (
     SolveResult,
     SolverError,
     solve,
-    solve_cost_sensitive,
-    solve_dp,
-    solve_eo,
     solve_multiclass_dp,
-    solve_oa,
-    solve_pe,
 )
 from .gaussian import (
     GaussianPopulation,
     MulticlassOracle,
     ScoreLaw,
-    d_star,
-    e_star,
     eta,
     fair_accuracy,
-    load_population,
-    o_star,
     oracle_multiclass_dp,
-    oracle_rule,
-    p_star,
-    save_population,
     t_star,
     tail_rate,
-    tau_star,
 )
 from .scores import (
     LogisticModel,
     TrainConfig,
     fit_logistic,
-    load_model,
     predict_proba,
-    save_model,
     score_dataset,
 )
 from .synth import SynthSpec, draw_population, sample
@@ -70,44 +51,25 @@ __all__ = [
     "group_stats",
     "GroupedScores",
     "ThresholdCurve",
-    "ddp_hat",
-    "deo_hat",
-    "doa_hat",
-    "dpe_hat",
     "evaluate",
     "positive_rate",
     "MulticlassSolveResult",
     "SolveResult",
     "SolverError",
     "solve",
-    "solve_cost_sensitive",
-    "solve_dp",
-    "solve_eo",
     "solve_multiclass_dp",
-    "solve_oa",
-    "solve_pe",
     "GaussianPopulation",
     "MulticlassOracle",
     "ScoreLaw",
-    "d_star",
-    "e_star",
     "eta",
     "fair_accuracy",
-    "load_population",
-    "o_star",
     "oracle_multiclass_dp",
-    "oracle_rule",
-    "p_star",
-    "save_population",
     "t_star",
     "tail_rate",
-    "tau_star",
     "LogisticModel",
     "TrainConfig",
     "fit_logistic",
-    "load_model",
     "predict_proba",
-    "save_model",
     "score_dataset",
     "SynthSpec",
     "draw_population",

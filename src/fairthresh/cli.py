@@ -102,8 +102,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in COLUMNS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.deltas is not None and any(d < 0 for d in self.deltas):
+        if self.deltas is not None and not all(d >= 0 for d in self.deltas):  # also rejects nan
             raise ValueError("delta values must be >= 0")
+        if len(self.fractions) != 3:
+            raise ValueError("fractions must give three parts: train, validation, test")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.format not in ("csv", "json", "table"):
@@ -312,6 +314,11 @@ def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
         schema = tb.adult_schema()
     rows = tb.read_rows(cfg.data_path, schema)
     parts = [[rows[i] for i in idx] for idx in tb.split_indices(len(rows), cfg.fractions, split_seed)]
+    for name, part in (("train", parts[0]), ("test", parts[2])):
+        if not part:
+            raise ValueError(
+                f"the {name} part of the split is empty: fractions {cfg.fractions} of {len(rows)} rows"
+            )
     tb.fit_schema(schema, parts[0])
     train, _ = tb.encode_rows(parts[0], schema)
     val, _ = tb.encode_rows(parts[1], schema) if parts[1] else (None, None)

@@ -136,7 +136,7 @@ class FairnessConstraint:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        if self.delta < 0:
+        if not self.delta >= 0:  # also rejects nan
             raise ValueError("delta must be >= 0")
         if not 0.0 <= self.cost <= 1.0:
             raise ValueError("cost must lie in [0, 1]")
@@ -157,13 +157,13 @@ class ThresholdRule:
         thr = _frozen_array(self.thresholds, np.float64)
         if thr.ndim != 1 or thr.size < 1:
             raise ValueError("thresholds must be a non-empty vector")
-        if np.any(thr < 0.0) or np.any(thr > 1.0):
+        if not np.all((thr >= 0.0) & (thr <= 1.0)):  # also rejects nan
             raise ValueError("thresholds must lie in [0, 1]")
         if self.tie_prob is None:
             tie = np.zeros_like(thr)
         else:
             tie = _frozen_array(self.tie_prob, np.float64)
-        if tie.shape != thr.shape or np.any(tie < 0.0) or np.any(tie > 1.0):
+        if tie.shape != thr.shape or not np.all((tie >= 0.0) & (tie <= 1.0)):
             raise ValueError("tie probabilities must lie in [0, 1]")
         tie.setflags(write=False)
         object.__setattr__(self, "thresholds", thr)

@@ -12,7 +12,6 @@ upper tails.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .core import ThresholdRule
-from .metrics import ThresholdCurve
+from .metrics import ThresholdCurve, dp_cutoffs, dp_shifts
 
 
 def _logit(q: float) -> float:
@@ -192,22 +191,6 @@ def unconstrained_disparity(pop: GaussianPopulation, measure: str, cost: float =
     return population_disparity(pop, curve, 0.0)
 
 
-def d_star(pop: GaussianPopulation) -> float:
-    return unconstrained_disparity(pop, "dp")
-
-
-def e_star(pop: GaussianPopulation) -> float:
-    return unconstrained_disparity(pop, "eo")
-
-
-def p_star(pop: GaussianPopulation) -> float:
-    return unconstrained_disparity(pop, "pe")
-
-
-def o_star(pop: GaussianPopulation) -> float:
-    return unconstrained_disparity(pop, "oa")
-
-
 def t_star(
     pop: GaussianPopulation,
     measure: str,
@@ -221,7 +204,7 @@ def t_star(
     The disparity is continuous and strictly decreasing for non-degenerate
     score laws, so the crossing is bisected to absolute tolerance ``tol``.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     curve = population_curve(pop, measure, cost)
     star = population_disparity(pop, curve, 0.0)
@@ -244,50 +227,6 @@ def t_star(
         if b - a <= tol:
             break
     return 0.5 * (a + b)
-
-
-def oracle_rule(
-    pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.5
-) -> tuple:
-    """(shift, ThresholdRule) of the tolerance-optimal population rule."""
-    curve = population_curve(pop, measure, cost)
-    t = t_star(pop, measure, delta, cost)
-    q0, q1 = curve.thresholds(t)
-    return t, ThresholdRule(np.array([q0, q1]))
-
-
-def tau_star(
-    tail1: float,
-    atom1: float,
-    tail0: float,
-    atom0: float,
-    sign: float,
-    delta: float,
-) -> tuple:
-    """Boundary randomization probabilities (tau_1, tau_0) at the optimal shift.
-
-    ``tail_a`` is the strict upper-tail rate of group a at its cutoff and
-    ``atom_a`` the probability mass sitting exactly on the cutoff.  The case
-    split follows which atoms are zero; with both atoms present tau_1 is
-    pinned to 0 and tau_0 carries the correction.  The resulting randomized
-    rule satisfies (tail1 + tau1*atom1) - (tail0 + tau0*atom0) = sign*delta.
-    """
-    if sign not in (-1.0, 1.0):
-        raise ValueError("sign must be -1 or +1")
-    target = sign * delta
-    if atom1 == 0.0 and atom0 == 0.0:
-        if abs(tail1 - tail0 - target) > 1e-9:
-            raise ValueError("inconsistent randomization inputs")
-        return 0.0, 0.0
-    if atom1 > 0.0 and atom0 == 0.0:
-        tau1 = (tail0 + target - tail1) / atom1
-        tau0 = 0.0
-    else:  # atom0 > 0; tau_1 = 0 whether or not group 1 has an atom
-        tau1 = 0.0
-        tau0 = (tail1 - tail0 - target) / atom0
-    if not (-1e-9 <= tau1 <= 1.0 + 1e-9 and -1e-9 <= tau0 <= 1.0 + 1e-9):
-        raise ValueError("inconsistent randomization inputs")
-    return min(max(tau1, 0.0), 1.0), min(max(tau0, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +255,6 @@ def fair_accuracy(pop: GaussianPopulation, rule: ThresholdRule) -> float:
         py = float(pop.p_ya[a])
         acc += float(pop.p_a[a]) * (py * pos1 + (1.0 - py) * (1.0 - pos0))
     return acc
-
-
-def cost_risk(pop: GaussianPopulation, rule: ThresholdRule, cost: float) -> float:
-    """Exact cost-sensitive risk: cost*P(fp) + (1-cost)*P(fn)."""
-    risk = 0.0
-    for a, (pos1, pos0) in enumerate(_positive_rates(pop, rule)):
-        py = float(pop.p_ya[a])
-        risk += float(pop.p_a[a]) * (
-            cost * (1.0 - py) * pos0 + (1.0 - cost) * py * (1.0 - pos1)
-        )
-    return risk
 
 
 def rule_positive_rates(pop: GaussianPopulation, rule: ThresholdRule) -> np.ndarray:
@@ -358,7 +286,7 @@ def _shift_for_rate(pop: GaussianPopulation, a: int, s: float) -> float:
     """The shift t_a at which group a's marginal positive rate equals s."""
     f = lambda q: tail_rate(pop, a, q) - s
     q = brentq(f, 1e-15, 1.0 - 1e-15, xtol=1e-15)
-    return 2.0 * float(pop.p_a[a]) * (q - 0.5)
+    return dp_shifts(q, float(pop.p_a[a]))
 
 
 def oracle_multiclass_dp(pop: GaussianPopulation, tol: float = 1e-12) -> MulticlassOracle:
@@ -376,7 +304,7 @@ def oracle_multiclass_dp(pop: GaussianPopulation, tol: float = 1e-12) -> Multicl
 
     s_star = brentq(total, 1e-12, 1.0 - 1e-12, xtol=tol)
     t_a = np.array([_shift_for_rate(pop, a, s_star) for a in range(pop.n_groups)])
-    thresholds = np.clip(0.5 + t_a / (2.0 * pop.p_a), 0.0, 1.0)
+    thresholds = dp_cutoffs(t_a, pop.p_a)
     rule = ThresholdRule(thresholds)
     return MulticlassOracle(
         t_a=t_a,
@@ -385,48 +313,3 @@ def oracle_multiclass_dp(pop: GaussianPopulation, tol: float = 1e-12) -> Multicl
         accuracy=fair_accuracy(pop, rule),
         sum_residual=float(t_a.sum()),
     )
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-# ---------------------------------------------------------------------------
-#
-# Schema: a JSON object with keys
-#   "p_a"   : list of group probabilities
-#   "p_ya"  : list of per-group positive rates
-#   "mu"    : nested list, mu[a][y][j] stratum means
-#   "sigma" : shared isotropic standard deviation
-# Floats round-trip exactly (shortest-repr encoding).
-
-
-def population_to_json(pop: GaussianPopulation) -> str:
-    return json.dumps(
-        {
-            "p_a": pop.p_a.tolist(),
-            "p_ya": pop.p_ya.tolist(),
-            "mu": pop.mu.tolist(),
-            "sigma": pop.sigma,
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def population_from_json(text: str) -> GaussianPopulation:
-    obj = json.loads(text)
-    return GaussianPopulation(
-        p_a=np.asarray(obj["p_a"], dtype=np.float64),
-        p_ya=np.asarray(obj["p_ya"], dtype=np.float64),
-        mu=np.asarray(obj["mu"], dtype=np.float64),
-        sigma=float(obj["sigma"]),
-    )
-
-
-def save_population(pop: GaussianPopulation, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(population_to_json(pop) + "\n")
-
-
-def load_population(path) -> GaussianPopulation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return population_from_json(fh.read())

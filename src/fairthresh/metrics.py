@@ -6,7 +6,7 @@ false-positive rate (pe), and TPR - FPR (oa): the oa statistic is
 (TPR_1 - FPR_1) - (TPR_0 - FPR_0), not a gap in per-group accuracy.  Each
 measure induces a one-parameter family of group-wise threshold pairs; the
 :class:`ThresholdCurve` below maps the scalar family parameter ``t`` to the
-pair of score cutoffs, and the ``*_hat`` functions evaluate the plug-in
+pair of score cutoffs, and its ``disparity`` method evaluates the plug-in
 disparity of the resulting rule on a sample.
 """
 
@@ -300,32 +300,18 @@ def _check_strata(measure: str, stats: GroupStats) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Named disparity estimators
+# Multi-group demographic-parity shifts
 # ---------------------------------------------------------------------------
 
 
-def ddp_hat(gs: GroupedScores, t: float) -> float:
-    """Positive-rate gap at shift t; thresholds are clamped into [0, 1]."""
-    curve = curve_from_stats("dp", gs.stats)
-    p0, p1 = curve.p_a
-    q1 = min(max(0.5 + t / (2.0 * p1), 0.0), 1.0)
-    q0 = min(max(0.5 - t / (2.0 * p0), 0.0), 1.0)
-    return curve.disparity_at(gs, (q0, q1))
+def dp_cutoffs(t, p_a):
+    """Cutoffs q_a = 1/2 + t_a / (2 p_a) of the shifts t_a, clipped into [0, 1]."""
+    return np.clip(0.5 + t / (2.0 * p_a), 0.0, 1.0)
 
 
-def deo_hat(gs: GroupedScores, t: float) -> float:
-    """True-positive-rate gap at shift t (raises outside the valid bracket)."""
-    return curve_from_stats("eo", gs.stats).disparity(gs, t)
-
-
-def dpe_hat(gs: GroupedScores, t: float) -> float:
-    """False-positive-rate gap at shift t (raises outside the valid bracket)."""
-    return curve_from_stats("pe", gs.stats).disparity(gs, t)
-
-
-def doa_hat(gs: GroupedScores, t: float) -> float:
-    """(TPR_1 - FPR_1) - (TPR_0 - FPR_0) at shift t (raises outside the valid bracket)."""
-    return curve_from_stats("oa", gs.stats).disparity(gs, t)
+def dp_shifts(q, p_a):
+    """Shifts t_a = 2 p_a (q_a - 1/2) that put the cutoffs at q_a; inverse of :func:`dp_cutoffs`."""
+    return 2.0 * p_a * (q - 0.5)
 
 
 # ---------------------------------------------------------------------------

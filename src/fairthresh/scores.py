@@ -181,58 +181,3 @@ def predict_proba(model: LogisticModel, x, a):
 
 def score_dataset(model: LogisticModel, data: Dataset) -> np.ndarray:
     return predict_proba(model, data.features, data.group)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text persistence (full-precision float round trip via repr)
-# ---------------------------------------------------------------------------
-
-
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in np.atleast_1d(values))
-
-
-def save_model(model: LogisticModel, path) -> None:
-    lines = [
-        f"kind={model.kind}",
-        f"n_groups={model.n_groups}",
-        f"dim={model.dim}",
-        f"feat_mean={_fmt(model.feat_mean)}",
-        f"feat_scale={_fmt(model.feat_scale)}",
-        f"bias={_fmt(model.bias)}",
-    ]
-    if model.kind == "joint":
-        lines.append(f"weights={_fmt(model.weights)}")
-    else:
-        for a in range(model.n_groups):
-            lines.append(f"weights{a}={_fmt(model.weights[a])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> LogisticModel:
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, value = line.partition("=")
-                fields[key] = value
-    kind = fields["kind"]
-    n_groups = int(fields["n_groups"])
-    dim = int(fields["dim"])
-    parse = lambda s: np.array([float(v) for v in s.split()]) if s else np.array([])
-    if kind == "joint":
-        weights = parse(fields["weights"])
-    else:
-        weights = np.stack([parse(fields[f"weights{a}"]) for a in range(n_groups)])
-    return LogisticModel(
-        kind=kind,
-        n_groups=n_groups,
-        dim=dim,
-        feat_mean=parse(fields["feat_mean"]),
-        feat_scale=parse(fields["feat_scale"]),
-        weights=weights,
-        bias=parse(fields["bias"]),
-        loss_history=(),
-    )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, _counts, _rate, curve_from_stats
+from .metrics import GroupedScores, _counts, _rate, curve_from_stats, dp_cutoffs, dp_shifts
 
 
 # Slack allowed in every comparison of a disparity against the tolerance.
@@ -154,7 +154,7 @@ def _solve_binary(
     if randomize and branch != "within-tolerance":
         needed = target - achieved
         if needed != 0.0:
-            for a in (0, 1):  # group-0 atom first: mirrors the tau convention
+            for a in (0, 1):  # group 0's tie first; group 1's if group 0's cannot carry it
                 eff = curve.tie_effect(gs, thresholds, a)
                 if eff != 0.0:
                     tau = needed / eff
@@ -182,47 +182,17 @@ def _solve_binary(
 
 
 def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
-    """Calibrate the threshold family of the constraint's measure (and cost)."""
+    """Calibrate the threshold family of the constraint's measure (and cost).
+
+    The dp family's cutoffs are c +- t / p_a at cost c, and 1/2 +- t / (2 p_a)
+    at c = 1/2.  The oa disparity (TPR_1 - FPR_1) - (TPR_0 - FPR_0) has a
+    sample estimate that is not monotone in t: it ticks upward when a cutoff
+    passes a label-0 score, so it can cross the signed tolerance more than
+    once.  The scan keeps the first crossing; the side of t = 0 opposite the
+    initial disparity is not searched.
+    """
     curve = curve_from_stats(constraint.measure, gs.stats, constraint.cost)
     return _solve_binary(gs, curve, constraint, randomize)
-
-
-def solve_dp(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
-    """Demographic-parity calibration with cutoffs 1/2 +- t / (2 p_a)."""
-    return solve(gs, FairnessConstraint("dp", delta), randomize)
-
-
-def solve_eo(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
-    """Equal-opportunity (true-positive-rate) calibration."""
-    return solve(gs, FairnessConstraint("eo", delta), randomize)
-
-
-def solve_pe(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
-    """Predictive-equality (false-positive-rate) calibration."""
-    return solve(gs, FairnessConstraint("pe", delta), randomize)
-
-
-def solve_oa(gs: GroupedScores, delta: float, randomize: bool = False) -> SolveResult:
-    """Overall-accuracy-equality calibration.
-
-    The disparity is the gap (TPR_1 - FPR_1) - (TPR_0 - FPR_0).  Its sample
-    estimate is a step function that is not monotone in t (it ticks upward
-    when a cutoff passes a label-0 score), so it can cross the signed
-    tolerance more than once.  The scan keeps the first crossing on the side
-    of t = 0 that the initial disparity dictates, which is the most accurate
-    feasible rule on that side; the other side is not searched.
-    """
-    return solve(gs, FairnessConstraint("oa", delta), randomize)
-
-
-def solve_cost_sensitive(
-    gs: GroupedScores, cost: float, delta: float, randomize: bool = False
-) -> SolveResult:
-    """Demographic-parity calibration of the cost-sensitive rule c +- t / p_a.
-
-    At ``cost = 0.5`` this is :func:`solve_dp`, parameter scale included.
-    """
-    return solve(gs, FairnessConstraint("dp", delta, cost=cost), randomize)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +234,8 @@ def _count_intervals(sorted_scores: np.ndarray, p_a: float):
         cs.insert(0, n)
         q_lo.insert(0, 0.0)
         q_hi.insert(0, float(u[0]))
-    t_lo = 2.0 * p_a * (np.asarray(q_lo) - 0.5)
-    t_hi = 2.0 * p_a * (np.asarray(q_hi) - 0.5)
+    t_lo = dp_shifts(np.asarray(q_lo), p_a)
+    t_hi = dp_shifts(np.asarray(q_hi), p_a)
     return np.asarray(cs, dtype=np.int64), t_lo, t_hi
 
 
@@ -328,7 +298,7 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
             for a in range(k)
         ]
     )
-    thresholds = np.clip(0.5 + t_hats / (2.0 * stats.p_hat_a), 0.0, 1.0)
+    thresholds = dp_cutoffs(t_hats, stats.p_hat_a)
     for a in range(k):
         thresholds[a] = _snap_to_scores(float(thresholds[a]), gs.by_group[a])
     rule = ThresholdRule(thresholds)

@@ -212,31 +212,13 @@ def encode_rows(rows: list, schema: ColumnSchema) -> tuple:
     return data, report
 
 
-def load_csv(path, schema: ColumnSchema) -> tuple:
-    """Parse and encode a CSV; fits vocabularies first if the schema is new.
-
-    To avoid leaking evaluation data into the encoding, fit the schema on the
-    training portion (``fit_schema``) and reuse the fitted schema here.
-    """
-    rows = read_rows(path, schema)
-    if not schema.fitted:
-        fit_schema(schema, rows)
-    return encode_rows(rows, schema)
-
-
-@dataclass
-class SplitReport:
-    sizes: tuple
-    stratum_counts: tuple  # per split: (n_groups, 2) array or None
-
-
 def split_indices(n: int, fractions, seed: int) -> list:
     """Seeded permutation of range(n), cut into len(fractions) contiguous parts.
 
     Part i ends at round((f_0 + ... + f_i) * n); the last part takes the rest.
     """
     fr = [float(f) for f in fractions]
-    if any(f < 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+    if not all(f >= 0 for f in fr) or not abs(sum(fr) - 1.0) <= 1e-9:
         raise ValueError("fractions must be non-negative and sum to 1")
     order = np.random.default_rng(seed).permutation(n)
     bounds = [0]
@@ -246,64 +228,6 @@ def split_indices(n: int, fractions, seed: int) -> list:
         bounds.append(int(round(acc * n)))
     bounds.append(n)
     return [order[bounds[i] : bounds[i + 1]] for i in range(len(fr))]
-
-
-def split(data: Dataset, fractions: tuple, seed: int) -> tuple:
-    """Seeded shuffle, then contiguous split into len(fractions) parts.
-
-    Returns (datasets, report); a part receiving zero rows yields None.
-    Parts missing a (group, label) stratum trigger a warning, not an error.
-    """
-    parts = []
-    counts = []
-    index_parts = split_indices(data.n, fractions, seed)
-    for i, idx in enumerate(index_parts):
-        if idx.size == 0:
-            parts.append(None)
-            counts.append(None)
-            continue
-        part = Dataset(
-            features=data.features[idx],
-            group=data.group[idx],
-            label=data.label[idx],
-            n_groups=data.n_groups,
-        )
-        parts.append(part)
-        cnt = np.zeros((data.n_groups, 2), dtype=np.int64)
-        np.add.at(cnt, (part.group, part.label), 1)
-        counts.append(cnt)
-        if np.any(cnt == 0):
-            warnings.warn(f"split part {i} is missing a (group, label) stratum")
-    report = SplitReport(
-        sizes=tuple(int(idx.size) for idx in index_parts),
-        stratum_counts=tuple(counts),
-    )
-    return tuple(parts), report
-
-
-# ---------------------------------------------------------------------------
-# Export (round-trips bit-exactly through repr floats)
-# ---------------------------------------------------------------------------
-
-
-def export_csv(data: Dataset, path) -> None:
-    """Write a dataset as x0..x{d-1},group,label with full-precision floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(data.dim)] + ["group", "label"])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(v)) for v in data.features[i]]
-                + [int(data.group[i]), int(data.label[i])]
-            )
-
-
-def export_schema(dim: int) -> ColumnSchema:
-    """Schema matching :func:`export_csv` output (re-load support)."""
-    cols = [ColumnSpec(name=f"x{j}", kind="numeric") for j in range(dim)]
-    cols.append(ColumnSpec(name="group", kind="protected", positive_values=("1",)))
-    cols.append(ColumnSpec(name="label", kind="label", positive_values=("1",)))
-    return ColumnSchema(columns=cols)
 
 
 # ---------------------------------------------------------------------------

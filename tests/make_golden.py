@@ -21,6 +21,7 @@ report differs from its golden file::
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import tempfile
 from pathlib import Path
@@ -61,13 +62,33 @@ CASES = {
 }
 
 
+def export_csv(data, path) -> None:
+    """Write a dataset as x0..x{d-1},group,label with full-precision floats."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(data.dim)] + ["group", "label"])
+        for i in range(data.n):
+            writer.writerow(
+                [repr(float(v)) for v in data.features[i]]
+                + [int(data.group[i]), int(data.label[i])]
+            )
+
+
+def export_schema(dim: int) -> tb.ColumnSchema:
+    """Schema matching :func:`export_csv` output: numeric x0..x{d-1}, group, label."""
+    cols = [tb.ColumnSpec(name=f"x{j}", kind="numeric") for j in range(dim)]
+    cols.append(tb.ColumnSpec(name="group", kind="protected", positive_values=("1",)))
+    cols.append(tb.ColumnSpec(name="label", kind="label", positive_values=("1",)))
+    return tb.ColumnSchema(columns=cols)
+
+
 def write_tabular_fixture(directory) -> dict:
     """A CSV written by ``export_csv`` from a fixed synthetic sample, and its schema."""
     directory = Path(directory)
     data = sample(draw_population(SynthSpec.binary(dim=3, seed=1)), 900, seed=2)
     paths = {"data": directory / "data.csv", "schema": directory / "schema.json"}
-    tb.export_csv(data, paths["data"])
-    tb.export_schema(3).save(paths["schema"])
+    export_csv(data, paths["data"])
+    export_schema(3).save(paths["schema"])
     return {k: str(v) for k, v in paths.items()}
 
 

@@ -56,7 +56,9 @@ def synth_runs():
             for delta in deltas:
                 res = ft.solve(gs_train, ft.FairnessConstraint(measure, delta))
                 ev = ft.evaluate(res.rule, gs_test)
-                t_or, rule_or = ga.oracle_rule(pop, measure, delta)
+                t_or = ga.t_star(pop, measure, delta)
+                curve = ga.population_curve(pop, measure)
+                rule_or = ft.ThresholdRule(np.array(curve.thresholds(t_or)))
                 runs[(measure, delta)].append(
                     {
                         "test_disparity": ev.ddp if measure == "dp" else ev.deo,
@@ -144,11 +146,11 @@ def test_criterion_4_exhaustive_optimality_dp_and_cost():
     for _ in range(n_data):
         gs = _random_small_gs(rng)
         delta = float(rng.choice([0.0, 0.05, 0.1, 0.2, 0.3]))
-        res = ft.solve_dp(gs, delta, randomize=True)
+        res = ft.solve(gs, ft.FairnessConstraint("dp", delta), randomize=True)
         best, _ = brute_force_best(gs, "dp", delta, randomize=True)
         mism += abs(res.plugin_accuracy - best) > 1e-9
         for c in (0.3, 0.5, 0.7):
-            r = ft.solve_cost_sensitive(gs, c, delta, randomize=True)
+            r = ft.solve(gs, ft.FairnessConstraint("dp", delta, cost=c), randomize=True)
             best, _ = brute_force_best(gs, "dp", delta, cost=c, randomize=True)
             mism += abs(-r.plugin_cost_risk - best) > 1e-9
     elapsed = time.perf_counter() - t0
@@ -173,17 +175,17 @@ def test_criterion_4_exhaustive_optimality_eo_pe_oa():
     pair can do better; that gap is printed, not asserted."""
     rng = np.random.default_rng(101)
     n_data = 200
-    solvers = {"eo": ft.solve_eo, "pe": ft.solve_pe, "oa": ft.solve_oa}
-    mism = dict.fromkeys(solvers, 0)
-    gap = dict.fromkeys(solvers, 0.0)
-    sat_mism = dict.fromkeys(solvers, 0)
-    below_2d = dict.fromkeys(solvers, 0)
-    gap_2d = dict.fromkeys(solvers, 0.0)
+    measures = ("eo", "pe", "oa")
+    mism = dict.fromkeys(measures, 0)
+    gap = dict.fromkeys(measures, 0.0)
+    sat_mism = dict.fromkeys(measures, 0)
+    below_2d = dict.fromkeys(measures, 0)
+    gap_2d = dict.fromkeys(measures, 0.0)
     for _ in range(n_data):
         gs = _random_small_gs(rng)
         delta = float(rng.choice([0.0, 0.05, 0.1, 0.2]))
-        for m, fn in solvers.items():
-            res = fn(gs, delta, randomize=True)
+        for m in measures:
+            res = ft.solve(gs, ft.FairnessConstraint(m, delta), randomize=True)
             best, _ = brute_force_family_best(gs, m, delta, randomize=True)
             sat_mism[m] += res.saturated != (best is None)
             if best is not None and abs(best - res.plugin_accuracy) > 1e-9:
@@ -197,7 +199,7 @@ def test_criterion_4_exhaustive_optimality_eo_pe_oa():
         f"{m}: {mism[m]}/{n_data} off the half-family optimum (max gap {gap[m]:.3f}), "
         f"{sat_mism[m]} saturation mismatches; below the 2-d optimum on "
         f"{below_2d[m]}/{n_data} (max gap {gap_2d[m]:.3f}, not asserted)"
-        for m in solvers
+        for m in measures
     )
     ok = all(v == 0 for v in mism.values()) and all(v == 0 for v in sat_mism.values())
     report("4b", ok, detail)
@@ -270,12 +272,14 @@ def test_criterion_5_monotone_disparity_oa():
 def test_criterion_5_accuracy_monotone_in_tolerance():
     rng = np.random.default_rng(202)
     deltas = np.linspace(0.0, 0.4, 9)
-    solvers = (ft.solve_dp, ft.solve_eo, ft.solve_pe, ft.solve_oa)
     bad = 0
     for _ in range(100):
         gs = _random_gs_for_monotone(rng)
-        for solver in solvers:
-            accs = [solver(gs, float(d), randomize=True).plugin_accuracy for d in deltas]
+        for measure in ("dp", "eo", "pe", "oa"):
+            accs = [
+                ft.solve(gs, ft.FairnessConstraint(measure, float(d)), randomize=True).plugin_accuracy
+                for d in deltas
+            ]
             bad += not all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
     report("5c", bad == 0, f"solver accuracy non-decreasing in the tolerance ({bad} violations)")
 
@@ -287,7 +291,6 @@ def test_criterion_5_accuracy_monotone_in_tolerance():
 
 def test_criterion_6_randomized_exact_tolerance():
     rng = np.random.default_rng(300)
-    solvers = {"dp": ft.solve_dp, "eo": ft.solve_eo, "pe": ft.solve_pe, "oa": ft.solve_oa}
     checked = 0
     worst_exact = 0.0
     ok = True
@@ -300,20 +303,18 @@ def test_criterion_6_randomized_exact_tolerance():
         label[:2] = [0, 1]
         label[n0 : n0 + 2] = [0, 1]
         gs = ft.GroupedScores.from_arrays(scores, group, label)
-        for measure, fn in solvers.items():
-            d0 = {
-                "dp": ft.ddp_hat, "eo": ft.deo_hat, "pe": ft.dpe_hat, "oa": ft.doa_hat,
-            }[measure](gs, 0.0)
+        for measure in ("dp", "eo", "pe", "oa"):
+            d0 = curve_from_stats(measure, gs.stats).disparity(gs, 0.0)
             if abs(d0) < 0.05:
                 continue
             delta = abs(d0) / 2
-            res = fn(gs, delta, randomize=True)
+            res = ft.solve(gs, ft.FairnessConstraint(measure, delta), randomize=True)
             if res.saturated:
                 continue
             err = abs(res.achieved_disparity - np.sign(d0) * delta)
             worst_exact = max(worst_exact, err)
             ok = ok and err <= 1e-12
-            det = fn(gs, delta)
+            det = ft.solve(gs, ft.FairnessConstraint(measure, delta))
             if not det.saturated:
                 # largest tied-score mass in any stratum the measure reads
                 strata = {"dp": (None,), "eo": (1,), "pe": (0,), "oa": (0, 1)}[measure]

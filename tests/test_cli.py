@@ -1,8 +1,11 @@
 import json
 
+import pytest
+
 from fairthresh import cli
-from fairthresh import tabular as tb
 from fairthresh.synth import SynthSpec, draw_population, sample
+
+from make_golden import export_csv, export_schema
 
 FAST = ["--n-train", "1500", "--n-test", "800", "--epochs", "80", "--reps", "2"]
 
@@ -78,9 +81,9 @@ def test_tabular_run(tmp_path, capsys):
     pop = draw_population(SynthSpec.binary(dim=3, seed=1))
     data = sample(pop, 1200, seed=2)
     csv_path = tmp_path / "data.csv"
-    tb.export_csv(data, csv_path)
+    export_csv(data, csv_path)
     schema_path = tmp_path / "schema.json"
-    tb.export_schema(3).save(schema_path)
+    export_schema(3).save(schema_path)
     code, out, _ = run_main(
         ["tabular", "--data", str(csv_path), "--schema", str(schema_path),
          "--delta", "0,0.1", "--reps", "2", "--epochs", "60", "--seed", "1"],
@@ -88,6 +91,60 @@ def test_tabular_run(tmp_path, capsys):
     )
     assert code == 0
     assert "cal_disparity" in out
+
+
+def _tabular_files(tmp_path, n=300):
+    data = sample(draw_population(SynthSpec.binary(dim=3, seed=1)), n, seed=2)
+    paths = tmp_path / "data.csv", tmp_path / "schema.json"
+    export_csv(data, paths[0])
+    export_schema(3).save(paths[1])
+    return [str(p) for p in paths]
+
+
+def _error(err):
+    return json.loads(err.strip().splitlines()[-1])
+
+
+def test_nan_delta_is_structured_error(capsys):
+    code, out, err = run_main(["synth", "--delta", "0,nan", *FAST], capsys)
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": "delta values must be >= 0"}
+
+
+@pytest.mark.parametrize("fractions, message", [
+    ([0.5, 0.5], "fractions must give three parts: train, validation, test"),
+    ([0.9, 0.1, 0.0], "the test part of the split is empty"),
+    ([0.0, 0.5, 0.5], "the train part of the split is empty"),
+])
+def test_bad_split_fractions_are_structured_errors(tmp_path, capsys, fractions, message):
+    data, schema = _tabular_files(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fractions": fractions}))
+    code, _, err = run_main(
+        ["tabular", "--config", str(cfg_path), "--data", data, "--schema", schema,
+         "--delta", "0", "--reps", "1", "--epochs", "10"],
+        capsys,
+    )
+    assert code == 1
+    payload = _error(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(message)
+
+
+def test_empty_validation_part_calibrates_on_train(tmp_path, capsys):
+    data, schema = _tabular_files(tmp_path)
+    cfg = cli.ExperimentConfig(kind="tabular", data_path=data, schema_path=schema,
+                               fractions=(0.8, 0.0, 0.2))
+    train, val, test = cli._load_tabular_splits(cfg, split_seed=3)
+    assert val is None and (train.n, test.n) == (240, 60)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fractions": [0.8, 0.0, 0.2]}))
+    code, out, _ = run_main(
+        ["tabular", "--config", str(cfg_path), "--data", data, "--schema", schema,
+         "--delta", "0", "--reps", "1", "--epochs", "10"],
+        capsys,
+    )
+    assert code == 0 and "cal_disparity" in out
 
 
 def test_missing_data_is_structured_error(capsys):

@@ -3,8 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairthresh
 from fairthresh import Dataset, FairnessConstraint, ThresholdRule, group_stats
 from fairthresh.core import group_stats_arrays
+
+
+def test_public_names_resolve():
+    assert len(set(fairthresh.__all__)) == len(fairthresh.__all__)
+    missing = [name for name in fairthresh.__all__ if not hasattr(fairthresh, name)]
+    assert missing == []
+    namespace = {}
+    exec("from fairthresh import *", namespace)
+    assert set(fairthresh.__all__) <= set(namespace)
 
 
 def test_group_stats_hand_counts():
@@ -68,19 +78,23 @@ def test_group_stats_permutation_invariant(seed):
 
 def test_fairness_constraint_validation():
     FairnessConstraint("dp", 0.1)
-    with pytest.raises(ValueError):
-        FairnessConstraint("dp", -0.1)
-    with pytest.raises(ValueError):
+    for delta in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            FairnessConstraint("dp", delta)
+    with pytest.raises(ValueError, match="unknown measure"):
         FairnessConstraint("xx", 0.1)
-    with pytest.raises(ValueError):
-        FairnessConstraint("dp", 0.1, cost=1.5)
+    for cost in (1.5, np.nan):
+        with pytest.raises(ValueError, match=r"cost must lie in \[0, 1\]"):
+            FairnessConstraint("dp", 0.1, cost=cost)
 
 
 def test_threshold_rule_validation_and_prediction():
     rule = ThresholdRule(np.array([0.5, 0.7]), np.array([0.0, 0.25]))
     probs = rule.predict_prob([0.6, 0.7, 0.71], [0, 1, 1])
     assert probs.tolist() == [1.0, 0.25, 1.0]
-    with pytest.raises(ValueError):
-        ThresholdRule(np.array([1.2]))
-    with pytest.raises(ValueError):
-        ThresholdRule(np.array([0.5]), np.array([-0.1]))
+    for bad in ([1.2], [np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            ThresholdRule(np.array(bad))
+    for bad in ([-0.1], [np.nan]):
+        with pytest.raises(ValueError, match=r"tie probabilities must lie in \[0, 1\]"):
+            ThresholdRule(np.array([0.5]), np.array(bad))

@@ -108,12 +108,12 @@ def test_stars_identical_groups_zero():
         mu=np.concatenate([mu_one, mu_one]),
         sigma=1.0,
     )
-    for fn in (ga.d_star, ga.e_star, ga.p_star, ga.o_star):
-        assert fn(pop) == pytest.approx(0.0, abs=1e-14)
+    for measure in ("dp", "eo", "pe", "oa"):
+        assert ga.unconstrained_disparity(pop, measure) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_d_star_is_marginal_tail_difference():
-    assert ga.d_star(POP) == pytest.approx(
+    assert ga.unconstrained_disparity(POP, "dp") == pytest.approx(
         ga.tail_rate(POP, 1, 0.5) - ga.tail_rate(POP, 0, 0.5)
     )
 
@@ -125,14 +125,21 @@ def test_d_star_sign_flips_under_group_swap():
         mu=POP.mu[::-1].copy(),
         sigma=POP.sigma,
     )
-    assert ga.d_star(swapped) == pytest.approx(-ga.d_star(POP))
+    d_star = ga.unconstrained_disparity(POP, "dp")
+    assert ga.unconstrained_disparity(swapped, "dp") == pytest.approx(-d_star)
 
 
 # --------------------------------------------------------------------- t_star
 
 
 def test_t_star_zero_when_tolerance_vacuous():
-    assert ga.t_star(POP, "dp", abs(ga.d_star(POP)) + 0.01) == 0.0
+    assert ga.t_star(POP, "dp", abs(ga.unconstrained_disparity(POP, "dp")) + 0.01) == 0.0
+
+
+@pytest.mark.parametrize("delta", [-0.1, np.nan])
+def test_t_star_rejects_negative_or_nan_delta(delta):
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        ga.t_star(POP, "dp", delta)
 
 
 def test_t_star_symmetric_population():
@@ -141,7 +148,7 @@ def test_t_star_symmetric_population():
     pop = ga.GaussianPopulation(
         p_a=np.array([0.5, 0.5]), p_ya=np.array([0.5, 0.5]), mu=mu, sigma=1.0
     )
-    assert abs(ga.d_star(pop)) < 1e-12
+    assert abs(ga.unconstrained_disparity(pop, "dp")) < 1e-12
     assert ga.t_star(pop, "dp", 0.0) == 0.0
 
 
@@ -186,32 +193,7 @@ def test_population_disparity_strictly_decreasing():
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-# ------------------------------------------------------------------- tau_star
-
-
-def test_tau_star_no_atoms_returns_zeros():
-    assert ga.tau_star(0.3, 0.0, 0.3, 0.0, 1.0, 0.0) == (0.0, 0.0)
-
-
-def test_tau_star_single_group_one_atom_hits_target_exactly():
-    # strict tails 0.20/0.15, group-1 atom 0.20: tau_1 lifts the gap to delta
-    tau1, tau0 = ga.tau_star(0.20, 0.20, 0.15, 0.0, 1.0, 0.10)
-    assert tau0 == 0.0
-    assert (0.20 + tau1 * 0.20) - 0.15 == pytest.approx(0.10, abs=1e-15)
-
-
-def test_tau_star_case_both_atoms_pins_group1_to_zero():
-    tau1, tau0 = ga.tau_star(0.40, 0.10, 0.12, 0.25, 1.0, 0.05)
-    assert tau1 == 0.0
-    assert 0.40 - (0.12 + tau0 * 0.25) == pytest.approx(0.05, abs=1e-15)
-
-
-def test_tau_star_inconsistent_inputs_error():
-    with pytest.raises(ValueError, match="inconsistent"):
-        ga.tau_star(0.30, 0.20, 0.15, 0.0, 1.0, 0.10)  # would need tau < 0
-
-
-# ---------------------------------------------------------- accuracy and risk
+# ------------------------------------------------------------------- accuracy
 
 
 def test_fair_accuracy_uninformative_features_both_branches():
@@ -238,14 +220,6 @@ def test_fair_accuracy_constant_negative_classifier():
     acc = ga.fair_accuracy(POP, ft.ThresholdRule(np.array([1.0, 1.0])))
     expect = float(np.sum(POP.p_a * (1.0 - POP.p_ya)))
     assert acc == pytest.approx(expect, abs=1e-12)
-
-
-def test_cost_risk_reduces_to_half_error():
-    rng = np.random.default_rng(14)
-    pop = make_pop(rng)
-    rule = ft.ThresholdRule(np.array([0.4, 0.6]))
-    acc = ga.fair_accuracy(pop, rule)
-    assert ga.cost_risk(pop, rule, 0.5) == pytest.approx((1 - acc) / 2, abs=1e-12)
 
 
 # ----------------------------------------------------------------- multiclass
@@ -294,17 +268,7 @@ def test_oracle_multiclass_rejects_degenerate_law():
         ga.oracle_multiclass_dp(pop)
 
 
-# -------------------------------------------------------------- serialization
-
-
-def test_population_json_round_trip(tmp_path):
-    path = tmp_path / "pop.json"
-    ga.save_population(POP, path)
-    loaded = ga.load_population(path)
-    assert np.array_equal(loaded.p_a, POP.p_a)
-    assert np.array_equal(loaded.p_ya, POP.p_ya)
-    assert np.array_equal(loaded.mu, POP.mu)
-    assert loaded.sigma == POP.sigma
+# ----------------------------------------------------------------- validation
 
 
 def test_population_validation():

@@ -8,6 +8,8 @@ from fairthresh.metrics import (
     GroupedScores,
     ThresholdRangeError,
     curve_from_stats,
+    dp_cutoffs,
+    dp_shifts,
     positive_rate,
 )
 
@@ -18,6 +20,11 @@ def make_gs(scores, group, label):
     return GroupedScores.from_arrays(
         np.asarray(scores, float), np.asarray(group), np.asarray(label)
     )
+
+
+def disparity(gs, measure, t):
+    """Plug-in disparity of the measure's threshold family at parameter t."""
+    return curve_from_stats(measure, gs.stats).disparity(gs, t)
 
 
 HAND = make_gs(
@@ -53,36 +60,30 @@ def test_grouped_scores_reject_non_finite_scores(bad):
         make_gs([0.2, bad, 0.6, 0.7], [0, 0, 1, 1], [0, 1, 0, 1])
 
 
-# ------------------------------------------------------------------- ddp_hat
+# ------------------------------------------------------------ dp disparity
 
 
 def test_ddp_hat_hand_value():
     # group 1 above 1/2: {0.9, 0.6} of 3; group 0: {0.8} of 2
-    assert ft.ddp_hat(HAND, 0.0) == pytest.approx(2 / 3 - 1 / 2)
+    assert disparity(HAND, "dp", 0.0) == pytest.approx(2 / 3 - 1 / 2)
 
 
 def test_ddp_hat_symmetry_zero():
     gs = make_gs([0.2, 0.7, 0.2, 0.7], [0, 0, 1, 1], [0, 1, 0, 1])
-    assert ft.ddp_hat(gs, 0.0) == 0.0
-
-
-def test_ddp_hat_saturation_clamps():
-    # far enough out both cutoffs clamp: rate_1 = 0, rate_0 = all above zero
-    val = ft.ddp_hat(HAND, 10.0)
-    assert val == pytest.approx(0.0 - 1.0)
+    assert disparity(gs, "dp", 0.0) == 0.0
 
 
 # ------------------------------------------------- stratified disparity curves
 
 
 def test_t_zero_reduces_to_half_cutoffs():
-    for fn, y in ((ft.deo_hat, 1), (ft.dpe_hat, 0)):
-        got = fn(HAND, 0.0)
+    for measure, y in (("eo", 1), ("pe", 0)):
+        got = disparity(HAND, measure, 0.0)
         s1 = HAND.stratum(1, y)
         s0 = HAND.stratum(0, y)
         expect = positive_rate(s1, 0.5) - positive_rate(s0, 0.5)
         assert got == pytest.approx(expect)
-    doa0 = ft.doa_hat(HAND, 0.0)
+    doa0 = disparity(HAND, "oa", 0.0)
     expect = (
         positive_rate(HAND.stratum(1, 1), 0.5)
         - positive_rate(HAND.stratum(1, 0), 0.5)
@@ -98,7 +99,7 @@ def test_deo_symmetric_groups_zero():
         [0, 0, 1, 1, 0, 1],
         [1, 1, 1, 1, 0, 0],
     )
-    assert ft.deo_hat(gs, 0.0) == 0.0
+    assert disparity(gs, "eo", 0.0) == 0.0
 
 
 def _enumerate_disparity(gs, measure, t):
@@ -121,10 +122,10 @@ def test_six_point_enumeration():
         [0, 0, 0, 1, 1, 1],
         [0, 1, 1, 0, 1, 1],
     )
-    for measure, fn in (("eo", ft.deo_hat), ("pe", ft.dpe_hat), ("oa", ft.doa_hat)):
+    for measure in ("eo", "pe", "oa"):
         lo, hi = curve_from_stats(measure, gs.stats).bracket()
         for t in np.linspace(lo, hi, 23):
-            assert fn(gs, float(t)) == pytest.approx(
+            assert disparity(gs, measure, float(t)) == pytest.approx(
                 _enumerate_disparity(gs, measure, float(t))
             )
 
@@ -132,9 +133,9 @@ def test_six_point_enumeration():
 def test_bracket_errors():
     lo, hi = curve_from_stats("eo", HAND.stats).bracket()
     with pytest.raises(ThresholdRangeError, match="threshold out of range"):
-        ft.deo_hat(HAND, hi * 1.5)
+        disparity(HAND, "eo", hi * 1.5)
     with pytest.raises(ThresholdRangeError):
-        ft.dpe_hat(HAND, curve_from_stats("pe", HAND.stats).bracket()[0] * 1.5)
+        disparity(HAND, "pe", curve_from_stats("pe", HAND.stats).bracket()[0] * 1.5)
 
 
 @pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
@@ -165,7 +166,7 @@ def test_dp_scale_follows_cost():
 def test_empty_stratum_errors():
     gs = make_gs([0.2, 0.8, 0.5, 0.6], [0, 0, 1, 1], [0, 1, 1, 1])
     with pytest.raises(ValueError, match="empty stratum"):
-        ft.dpe_hat(gs, 0.0)  # group 1 has no label-0 rows
+        disparity(gs, "pe", 0.0)  # group 1 has no label-0 rows
 
 
 # ------------------------------------------------------- array-valued curve maps
@@ -323,9 +324,25 @@ def test_ddp_antisymmetric_under_group_swap():
         gs = _random_gs(rng)
         swapped = swap_groups(gs)
         for t in np.linspace(-0.2, 0.2, 9):
-            assert ft.ddp_hat(gs, float(t)) == pytest.approx(
-                -ft.ddp_hat(swapped, float(-t))
+            assert disparity(gs, "dp", float(t)) == pytest.approx(
+                -disparity(swapped, "dp", float(-t))
             )
+
+
+# ------------------------------------------------------- multi-group dp shifts
+
+
+def test_dp_shift_map_and_its_inverse():
+    p_a = np.array([0.2, 0.3, 0.5])
+    t = np.array([-0.04, 0.01, 0.03])
+    q = dp_cutoffs(t, p_a)
+    # the operation order of q = 1/2 + t / (2 p_a) and t = 2 p_a (q - 1/2)
+    assert q.tolist() == [0.5 + t[a] / (2.0 * p_a[a]) for a in range(3)]
+    assert dp_shifts(q, p_a).tolist() == [2.0 * p_a[a] * (q[a] - 0.5) for a in range(3)]
+    assert np.allclose(dp_shifts(q, p_a), t, rtol=0.0, atol=1e-15)
+    # cutoffs clip into [0, 1]; shifts are defined for scalars too
+    assert dp_cutoffs(np.array([-1.0, 1.0]), np.array([0.5, 0.5])).tolist() == [0.0, 1.0]
+    assert dp_shifts(0.75, 0.4) == 2.0 * 0.4 * 0.25
 
 
 # -------------------------------------------------------------------- evaluate

@@ -276,23 +276,3 @@ def test_fit_equals_every_epoch_descent(monkeypatch, config, converges):
     assert_same_bits(model.loss_history, ref.loss_history)
     # the fixed-point exit skips the evaluations of the repeated epochs
     assert (len(calls) < n_fits * (config.epochs + 1)) == converges
-
-
-# ---------------------------------------------------------------- persistence
-
-
-@pytest.mark.parametrize("per_group", [False, True])
-def test_save_load_round_trip(tmp_path, per_group):
-    rng = np.random.default_rng(8)
-    data = toy_data(rng)
-    model = ft.fit_logistic(data, ft.TrainConfig(epochs=40, per_group=per_group))
-    path = tmp_path / "model.txt"
-    sc.save_model(model, path)
-    loaded = sc.load_model(path)
-    assert loaded.kind == model.kind
-    assert np.array_equal(loaded.weights, model.weights)
-    assert np.array_equal(loaded.bias, model.bias)
-    assert np.array_equal(loaded.feat_mean, model.feat_mean)
-    x = rng.normal(size=(10, data.dim))
-    a = rng.integers(0, 2, 10)
-    assert np.array_equal(sc.predict_proba(model, x, a), sc.predict_proba(loaded, x, a))

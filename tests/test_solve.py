@@ -3,6 +3,7 @@ import pytest
 
 import fairthresh as ft
 from _brute import _snap, brute_force_best, brute_force_family_best, swap_groups
+from fairthresh.metrics import curve_from_stats
 from fairthresh.solve import _snap_to_scores
 
 
@@ -10,6 +11,13 @@ def make_gs(scores, group, label):
     return ft.GroupedScores.from_arrays(
         np.asarray(scores, float), np.asarray(group), np.asarray(label)
     )
+
+
+MEASURES = ("dp", "eo", "pe", "oa")
+
+
+def solve(gs, measure, delta, randomize=False, cost=0.5):
+    return ft.solve(gs, ft.FairnessConstraint(measure, delta, cost), randomize)
 
 
 HAND = make_gs(
@@ -56,11 +64,11 @@ def test_snap_tie_outside_and_empty():
     assert _snap_to_scores(0.5, np.array([])) == 0.5
 
 
-# ------------------------------------------------------------------- solve_dp
+# ------------------------------------------------------------------------- dp
 
 
 def test_solve_dp_within_tolerance():
-    res = ft.solve_dp(HAND, 0.2)
+    res = solve(HAND, "dp", 0.2)
     assert res.t_hat == 0.0
     assert res.branch == "within-tolerance"
     assert res.rule.thresholds.tolist() == [0.5, 0.5]
@@ -69,7 +77,7 @@ def test_solve_dp_within_tolerance():
 def test_solve_dp_exact_candidate():
     # disparity starts at 1/6; the crossing is the group-1 score 0.6, whose
     # breakpoint sits at t = 2 * p1 * (0.6 - 1/2) = 0.12
-    res = ft.solve_dp(HAND, 0.0)
+    res = solve(HAND, "dp", 0.0)
     assert res.t_hat == pytest.approx(0.12, abs=1e-14)
     assert res.rule.thresholds[1] == pytest.approx(0.6, abs=1e-12)
     # deterministic rule overshoots within one atom of group 1
@@ -77,12 +85,12 @@ def test_solve_dp_exact_candidate():
 
 
 def test_solve_dp_vacuous_delta():
-    res = ft.solve_dp(HAND, 0.9)
+    res = solve(HAND, "dp", 0.9)
     assert res.t_hat == 0.0
 
 
 def test_solve_dp_randomized_exact():
-    res = ft.solve_dp(HAND, 0.0, randomize=True)
+    res = solve(HAND, "dp", 0.0, randomize=True)
     assert res.achieved_disparity == pytest.approx(0.0, abs=1e-12)
     assert res.rule.tie_prob[1] == pytest.approx(0.5)
     assert res.plugin_accuracy == pytest.approx(0.7)
@@ -90,10 +98,10 @@ def test_solve_dp_randomized_exact():
 
 def test_solve_dp_validation():
     with pytest.raises(ValueError, match="delta"):
-        ft.solve_dp(HAND, -0.1)
+        solve(HAND, "dp", -0.1)
     gs3 = make_gs([0.1, 0.9, 0.5], [0, 1, 2], [0, 1, 1])
     with pytest.raises(ValueError, match="two groups"):
-        ft.solve_dp(gs3, 0.1)
+        solve(gs3, "dp", 0.1)
 
 
 # ------------------------------------------------------------- other measures
@@ -104,8 +112,8 @@ def test_symmetric_groups_solve_to_zero_shift():
     group = [0] * 4 + [1] * 4
     label = [0, 0, 1, 1] * 2
     gs = make_gs(scores, group, label)
-    for solver in (ft.solve_eo, ft.solve_pe, ft.solve_oa):
-        res = solver(gs, 0.0)
+    for measure in ("eo", "pe", "oa"):
+        res = solve(gs, measure, 0.0)
         assert res.t_hat == 0.0
         assert res.achieved_disparity == 0.0
 
@@ -116,7 +124,7 @@ def test_solve_eo_eight_point_matches_grid():
         [1, 1, 1, 1, 0, 0, 0, 0],
         [1, 1, 0, 0, 1, 1, 1, 0],
     )
-    res = ft.solve_eo(gs, 0.0, randomize=True)
+    res = solve(gs, "eo", 0.0, randomize=True)
     best, _ = brute_force_best(gs, "eo", 0.0, randomize=True)
     assert res.plugin_accuracy == pytest.approx(best, abs=1e-12)
     assert abs(res.achieved_disparity) <= 1e-12
@@ -129,8 +137,8 @@ def test_solve_oa_shift_sign_follows_initial_gap():
         [1, 1, 0, 0, 0, 0],
         [1, 0, 0, 1, 1, 0],
     )
-    d0 = ft.doa_hat(gs, 0.0)
-    res = ft.solve_oa(gs, 0.0)
+    d0 = curve_from_stats("oa", gs.stats).disparity(gs, 0.0)
+    res = solve(gs, "oa", 0.0)
     assert d0 > 0
     assert res.t_hat > 0
 
@@ -141,14 +149,13 @@ def test_group_swap_gives_same_accuracy(randomize):
     # upper-branch problem into a lower-branch one; both branches must pick
     # the same classifier, including on plateaus lying exactly on -delta.
     rng = np.random.default_rng(29)
-    solvers = (ft.solve_dp, ft.solve_eo, ft.solve_pe, ft.solve_oa)
     for _ in range(100):
         gs = _random_gs(rng)
         swapped = swap_groups(gs)
         delta = float(rng.choice([0.0, 0.05, 0.1, 0.2]))
-        for solver in solvers:
-            res = solver(gs, delta, randomize)
-            res_sw = solver(swapped, delta, randomize)
+        for measure in MEASURES:
+            res = solve(gs, measure, delta, randomize)
+            res_sw = solve(swapped, measure, delta, randomize)
             assert res_sw.plugin_accuracy == pytest.approx(res.plugin_accuracy, abs=1e-12)
             assert res_sw.t_hat == pytest.approx(-res.t_hat, abs=1e-12)
 
@@ -165,7 +172,7 @@ def test_solve_eo_stops_at_tolerance_reached_up_to_rounding():
     )
     assert 4 / 5 - 3 / 5 > 0.2
     for randomize in (False, True):
-        res = ft.solve_eo(gs, 0.2, randomize)
+        res = solve(gs, "eo", 0.2, randomize)
         assert res.branch == "upper" and not res.saturated
         assert res.rule.thresholds[1] == 0.55
         assert res.achieved_disparity == 4 / 5 - 3 / 5
@@ -181,8 +188,8 @@ def test_cost_half_same_classifier_as_dp():
     for _ in range(20):
         gs = _random_gs(rng)
         delta = float(rng.choice([0.0, 0.1, 0.25]))
-        r_dp = ft.solve_dp(gs, delta)
-        r_c = ft.solve_cost_sensitive(gs, 0.5, delta)
+        r_dp = solve(gs, "dp", delta)
+        r_c = solve(gs, "dp", delta, cost=0.5)
         # the same family on the same parameter scale: identical results
         assert r_c.t_hat == r_dp.t_hat
         for a in (0, 1):
@@ -191,7 +198,7 @@ def test_cost_half_same_classifier_as_dp():
 
 
 def test_cost_zero_degenerate():
-    res = ft.solve_cost_sensitive(HAND, 0.0, 0.1)
+    res = solve(HAND, "dp", 0.1, cost=0.0)
     assert res.t_hat == 0.0
     assert res.rule.thresholds.tolist() == [0.0, 0.0]
     # every score above zero predicted positive
@@ -199,7 +206,7 @@ def test_cost_zero_degenerate():
 
 
 def test_cost_hand_dataset_matches_enumeration():
-    res = ft.solve_cost_sensitive(HAND, 0.3, 0.0, randomize=True)
+    res = solve(HAND, "dp", 0.0, randomize=True, cost=0.3)
     best, _ = brute_force_best(HAND, "dp", 0.0, cost=0.3, randomize=True)
     assert -res.plugin_cost_risk == pytest.approx(best, abs=1e-12)
     assert abs(res.achieved_disparity) <= 1e-12
@@ -211,14 +218,13 @@ def test_cost_hand_dataset_matches_enumeration():
 @pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
 def test_constraint_satisfaction_random(measure):
     rng = np.random.default_rng(13)
-    solver = {"dp": ft.solve_dp, "eo": ft.solve_eo, "pe": ft.solve_pe, "oa": ft.solve_oa}[measure]
     for _ in range(60):
         gs = _random_gs(rng)
         delta = float(rng.choice([0.0, 0.05, 0.15]))
-        res = solver(gs, delta, randomize=True)
+        res = solve(gs, measure, delta, randomize=True)
         if not res.saturated:
             assert abs(res.achieved_disparity) <= delta + 1e-9
-        det = solver(gs, delta)
+        det = solve(gs, measure, delta)
         if det.saturated:
             # the family never reaches the band inside its bracket (possible
             # only for the accuracy-gap measure); the end of the bracket is
@@ -242,11 +248,11 @@ def test_exact_optimality_dp_and_cost_vs_brute_force():
     for trial in range(60):
         gs = _random_gs(rng, distinct=True)
         delta = float(rng.choice([0.0, 0.05, 0.1, 0.3]))
-        res = ft.solve_dp(gs, delta, randomize=True)
+        res = solve(gs, "dp", delta, randomize=True)
         best, _ = brute_force_best(gs, "dp", delta, randomize=True)
         assert res.plugin_accuracy == pytest.approx(best, abs=1e-9)
         cost = float(rng.choice([0.3, 0.7]))
-        res_c = ft.solve_cost_sensitive(gs, cost, delta, randomize=True)
+        res_c = solve(gs, "dp", delta, randomize=True, cost=cost)
         best_c, _ = brute_force_best(gs, "dp", delta, cost=cost, randomize=True)
         assert -res_c.plugin_cost_risk == pytest.approx(best_c, abs=1e-9)
 
@@ -254,11 +260,10 @@ def test_exact_optimality_dp_and_cost_vs_brute_force():
 def test_plugin_accuracy_monotone_in_delta():
     rng = np.random.default_rng(19)
     deltas = np.linspace(0.0, 0.5, 11)
-    solvers = (ft.solve_dp, ft.solve_eo, ft.solve_pe, ft.solve_oa)
     for _ in range(25):
         gs = _random_gs(rng)
-        for solver in solvers:
-            accs = [solver(gs, float(d), randomize=True).plugin_accuracy for d in deltas]
+        for measure in MEASURES:
+            accs = [solve(gs, measure, float(d), randomize=True).plugin_accuracy for d in deltas]
             assert all(b >= a - 1e-12 for a, b in zip(accs, accs[1:]))
 
 
@@ -280,7 +285,7 @@ def test_multiclass_binary_crosscheck():
     for _ in range(20):
         gs = _random_gs(rng, n_lo=15, n_hi=60)
         mc = ft.solve_multiclass_dp(gs)
-        dp = ft.solve_dp(gs, 0.0)
+        dp = solve(gs, "dp", 0.0)
         # same rule family; representatives may differ by tie handling at
         # score atoms, so compare the achieved per-group positive rates
         atom = 2.0 / gs.stats.n_a.min()

@@ -4,7 +4,6 @@ import io
 import numpy as np
 import pytest
 
-import fairthresh as ft
 from fairthresh import tabular as tb
 
 
@@ -28,9 +27,17 @@ def write(tmp_path, name, text):
 TOY = "age,color,sex,hired\n31,red,M,yes\n45,blue,F,no\n27,red,F,yes\n"
 
 
+def load(path, schema):
+    """Read a CSV, fit any unfitted vocabulary on its rows, and encode them."""
+    rows = tb.read_rows(path, schema)
+    if not schema.fitted:
+        tb.fit_schema(schema, rows)
+    return tb.encode_rows(rows, schema)
+
+
 def test_load_csv_feature_width(tmp_path):
     path = write(tmp_path, "toy.csv", TOY)
-    data, report = tb.load_csv(path, toy_schema())
+    data, report = load(path, toy_schema())
     # one numeric column plus a two-level one-hot
     assert data.features.shape == (3, 3)
     assert report.feature_names == ["age", "color=blue", "color=red"]
@@ -42,18 +49,18 @@ def test_load_csv_feature_width(tmp_path):
 def test_load_csv_empty_file(tmp_path):
     path = write(tmp_path, "empty.csv", "")
     with pytest.raises(ValueError, match="empty file"):
-        tb.load_csv(path, toy_schema())
+        tb.read_rows(path, toy_schema())
 
 
 def test_load_csv_header_mismatch(tmp_path):
     path = write(tmp_path, "bad.csv", "a,b,c,d\n1,red,M,yes\n")
     with pytest.raises(ValueError, match="header mismatch"):
-        tb.load_csv(path, toy_schema())
+        tb.read_rows(path, toy_schema())
 
 
 def test_unparseable_numeric_drops_row(tmp_path):
     path = write(tmp_path, "toy.csv", TOY + "?,red,M,yes\n")
-    data, report = tb.load_csv(path, toy_schema())
+    data, report = load(path, toy_schema())
     assert data.n == 3
     assert report.n_dropped == 1
 
@@ -61,16 +68,15 @@ def test_unparseable_numeric_drops_row(tmp_path):
 def test_all_rows_unusable(tmp_path):
     path = write(tmp_path, "toy.csv", "age,color,sex,hired\n?,red,M,yes\n")
     with pytest.raises(ValueError, match="zero usable rows"):
-        tb.load_csv(path, toy_schema())
+        load(path, toy_schema())
 
 
 def test_unseen_category_encodes_to_zeros(tmp_path):
     train = write(tmp_path, "train.csv", TOY)
-    schema = toy_schema()
-    tb.load_csv(train, schema)  # fits the vocabulary: {blue, red}
+    schema = tb.fit_schema(toy_schema(), tb.read_rows(train, toy_schema()))  # {blue, red}
     test = write(tmp_path, "test.csv", "age,color,sex,hired\n52,green,M,no\n")
     with pytest.warns(UserWarning, match="outside the fitted vocabulary"):
-        data, report = tb.load_csv(test, schema)
+        data, report = tb.encode_rows(tb.read_rows(test, schema), schema)
     assert report.n_unseen_categories == 1
     assert data.features[0].tolist() == [52.0, 0.0, 0.0]
 
@@ -79,13 +85,18 @@ def test_encoding_is_pure_function_of_fitted_schema(tmp_path):
     # fitting on the training file then encoding other rows must not change
     # the schema: no vocabulary leakage from evaluation data
     train = write(tmp_path, "train.csv", TOY)
-    schema = toy_schema()
-    tb.load_csv(train, schema)
+    schema = tb.fit_schema(toy_schema(), tb.read_rows(train, toy_schema()))
     vocab_before = schema.columns[1].vocabulary
     test = write(tmp_path, "test.csv", "age,color,sex,hired\n52,green,M,no\n")
     with pytest.warns(UserWarning):
-        tb.load_csv(test, schema)
+        load(test, schema)
     assert schema.columns[1].vocabulary == vocab_before
+
+
+def test_unfitted_schema_is_rejected(tmp_path):
+    rows = tb.read_rows(write(tmp_path, "toy.csv", TOY), toy_schema())
+    with pytest.raises(ValueError, match="unfitted categorical"):
+        tb.encode_rows(rows, toy_schema())
 
 
 def test_schema_json_round_trip(tmp_path):
@@ -105,54 +116,48 @@ def test_schema_validation():
 # ---------------------------------------------------------------------- split
 
 
-def _dataset(n=10, seed=0):
-    rng = np.random.default_rng(seed)
-    return ft.Dataset(
-        rng.normal(size=(n, 2)), rng.integers(0, 2, n), rng.integers(0, 2, n)
-    )
+def _parts(n, fractions, seed):
+    return [idx.size for idx in tb.split_indices(n, fractions, seed)]
 
 
 def test_split_sizes():
-    data = _dataset(10)
-    with pytest.warns(UserWarning):
-        parts, report = tb.split(data, (0.8, 0.2, 0.0), seed=1)
-    assert report.sizes == (8, 2, 0)
-    assert parts[2] is None
+    assert _parts(10, (0.8, 0.2, 0.0), seed=1) == [8, 2, 0]
+    assert _parts(200, (0.7, 0.1, 0.2), seed=5) == [140, 20, 40]
+    # part i ends at round((f_0 + ... + f_i) * n); the last part takes the rest
+    assert _parts(7, (0.5, 0.25, 0.25), seed=0) == [4, 1, 2]
 
 
 def test_split_deterministic():
-    data = _dataset(40)
-    (a1, b1, c1), _ = tb.split(data, (0.5, 0.25, 0.25), seed=3)
-    (a2, b2, c2), _ = tb.split(data, (0.5, 0.25, 0.25), seed=3)
-    assert np.array_equal(a1.features, a2.features)
-    assert np.array_equal(c1.label, c2.label)
+    a = tb.split_indices(40, (0.5, 0.25, 0.25), seed=3)
+    b = tb.split_indices(40, (0.5, 0.25, 0.25), seed=3)
+    c = tb.split_indices(40, (0.5, 0.25, 0.25), seed=4)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_split_stratum_counts_sum_to_totals():
-    data = _dataset(200, seed=5)
-    parts, report = tb.split(data, (0.6, 0.2, 0.2), seed=7)
-    total = sum(c for c in report.stratum_counts if c is not None)
+    rng = np.random.default_rng(5)
+    group, label = rng.integers(0, 2, 200), rng.integers(0, 2, 200)
+    total = np.zeros((2, 2), dtype=int)
+    for idx in tb.split_indices(200, (0.6, 0.2, 0.2), seed=7):
+        np.add.at(total, (group[idx], label[idx]), 1)
     expect = np.zeros((2, 2), dtype=int)
-    np.add.at(expect, (data.group, data.label), 1)
+    np.add.at(expect, (group, label), 1)
     assert np.array_equal(total, expect)
 
 
 def test_split_uses_the_shared_index_split():
-    data = _dataset(200, seed=2)
-    parts, report = tb.split(data, (0.7, 0.1, 0.2), seed=5)
-    idx = tb.split_indices(data.n, (0.7, 0.1, 0.2), seed=5)
-    assert report.sizes == (140, 20, 40) == tuple(i.size for i in idx)
-    for part, i in zip(parts, idx):
-        assert np.array_equal(part.features, data.features[i])
-    assert sorted(np.concatenate(idx).tolist()) == list(range(200))
+    # every index lands in exactly one part, in a seeded order
+    idx = tb.split_indices(200, (0.7, 0.1, 0.2), seed=5)
+    flat = np.concatenate(idx)
+    assert sorted(flat.tolist()) == list(range(200))
+    assert np.array_equal(flat, np.random.default_rng(5).permutation(200))
 
 
 def test_split_validation():
-    data = _dataset(10)
-    with pytest.raises(ValueError):
-        tb.split(data, (0.5, 0.6), seed=0)
-    with pytest.raises(ValueError):
-        tb.split(data, (-0.1, 1.1), seed=0)
+    for bad in ((0.5, 0.6), (-0.1, 1.1), (float("nan"), 0.5, 0.5)):
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            tb.split_indices(10, bad, seed=0)
 
 
 # ---------------------------------------------------------------------- fetch
