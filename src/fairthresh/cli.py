@@ -108,6 +108,14 @@ class ExperimentConfig:
             raise ValueError("fractions must give three parts: train, validation, test")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.n_deltas < 1:
+            raise ValueError("n_deltas must be >= 1")
+        if not 0.0 <= self.cost <= 1.0:  # also rejects nan
+            raise ValueError("cost must lie in [0, 1]")
+        if self.kind == "multiclass" and self.cost != 0.5:
+            raise ValueError(
+                "cost must be 0.5 for multiclass: its solver covers the cost-1/2 family only"
+            )
         if self.format not in ("csv", "json", "table"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -200,7 +208,7 @@ def _multiclass_rep(args):
     rep_eval = evaluate(res.rule, gs_test)
     orc = ga.oracle_multiclass_dp(pop)
     return {
-        "ddp": rep_eval.ddp,
+        "ddp": rep_eval.rate_gap_sum,
         "acc": rep_eval.accuracy,
         "oracle_acc": orc.accuracy,
         "pop_acc_gap": abs(orc.accuracy - ga.fair_accuracy(pop, res.rule)),

@@ -189,16 +189,18 @@ class ThresholdRule:
 class EvalReport:
     """Classifier evaluation on one sample: accuracy, risk and disparities.
 
-    Rates are expectations under the tie-randomized rule. For more than two
-    groups ``ddp`` switches to the summed absolute gap between each group's
-    positive rate and the overall rate, and the stratified disparities are
-    set to nan.
+    Rates are expectations under the tie-randomized rule. ``rate_gap_sum``
+    is the summed absolute gap between each group's positive rate and the
+    overall rate, for any number of groups. For two groups ``ddp`` is the
+    signed gap rate_1 - rate_0; for more it is ``rate_gap_sum``, and the
+    stratified disparities are set to nan.
     """
 
     accuracy: float
     cost_risk: float
     cost: float
     ddp: float
+    rate_gap_sum: float
     deo: float
     dpe: float
     doa: float

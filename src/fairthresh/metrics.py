@@ -344,14 +344,15 @@ def evaluate(rule: ThresholdRule, gs: GroupedScores, cost: float = 0.5) -> EvalR
     accuracy = 1.0 - (fp + fn) / stats.n
     cost_risk = (cost * fp + (1.0 - cost) * fn) / stats.n
 
+    overall = pos_mass.sum() / stats.n
+    rate_gap_sum = float(np.abs(rate_a - overall).sum())
     if k == 2:
         ddp = float(rate_a[1] - rate_a[0])
         deo = float(tpr[1] - tpr[0])
         dpe = float(fpr[1] - fpr[0])
         doa = float((tpr[1] - fpr[1]) - (tpr[0] - fpr[0]))
     else:
-        overall = pos_mass.sum() / stats.n
-        ddp = float(np.abs(rate_a - overall).sum())
+        ddp = rate_gap_sum
         deo = dpe = doa = math.nan
 
     return EvalReport(
@@ -359,6 +360,7 @@ def evaluate(rule: ThresholdRule, gs: GroupedScores, cost: float = 0.5) -> EvalR
         cost_risk=float(cost_risk),
         cost=cost,
         ddp=ddp,
+        rate_gap_sum=rate_gap_sum,
         deo=deo,
         dpe=dpe,
         doa=doa,

@@ -27,7 +27,6 @@ deterministic rule can instead overshoot by up to one score atom.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,18 +224,29 @@ def _count_intervals(sorted_scores: np.ndarray, p_a: float):
     q = 1/2 + t / (2 p_a).  Counts are listed in decreasing order.
     """
     u = np.unique(sorted_scores)
-    n = sorted_scores.size
-    counts, _ = _counts(sorted_scores, u)
-    q_lo = list(u)
-    q_hi = list(u[1:]) + [1.0]
-    cs = list(counts)
+    cs, _ = _counts(sorted_scores, u)
+    q_lo = u
+    q_hi = np.concatenate([u[1:], [1.0]])
     if u[0] > 0.0:
-        cs.insert(0, n)
-        q_lo.insert(0, 0.0)
-        q_hi.insert(0, float(u[0]))
-    t_lo = dp_shifts(np.asarray(q_lo), p_a)
-    t_hi = dp_shifts(np.asarray(q_hi), p_a)
-    return np.asarray(cs, dtype=np.int64), t_lo, t_hi
+        cs = np.concatenate([[sorted_scores.size], cs])
+        q_lo = np.concatenate([[0.0], q_lo])
+        q_hi = np.concatenate([u[:1], q_hi])
+    return np.asarray(cs, dtype=np.int64), dp_shifts(q_lo, p_a), dp_shifts(q_hi, p_a)
+
+
+def _kept_gap(gaps: np.ndarray) -> tuple:
+    """(index, gap) that the multiclass scan keeps; see :func:`solve_multiclass_dp`.
+
+    The first gap is kept; a later one replaces it only if it is below it by
+    more than 1e-15.
+    """
+    prefix_min = np.minimum.accumulate(gaps)
+    minima = np.flatnonzero(gaps[1:] < prefix_min[:-1]) + 1
+    i_best, best_gap = 0, float(gaps[0])
+    for i, gap in zip(minima.tolist(), gaps[minima].tolist()):
+        if gap < best_gap - 1e-15:
+            i_best, best_gap = i, gap
+    return i_best, best_gap
 
 
 def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
@@ -247,6 +257,21 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     placed inside their feasible intervals so they sum to zero.  When no
     reference rate admits a zero sum the nearest interval is used and the
     residual is reported in ``sum_gap``.
+
+    The scan is one array pass.  Each other group matches every reference
+    rate ``s`` with one ``searchsorted`` of ``s * n_a`` into its decreasing
+    counts, taking the count just above (``idx - 1``) unless the one at
+    ``idx`` is closer by more than 1e-15.  The interval ends are summed in
+    group order from 0, giving each reference count's ``gap``: 0 when the
+    summed interval holds zero, else its distance from zero.  The first
+    reference count is kept, and a later one replaces it only if its gap is
+    below the kept gap minus 1e-15.  Only strict prefix minima of the gaps
+    are visited, and that is exact: a gap is rejected only when it is at
+    least the kept gap minus 1e-15, and the kept gap only falls, so every
+    earlier gap is at least the current kept gap minus 1e-15, and a gap that
+    replaces it lies below all of them.  Nothing after the first zero gap is
+    a strict prefix minimum, so the scan ends there, as a loop that stops at
+    the first zero would.
     """
     k = gs.n_groups
     if k < 2:
@@ -256,37 +281,32 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
         _count_intervals(gs.by_group[a], float(stats.p_hat_a[a])) for a in range(k)
     ]
 
-    def match(a: int, s: float):
+    ref_cs, ref_lo, ref_hi = tables[0]
+    s = ref_cs / int(stats.n_a[0])
+    picks = []
+    lo_acc = np.zeros(ref_cs.size)
+    hi_acc = np.zeros(ref_cs.size)
+    for a in range(1, k):
         cs, t_lo, t_hi = tables[a]
         n_a = int(stats.n_a[a])
-        # cs is decreasing; pick the achievable count with rate closest to s
-        idx = np.searchsorted(-cs, -s * n_a)  # first index with count <= s*n_a
-        best_j, best_d = None, math.inf
-        for j in (idx - 1, idx):
-            if 0 <= j < cs.size:
-                d = abs(cs[j] / n_a - s)
-                if d < best_d - 1e-15:
-                    best_j, best_d = j, d
-        return best_j
-
-    ref_cs, ref_lo, ref_hi = tables[0]
-    n_ref = int(stats.n_a[0])
-    best = None  # (sum_gap, c_index_per_group, S_lo, S_hi)
-    for i in range(ref_cs.size):
-        s = ref_cs[i] / n_ref
-        js = [i] + [match(a, s) for a in range(1, k)]
-        lo_sum = ref_lo[i] + sum(tables[a][1][js[a]] for a in range(1, k))
-        hi_sum = ref_hi[i] + sum(tables[a][2][js[a]] for a in range(1, k))
-        if lo_sum <= 0.0 <= hi_sum:
-            gap = 0.0
-        else:
-            gap = min(abs(lo_sum), abs(hi_sum))
-        if best is None or gap < best[0] - 1e-15:
-            best = (gap, js, lo_sum, hi_sum)
-        if gap == 0.0:
-            break
-
-    sum_gap, js, lo_sum, hi_sum = best
+        # cs is decreasing; idx is the first index with count <= s * n_a
+        idx = np.searchsorted(-cs, -s * n_a)
+        above = np.maximum(idx - 1, 0)
+        below = np.minimum(idx, cs.size - 1)
+        d_above = np.abs(cs[above] / n_a - s)
+        d_below = np.abs(cs[below] / n_a - s)
+        j = np.where((idx == 0) | ((idx < cs.size) & (d_below < d_above - 1e-15)), below, above)
+        picks.append(j)
+        lo_acc = lo_acc + t_lo[j]
+        hi_acc = hi_acc + t_hi[j]
+    lo_sums = ref_lo + lo_acc
+    hi_sums = ref_hi + hi_acc
+    gaps = np.where(
+        (lo_sums <= 0.0) & (0.0 <= hi_sums), 0.0, np.minimum(np.abs(lo_sums), np.abs(hi_sums))
+    )
+    i_best, best_gap = _kept_gap(gaps)
+    js = [i_best] + [int(j[i_best]) for j in picks]
+    lo_sum, hi_sum = lo_sums[i_best], hi_sums[i_best]
     if lo_sum <= 0.0 <= hi_sum:
         frac = 0.0 if hi_sum == lo_sum else -lo_sum / (hi_sum - lo_sum)
         frac = min(frac, 1.0 - 1e-12)  # keep every shift inside its half-open interval
@@ -311,6 +331,6 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
         rates=rates,
         max_rate_gap=gap,
         sum_t=float(t_hats.sum()),
-        sum_gap=float(sum_gap),
+        sum_gap=best_gap,
         plugin_accuracy=acc,
     )

@@ -9,13 +9,18 @@ the measure's one-parameter family produces on one side of t = 0.  Both are
 independent implementation paths from the solvers: plain loops over rule
 space; the family search restates the closed-form cutoff maps instead of
 using the threshold-curve machinery.  ``swap_groups`` relabels group 0 as
-group 1 and back, for symmetry checks.
+group 1 and back, for symmetry checks.  ``multiclass_dp_loop`` restates the
+multi-class dp solver as a plain loop over the reference group's counts, the
+referee of the array scan in ``solve_multiclass_dp``.
 """
+
+import math
 
 import numpy as np
 
-from fairthresh.core import GroupStats
-from fairthresh.metrics import GroupedScores
+from fairthresh.core import GroupStats, ThresholdRule
+from fairthresh.metrics import GroupedScores, _counts, _rate, dp_cutoffs, dp_shifts
+from fairthresh.solve import MulticlassSolveResult, _plugin_metrics, _snap_to_scores
 
 TOL = 1e-12  # feasibility slack on |disparity| <= delta and on tau in [0, 1]
 
@@ -209,4 +214,90 @@ def swap_groups(gs):
             p_hat_a=stats.p_hat_a[::-1].copy(),
             p_hat_ya=stats.p_hat_ya[::-1].copy(),
         ),
+    )
+
+
+def _count_intervals_loop(sorted_scores, p_a):
+    u = np.unique(sorted_scores)
+    n = sorted_scores.size
+    counts, _ = _counts(sorted_scores, u)
+    q_lo = list(u)
+    q_hi = list(u[1:]) + [1.0]
+    cs = list(counts)
+    if u[0] > 0.0:
+        cs.insert(0, n)
+        q_lo.insert(0, 0.0)
+        q_hi.insert(0, float(u[0]))
+    t_lo = dp_shifts(np.asarray(q_lo), p_a)
+    t_hi = dp_shifts(np.asarray(q_hi), p_a)
+    return np.asarray(cs, dtype=np.int64), t_lo, t_hi
+
+
+def multiclass_dp_loop(gs):
+    """``solve_multiclass_dp`` as one Python loop over the reference counts.
+
+    Each reference count is matched group by group, its interval ends are
+    summed with ``sum``, and a gap replaces the kept one only if it is below
+    it by more than 1e-15; the loop stops at the first zero gap.  The shift
+    placement after the loop is the solver's.
+    """
+    k = gs.n_groups
+    stats = gs.stats
+    tables = [_count_intervals_loop(gs.by_group[a], float(stats.p_hat_a[a])) for a in range(k)]
+
+    def match(a, s):
+        cs, t_lo, t_hi = tables[a]
+        n_a = int(stats.n_a[a])
+        idx = np.searchsorted(-cs, -s * n_a)
+        best_j, best_d = None, math.inf
+        for j in (idx - 1, idx):
+            if 0 <= j < cs.size:
+                d = abs(cs[j] / n_a - s)
+                if d < best_d - 1e-15:
+                    best_j, best_d = j, d
+        return best_j
+
+    ref_cs, ref_lo, ref_hi = tables[0]
+    n_ref = int(stats.n_a[0])
+    best = None
+    for i in range(ref_cs.size):
+        s = ref_cs[i] / n_ref
+        js = [i] + [match(a, s) for a in range(1, k)]
+        lo_sum = ref_lo[i] + sum(tables[a][1][js[a]] for a in range(1, k))
+        hi_sum = ref_hi[i] + sum(tables[a][2][js[a]] for a in range(1, k))
+        if lo_sum <= 0.0 <= hi_sum:
+            gap = 0.0
+        else:
+            gap = min(abs(lo_sum), abs(hi_sum))
+        if best is None or gap < best[0] - 1e-15:
+            best = (gap, js, lo_sum, hi_sum)
+        if gap == 0.0:
+            break
+
+    sum_gap, js, lo_sum, hi_sum = best
+    if lo_sum <= 0.0 <= hi_sum:
+        frac = 0.0 if hi_sum == lo_sum else -lo_sum / (hi_sum - lo_sum)
+        frac = min(frac, 1.0 - 1e-12)
+    else:
+        frac = 0.0 if abs(lo_sum) <= abs(hi_sum) else 1.0 - 1e-12
+    t_hats = np.array(
+        [
+            tables[a][1][js[a]] + frac * (tables[a][2][js[a]] - tables[a][1][js[a]])
+            for a in range(k)
+        ]
+    )
+    thresholds = dp_cutoffs(t_hats, stats.p_hat_a)
+    for a in range(k):
+        thresholds[a] = _snap_to_scores(float(thresholds[a]), gs.by_group[a])
+    rule = ThresholdRule(thresholds)
+    rates = np.array([_rate(gs.by_group[a], thresholds[a]) for a in range(k)])
+    acc, _ = _plugin_metrics(gs, rule, 0.5)
+    return MulticlassSolveResult(
+        t_hats=t_hats,
+        rule=rule,
+        rates=rates,
+        max_rate_gap=float(rates.max() - rates.min()),
+        sum_t=float(t_hats.sum()),
+        sum_gap=float(sum_gap),
+        plugin_accuracy=acc,
     )

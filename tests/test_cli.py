@@ -111,6 +111,34 @@ def test_nan_delta_is_structured_error(capsys):
     assert _error(err) == {"error": "ValueError", "message": "delta values must be >= 0"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tradeoff", "--n-deltas", "0"], "n_deltas must be >= 1"),
+    (["tradeoff", "--n-deltas", "-3"], "n_deltas must be >= 1"),
+    (["synth", "--cost", "7"], "cost must lie in [0, 1]"),
+    (["synth", "--cost", "nan"], "cost must lie in [0, 1]"),
+    (["multiclass", "--cost", "0.3"],
+     "cost must be 0.5 for multiclass: its solver covers the cost-1/2 family only"),
+])
+def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
+    code, out, err = run_main([*argv, *FAST], capsys)
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": message}
+
+
+def test_multiclass_two_group_ddp_is_the_summed_absolute_gap(capsys):
+    # the per-rep signed gaps rate_1 - rate_0 are -0.349, -0.684 and +0.392;
+    # their mean, -0.214, was reported before
+    code, out, _ = run_main(
+        ["multiclass", "--n-train", "3", "--n-test", "200", "--epochs", "10",
+         "--reps", "3", "--dim", "3", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["n_groups"] == 2
+    assert row["ddp_mean"] == pytest.approx((0.349 + 0.684 + 0.392) / 3, abs=1e-3)
+
+
 @pytest.mark.parametrize("fractions, message", [
     ([0.5, 0.5], "fractions must give three parts: train, validation, test"),
     ([0.9, 0.1, 0.0], "the test part of the split is empty"),

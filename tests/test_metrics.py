@@ -388,6 +388,21 @@ def test_evaluate_ddp_matches_positive_rate():
         assert rep.positive_rate_a[1] == pytest.approx(r1)
 
 
+def test_rate_gap_sum_two_groups_is_swap_invariant_and_nonnegative():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        gs = _random_gs(rng)
+        rule = ft.ThresholdRule(rng.random(2), rng.random(2) * (rng.random() < 0.5))
+        rep = ft.evaluate(rule, gs)
+        flipped = ft.ThresholdRule(rule.thresholds[::-1], rule.tie_prob[::-1])
+        swapped = ft.evaluate(flipped, swap_groups(gs))
+        assert rep.rate_gap_sum >= 0.0
+        assert swapped.rate_gap_sum == pytest.approx(rep.rate_gap_sum, abs=1e-15)
+        assert swapped.ddp == pytest.approx(-rep.ddp, abs=1e-15)
+        # |r0 - r| + |r1 - r| = |r1 - r0| when r is the pooled rate
+        assert rep.rate_gap_sum == pytest.approx(abs(rep.ddp), abs=1e-15)
+
+
 def test_evaluate_multiclass_summed_gap():
     scores = np.array([0.9, 0.1, 0.8, 0.2, 0.7, 0.3])
     group = np.array([0, 0, 1, 1, 2, 2])
@@ -395,4 +410,5 @@ def test_evaluate_multiclass_summed_gap():
     gs = make_gs(scores, group, label)
     rep = ft.evaluate(ft.ThresholdRule(np.array([0.5, 0.5, 0.5])), gs)
     assert rep.ddp == pytest.approx(0.0)  # all groups at rate 1/2
+    assert rep.rate_gap_sum == rep.ddp
     assert np.isnan(rep.deo)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairthresh as ft
-from _brute import _snap, brute_force_best, brute_force_family_best, swap_groups
+from _brute import _snap, brute_force_best, brute_force_family_best, multiclass_dp_loop, swap_groups
 from fairthresh.metrics import curve_from_stats
-from fairthresh.solve import _snap_to_scores
+from fairthresh.solve import _kept_gap, _snap_to_scores
 
 
 def make_gs(scores, group, label):
@@ -326,6 +328,92 @@ def test_multiclass_single_valued_group_degrades_gracefully():
     res = ft.solve_multiclass_dp(gs)  # no exception
     # group 0 only offers rates {0, 1}; report the best achievable gap
     assert res.max_rate_gap <= 1.0
+
+
+def assert_same_multiclass(res, ref):
+    for field in ("t_hats", "rates"):
+        a, b = getattr(res, field), getattr(ref, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert res.rule.thresholds.tobytes() == ref.rule.thresholds.tobytes()
+    assert res.rule.tie_prob.tobytes() == ref.rule.tie_prob.tobytes()
+    for field in ("sum_t", "sum_gap", "max_rate_gap", "plugin_accuracy"):
+        assert repr(getattr(res, field)) == repr(getattr(ref, field)), field
+
+
+@st.composite
+def multiclass_samples(draw):
+    """k = 2-6 groups of 1-40 scores: lattice, continuous or single-valued."""
+    k = draw(st.integers(2, 6))
+    scores, group = [], []
+    for a in range(k):
+        n = draw(st.integers(1, 40))
+        kind = draw(st.sampled_from(("lattice", "continuous", "single")))
+        if kind == "lattice":
+            levels = draw(st.integers(1, 12))
+            s = [i / levels for i in draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))]
+        elif kind == "continuous":
+            s = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        else:
+            s = [draw(st.sampled_from((0.0, 0.25, 0.5, 0.7, 1.0)))] * n
+        scores += s
+        group += [a] * n
+    label = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return make_gs(scores, group, label)
+
+
+@given(multiclass_samples())
+@settings(max_examples=300, deadline=None)
+def test_multiclass_scan_equals_loop_bit_for_bit(gs):
+    assert_same_multiclass(ft.solve_multiclass_dp(gs), multiclass_dp_loop(gs))
+
+
+def test_multiclass_scan_equals_loop_on_large_groups():
+    spec = ft.SynthSpec.multiclass(5, seed=3)
+    pop = ft.draw_population(spec)
+    data = ft.sample(pop, 20000, seed=4)
+    scores = np.empty(data.n)
+    for a in range(5):
+        mask = data.group == a
+        scores[mask] = ft.eta(pop, data.features[mask], a)
+    gs = ft.GroupedScores.from_dataset(data, scores)
+    assert_same_multiclass(ft.solve_multiclass_dp(gs), multiclass_dp_loop(gs))
+
+
+def test_multiclass_scan_without_a_zero_gap_equals_loop():
+    # group 0 offers three rates, and at none of them do the matched shift
+    # intervals hold a zero sum, so every reference count is scanned
+    gs = make_gs(
+        [0.25, 1.0] + [0.25, 0.0, 0.25, 1.0, 0.0], [0] * 2 + [1] * 5, [0, 0, 1, 1, 1, 0, 1]
+    )
+    res = ft.solve_multiclass_dp(gs)
+    assert res.sum_gap > 0.0
+    assert_same_multiclass(res, multiclass_dp_loop(gs))
+
+
+def test_multiclass_scan_keeps_a_tiny_gap_before_a_zero():
+    # one score per group: the first reference count leaves a gap of one
+    # rounding error (5.6e-17), the next a zero gap, which is not below it
+    # by more than 1e-15; the scan keeps the first and stops
+    gs = make_gs([2 / 3, 1 / 3], [0, 1], [0, 1])
+    res = ft.solve_multiclass_dp(gs)
+    assert 0.0 < res.sum_gap <= 1e-15
+    assert_same_multiclass(res, multiclass_dp_loop(gs))
+
+
+def test_kept_gap_record_rule():
+    # a later gap within 1e-15 of the kept one is not taken
+    assert _kept_gap(np.array([0.4, 0.3, 0.3 - 5e-16, 0.35])) == (1, 0.3)
+    # ... but one below it by more than 1e-15 is
+    assert _kept_gap(np.array([0.4, 0.3, 0.3 - 2e-15])) == (2, 0.3 - 2e-15)
+    # with the kept gap <= 1e-15 an exact zero is not taken
+    assert _kept_gap(np.array([0.2, 8e-16, 0.0, 1e-300])) == (1, 8e-16)
+    # the first exact zero is taken when the kept gap exceeds 1e-15
+    assert _kept_gap(np.array([0.2, 0.1, 0.0, 0.0])) == (2, 0.0)
+    # no zero gap: the whole array is scanned, up to its last entry
+    assert _kept_gap(np.array([0.5, 0.6, 0.4, 0.45, 0.1])) == (4, 0.1)
+    assert _kept_gap(np.array([0.5])) == (0, 0.5)
+    # equal gaps keep the first
+    assert _kept_gap(np.array([0.5, 0.2, 0.2, 0.2])) == (1, 0.2)
 
 
 # ------------------------------------------------------------------ dispatcher
