@@ -112,6 +112,12 @@ class ExperimentConfig:
             raise ValueError("n_deltas must be >= 1")
         if not 0.0 <= self.cost <= 1.0:  # also rejects nan
             raise ValueError("cost must lie in [0, 1]")
+        if self.kind == "tabular" and not self.data_path:
+            raise ValueError("tabular runs need --data pointing at a CSV file")
+        if self.data_path and self.kind not in ("tabular", "tradeoff"):
+            raise ValueError(
+                f"{self.kind} runs draw synthetic data: data_path (--data) applies to tabular and tradeoff only"
+            )
         if self.kind == "multiclass" and self.cost != 0.5:
             raise ValueError(
                 "cost must be 0.5 for multiclass: its solver covers the cost-1/2 family only"
@@ -131,23 +137,33 @@ def rep_seeds(master: int, rep: int) -> tuple:
     return tuple(int(v) for v in state)
 
 
-def _train_config(cfg: ExperimentConfig) -> sc.TrainConfig:
-    return sc.TrainConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        per_group=cfg.per_group,
-    )
+def _data(cfg: ExperimentConfig, rep: int) -> tuple:
+    """(population, train, validation, test) of repetition ``rep``.
+
+    CSV data (``data_path``) is split with the repetition's first seed and has
+    no population; its validation part is None when empty.  Synthetic data
+    has no validation part: the population is drawn from the first seed (the
+    master seed with ``fixed_population``), train and test from the other two.
+    A multiclass train sample has ``n_train`` rows per group.
+    """
+    pop_seed, train_seed, test_seed = rep_seeds(cfg.seed, rep)
+    if cfg.data_path:
+        return (None, *_load_tabular_splits(cfg, split_seed=pop_seed))
+    seed = cfg.seed if cfg.fixed_population else pop_seed
+    if cfg.kind == "multiclass":
+        pop = draw_population(SynthSpec.multiclass(cfg.n_groups, sigma=cfg.sigma, seed=seed))
+        n_train = cfg.n_train * cfg.n_groups
+    else:
+        pop = draw_population(SynthSpec.binary(dim=cfg.dim, sigma=cfg.sigma, seed=seed))
+        n_train = cfg.n_train
+    return pop, sample(pop, n_train, train_seed), None, sample(pop, cfg.n_test, test_seed)
 
 
-def _binary_spec(cfg: ExperimentConfig, seed: int) -> SynthSpec:
-    return SynthSpec.binary(dim=cfg.dim, sigma=cfg.sigma, seed=seed)
-
-
-def _fit_and_score(cfg, train, test):
-    model = sc.fit_logistic(train, _train_config(cfg))
-    gs_train = GroupedScores.from_dataset(train, sc.score_dataset(model, train))
-    gs_test = GroupedScores.from_dataset(test, sc.score_dataset(model, test))
-    return model, gs_train, gs_test
+def _fit_and_score(cfg, train, cal, test) -> tuple:
+    """Fit on ``train``; the grouped scores of the calibration and test samples."""
+    train_cfg = sc.TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs, per_group=cfg.per_group)
+    model = sc.fit_logistic(train, train_cfg)
+    return tuple(GroupedScores.from_dataset(d, sc.score_dataset(model, d)) for d in (cal, test))
 
 
 def _constraint(cfg, delta) -> FairnessConstraint:
@@ -158,52 +174,56 @@ def _measure_value(report, measure: str) -> float:
     return {"dp": report.ddp, "eo": report.deo, "pe": report.dpe, "oa": report.doa}[measure]
 
 
+def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
+    """One cell per tolerance: solve on ``gs_cal``, evaluate on ``gs_test``.
+
+    Given the population, a cell also holds the oracle columns: the exact
+    fair-optimal rule's accuracy and the fitted rule's distance from it.
+    """
+    out = []
+    for delta in deltas:
+        res = solve(gs_cal, _constraint(cfg, delta), cfg.randomize)
+        rep_eval = evaluate(res.rule, gs_test, cfg.cost)
+        cell = {
+            "delta": float(delta),
+            "disparity": _measure_value(rep_eval, cfg.measure),
+            "acc": rep_eval.accuracy,
+            "cal_disparity": res.achieved_disparity,
+            "cal_plugin_accuracy": res.plugin_accuracy,
+        }
+        if pop is not None:
+            t_or = ga.t_star(pop, cfg.measure, float(delta), cfg.cost)
+            q0, q1 = ga.population_curve(pop, cfg.measure, cfg.cost).thresholds(t_or)
+            oracle_acc = ga.fair_accuracy(pop, ThresholdRule(np.array([q0, q1])))
+            cell.update(
+                oracle_acc=oracle_acc,
+                pop_acc_gap=abs(oracle_acc - ga.fair_accuracy(pop, res.rule)),
+                t_err=abs(res.t_hat - t_or),
+                q0_err=abs(res.rule.thresholds[0] - q0),
+                q1_err=abs(res.rule.thresholds[1] - q1),
+            )
+        out.append(cell)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Per-repetition workers
 # ---------------------------------------------------------------------------
 
 
-def _synth_rep(args):
+def _binary_rep(args):
+    """Repetition ``rep``'s cells over the tolerance grid; calibrates on the
+    validation part when there is one, else on the training sample."""
     cfg, rep = args
-    pop_seed, train_seed, test_seed = rep_seeds(cfg.seed, rep)
-    spec = _binary_spec(cfg, cfg.seed if cfg.fixed_population else pop_seed)
-    pop = draw_population(spec)
-    train = sample(pop, cfg.n_train, train_seed)
-    test = sample(pop, cfg.n_test, test_seed)
-    _, gs_train, gs_test = _fit_and_score(cfg, train, test)
-    out = []
-    for delta in cfg.delta_grid():
-        res = solve(gs_train, _constraint(cfg, delta), cfg.randomize)
-        rep_eval = evaluate(res.rule, gs_test, cfg.cost)
-        t_or = ga.t_star(pop, cfg.measure, float(delta), cfg.cost)
-        curve = ga.population_curve(pop, cfg.measure, cfg.cost)
-        q0, q1 = curve.thresholds(t_or)
-        oracle_acc = ga.fair_accuracy(pop, ThresholdRule(np.array([q0, q1])))
-        pop_acc_fit = ga.fair_accuracy(pop, res.rule)
-        out.append(
-            {
-                "delta": float(delta),
-                "disparity": _measure_value(rep_eval, cfg.measure),
-                "acc": rep_eval.accuracy,
-                "oracle_acc": oracle_acc,
-                "pop_acc_gap": abs(oracle_acc - pop_acc_fit),
-                "cal_disparity": res.achieved_disparity,
-                "t_err": abs(res.t_hat - t_or),
-                "q0_err": abs(res.rule.thresholds[0] - q0),
-                "q1_err": abs(res.rule.thresholds[1] - q1),
-            }
-        )
-    return out
+    pop, train, val, test = _data(cfg, rep)
+    gs_cal, gs_test = _fit_and_score(cfg, train, val if val is not None else train, test)
+    return _cells(cfg, cfg.delta_grid(), gs_cal, gs_test, pop)
 
 
 def _multiclass_rep(args):
     cfg, rep = args
-    pop_seed, train_seed, test_seed = rep_seeds(cfg.seed, rep)
-    spec = SynthSpec.multiclass(cfg.n_groups, sigma=cfg.sigma, seed=cfg.seed if cfg.fixed_population else pop_seed)
-    pop = draw_population(spec)
-    train = sample(pop, cfg.n_train * cfg.n_groups, train_seed)
-    test = sample(pop, cfg.n_test, test_seed)
-    _, gs_train, gs_test = _fit_and_score(cfg, train, test)
+    pop, train, _, test = _data(cfg, rep)
+    gs_train, gs_test = _fit_and_score(cfg, train, train, test)
     res = solve_multiclass_dp(gs_train)
     rep_eval = evaluate(res.rule, gs_test)
     orc = ga.oracle_multiclass_dp(pop)
@@ -246,66 +266,45 @@ def _aggregate(kind: str, cells: list, **fixed) -> dict:
     return row
 
 
-def _aggregate_per_delta(cfg: ExperimentConfig, per_rep: list) -> list:
-    """One row per tolerance; ``per_rep[r][i]`` is repetition r's cell for delta i."""
-    return [
-        _aggregate(cfg.kind, [rep[i] for rep in per_rep],
-                   measure=cfg.measure, delta=float(delta), reps=cfg.reps)
-        for i, delta in enumerate(cfg.delta_grid())
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
 
 
-def run_synth_binary(cfg: ExperimentConfig) -> tuple:
-    per_rep = _map(_synth_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    return _aggregate_per_delta(cfg, per_rep), {"per_rep": per_rep}
+def run_binary(cfg: ExperimentConfig) -> tuple:
+    """``cfg.reps`` repetitions of fit and tolerance grid; one row per tolerance."""
+    per_rep = _map(_binary_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
+    rows = [
+        _aggregate(cfg.kind, cells, measure=cfg.measure, delta=cells[0]["delta"], reps=cfg.reps)
+        for cells in zip(*per_rep)
+    ]
+    return rows, {}
 
 
 def run_multiclass(cfg: ExperimentConfig) -> tuple:
     cells = _map(_multiclass_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    rows = [_aggregate(cfg.kind, cells, n_groups=cfg.n_groups, reps=cfg.reps)]
-    return rows, {"per_rep": cells}
+    return [_aggregate(cfg.kind, cells, n_groups=cfg.n_groups, reps=cfg.reps)], {}
 
 
 def run_tradeoff(cfg: ExperimentConfig) -> tuple:
-    """Tolerance sweep over one fit; the fit count is reported for auditing."""
-    pop_seed, train_seed, test_seed = rep_seeds(cfg.seed, 0)
-    if cfg.data_path:
-        train, _val, test = _load_tabular_splits(cfg, split_seed=pop_seed)
-    else:
-        pop = draw_population(_binary_spec(cfg, cfg.seed if cfg.fixed_population else pop_seed))
-        train = sample(pop, cfg.n_train, train_seed)
-        test = sample(pop, cfg.n_test, test_seed)
+    """Tolerance sweep over repetition 0's fit, calibrated on its training
+    sample; the fit count is reported for auditing."""
+    _, train, _, test = _data(cfg, 0)
     sc.reset_fit_count()
     t0 = time.perf_counter()
-    _, gs_train, gs_test = _fit_and_score(cfg, train, test)
+    gs_train, gs_test = _fit_and_score(cfg, train, train, test)
     fit_seconds = time.perf_counter() - t0
     if cfg.deltas is not None:
-        deltas = list(cfg.deltas)
+        deltas = cfg.deltas
     else:
         # default grid: from perfect fairness up to the unconstrained disparity
         res0 = solve(gs_train, _constraint(cfg, 0.0), cfg.randomize)
         deltas = np.linspace(0.0, abs(res0.disparity_at_zero), cfg.n_deltas).tolist()
     t0 = time.perf_counter()
-    rows = []
-    for delta in sorted(deltas):
-        res = solve(gs_train, _constraint(cfg, delta), cfg.randomize)
-        rep_eval = evaluate(res.rule, gs_test, cfg.cost)
-        rows.append(
-            {
-                "measure": cfg.measure,
-                "delta": float(delta),
-                "disparity": _measure_value(rep_eval, cfg.measure),
-                "accuracy": rep_eval.accuracy,
-                "cal_disparity": res.achieved_disparity,
-                "cal_plugin_accuracy": res.plugin_accuracy,
-            }
-        )
+    cells = _cells(cfg, sorted(deltas), gs_train, gs_test)
     sweep_seconds = time.perf_counter() - t0
+    # one cell per row, so every column comes from the cell
+    rows = [_aggregate(cfg.kind, [], measure=cfg.measure, accuracy=c["acc"], **c) for c in cells]
     meta = {
         "fit_count": sc.fit_count(),
         "fit_seconds": fit_seconds,
@@ -334,43 +333,14 @@ def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
     return train, val, test
 
 
-def _tabular_rep(args):
-    cfg, rep = args
-    split_seed, _, _ = rep_seeds(cfg.seed, rep)
-    train, val, test = _load_tabular_splits(cfg, split_seed)
-    model = sc.fit_logistic(train, _train_config(cfg))
-    cal = val if val is not None else train
-    gs_cal = GroupedScores.from_dataset(cal, sc.score_dataset(model, cal))
-    gs_test = GroupedScores.from_dataset(test, sc.score_dataset(model, test))
-    out = []
-    for delta in cfg.delta_grid():
-        res = solve(gs_cal, _constraint(cfg, delta), cfg.randomize)
-        rep_eval = evaluate(res.rule, gs_test, cfg.cost)
-        out.append(
-            {
-                "delta": float(delta),
-                "disparity": _measure_value(rep_eval, cfg.measure),
-                "acc": rep_eval.accuracy,
-                "cal_disparity": res.achieved_disparity,
-            }
-        )
-    return out
-
-
-def run_tabular(cfg: ExperimentConfig) -> tuple:
-    if not cfg.data_path:
-        raise ValueError("tabular runs need --data pointing at a CSV file")
-    per_rep = _map(_tabular_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
-    return _aggregate_per_delta(cfg, per_rep), {"per_rep": per_rep}
-
-
 RUNNERS = {
-    "synth": run_synth_binary,
+    "synth": run_binary,
     "multiclass": run_multiclass,
     "tradeoff": run_tradeoff,
-    # the synth runs; the report columns select the oracle-tracking statistics
-    "oracle-compare": run_synth_binary,
-    "tabular": run_tabular,
+    # the same runs; the report columns select the oracle-tracking statistics
+    "oracle-compare": run_binary,
+    # --data is required, so the runs have no population and no oracle columns
+    "tabular": run_binary,
 }
 
 
@@ -455,84 +425,55 @@ def _parse_deltas(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is the :class:`ExperimentConfig` field it sets; a
+    flag left out is absent from the parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="fairthresh",
         description="Fairness-constrained group-threshold calibration experiments",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in RUNNERS:
-        p = sub.add_parser(kind)
+        p = sub.add_parser(kind, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--delta", type=_parse_deltas, default=None,
+        p.add_argument("--delta", dest="deltas", type=_parse_deltas,
                        help="comma-separated tolerance list, e.g. 0,0.05,0.1")
-        p.add_argument("--measure", choices=("dp", "eo", "pe", "oa"), default=None)
-        p.add_argument("--cost", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json", "table"), default=None)
-        p.add_argument("--n-train", type=int, default=None)
-        p.add_argument("--n-test", type=int, default=None)
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--groups", type=int, default=None, help="number of protected groups")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--learning-rate", type=float, default=None)
-        p.add_argument("--joint-model", action="store_true",
+        p.add_argument("--measure", choices=("dp", "eo", "pe", "oa"))
+        p.add_argument("--cost", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--reps", type=int)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("csv", "json", "table"))
+        p.add_argument("--n-train", type=int)
+        p.add_argument("--n-test", type=int)
+        p.add_argument("--dim", type=int)
+        p.add_argument("--sigma", type=float)
+        p.add_argument("--groups", dest="n_groups", type=int, help="number of protected groups")
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--learning-rate", type=float)
+        p.add_argument("--joint-model", dest="per_group", action="store_const", const=False,
                        help="share feature weights across groups (one-hot encoding)")
         p.add_argument("--randomize", action="store_true",
                        help="randomize boundary ties for exact tolerance")
         p.add_argument("--fixed-population", action="store_true")
-        p.add_argument("--n-deltas", type=int, default=None, help="tradeoff grid size")
-        p.add_argument("--data", default=None, help="CSV path for tabular runs")
-        p.add_argument("--schema", default=None, help="column-schema JSON path")
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--n-deltas", type=int, help="tradeoff grid size")
+        p.add_argument("--data", dest="data_path", help="CSV path for tabular and tradeoff runs")
+        p.add_argument("--schema", dest="schema_path", help="column-schema JSON path")
+        p.add_argument("--jobs", type=int)
     return parser
 
 
-_FLAG_FIELDS = {
-    "delta": "deltas",
-    "measure": "measure",
-    "cost": "cost",
-    "seed": "seed",
-    "reps": "reps",
-    "out": "out",
-    "format": "format",
-    "n_train": "n_train",
-    "n_test": "n_test",
-    "dim": "dim",
-    "sigma": "sigma",
-    "groups": "n_groups",
-    "epochs": "epochs",
-    "learning_rate": "learning_rate",
-    "n_deltas": "n_deltas",
-    "data": "data_path",
-    "schema": "schema_path",
-    "jobs": "jobs",
-}
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    fields = {"kind": args.kind}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+    """The config file's fields, overridden by the flags given."""
+    flags = vars(args).copy()
+    path, loaded = flags.pop("config", None), {}
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         loaded.pop("kind", None)
-        fields.update(loaded)
-    for flag, name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[name] = value
-    if getattr(args, "joint_model", False):
-        fields["per_group"] = False
-    if getattr(args, "randomize", False):
-        fields["randomize"] = True
-    if getattr(args, "fixed_population", False):
-        fields["fixed_population"] = True
-    if "deltas" in fields:
-        fields["deltas"] = tuple(fields["deltas"])
-    if "fractions" in fields:
-        fields["fractions"] = tuple(fields["fractions"])
+    fields = {**loaded, **flags}
+    for name in ("deltas", "fractions"):  # JSON lists
+        if name in fields:
+            fields[name] = tuple(fields[name])
     return ExperimentConfig(**fields)
 
 
@@ -550,9 +491,7 @@ def main(argv=None) -> int:
             sys.stdout.write(report_table(cfg.kind, rows))
         else:
             sys.stdout.write(report)
-        timing = {k: v for k, v in meta.items() if k != "per_rep"}
-        timing["seconds"] = round(elapsed, 3)
-        print(json.dumps(timing, sort_keys=True), file=sys.stderr)
+        print(json.dumps(dict(meta, seconds=round(elapsed, 3)), sort_keys=True), file=sys.stderr)
         return 0
     except Exception as exc:  # structured failure summary, nonzero exit
         print(

@@ -217,11 +217,13 @@ class MulticlassSolveResult:
 
 
 def _count_intervals(sorted_scores: np.ndarray, p_a: float):
-    """Achievable positive counts and their threshold-shift intervals.
+    """Achievable positive counts and their cutoff and shift intervals.
 
     For each achievable count c (positives under cutoff q with strict >),
-    returns the half-open shift interval [t_lo, t_hi) realizing it, where
-    q = 1/2 + t / (2 p_a).  Counts are listed in decreasing order.
+    returns the half-open cutoff interval [q_lo, q_hi) realizing it and its
+    image [t_lo, t_hi) under t = 2 p_a (q - 1/2); the last interval is the
+    single point [1, 1] when a score equals 1.  Counts are listed in
+    decreasing order; the arrays are (counts, t_lo, t_hi, q_lo, q_hi).
     """
     u = np.unique(sorted_scores)
     cs, _ = _counts(sorted_scores, u)
@@ -231,7 +233,7 @@ def _count_intervals(sorted_scores: np.ndarray, p_a: float):
         cs = np.concatenate([[sorted_scores.size], cs])
         q_lo = np.concatenate([[0.0], q_lo])
         q_hi = np.concatenate([u[:1], q_hi])
-    return np.asarray(cs, dtype=np.int64), dp_shifts(q_lo, p_a), dp_shifts(q_hi, p_a)
+    return np.asarray(cs, dtype=np.int64), dp_shifts(q_lo, p_a), dp_shifts(q_hi, p_a), q_lo, q_hi
 
 
 def _kept_gap(gaps: np.ndarray) -> tuple:
@@ -256,7 +258,11 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     group is matched to the closest achievable rate, and the shifts are
     placed inside their feasible intervals so they sum to zero.  When no
     reference rate admits a zero sum the nearest interval is used and the
-    residual is reported in ``sum_gap``.
+    residual is reported in ``sum_gap``.  Each cutoff lies in the cutoff
+    interval ``[q_lo, q_hi)`` of its group's matched count, so the rule
+    realizes exactly the matched counts: it is ``q_lo`` when the shift sits
+    at its interval's lower end (or the interval is the point ``[1, 1]``),
+    else the image of the shift, kept below ``q_hi``.
 
     The scan is one array pass.  Each other group matches every reference
     rate ``s`` with one ``searchsorted`` of ``s * n_a`` into its decreasing
@@ -281,13 +287,13 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
         _count_intervals(gs.by_group[a], float(stats.p_hat_a[a])) for a in range(k)
     ]
 
-    ref_cs, ref_lo, ref_hi = tables[0]
+    ref_cs, ref_lo, ref_hi = tables[0][:3]
     s = ref_cs / int(stats.n_a[0])
     picks = []
     lo_acc = np.zeros(ref_cs.size)
     hi_acc = np.zeros(ref_cs.size)
     for a in range(1, k):
-        cs, t_lo, t_hi = tables[a]
+        cs, t_lo, t_hi = tables[a][:3]
         n_a = int(stats.n_a[a])
         # cs is decreasing; idx is the first index with count <= s * n_a
         idx = np.searchsorted(-cs, -s * n_a)
@@ -318,9 +324,12 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
             for a in range(k)
         ]
     )
-    thresholds = dp_cutoffs(t_hats, stats.p_hat_a)
-    for a in range(k):
-        thresholds[a] = _snap_to_scores(float(thresholds[a]), gs.by_group[a])
+    q_lo, q_hi = (np.array([tables[a][i][js[a]] for a in range(k)]) for i in (3, 4))
+    thresholds = np.where(
+        (frac == 0.0) | (q_lo == q_hi),
+        q_lo,
+        np.clip(dp_cutoffs(t_hats, stats.p_hat_a), q_lo, np.nextafter(q_hi, 0.0)),
+    )
     rule = ThresholdRule(thresholds)
     rates = np.array([_rate(gs.by_group[a], thresholds[a]) for a in range(k)])
     gap = float(rates.max() - rates.min())

@@ -11,7 +11,9 @@ space; the family search restates the closed-form cutoff maps instead of
 using the threshold-curve machinery.  ``swap_groups`` relabels group 0 as
 group 1 and back, for symmetry checks.  ``multiclass_dp_loop`` restates the
 multi-class dp solver as a plain loop over the reference group's counts, the
-referee of the array scan in ``solve_multiclass_dp``.
+referee of the array scan in ``solve_multiclass_dp``; ``multiclass_matched_counts``
+gives the per-group counts that loop matches, which the solver's rule must
+realize.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 
 from fairthresh.core import GroupStats, ThresholdRule
 from fairthresh.metrics import GroupedScores, _counts, _rate, dp_cutoffs, dp_shifts
-from fairthresh.solve import MulticlassSolveResult, _plugin_metrics, _snap_to_scores
+from fairthresh.solve import MulticlassSolveResult, _plugin_metrics
 
 TOL = 1e-12  # feasibility slack on |disparity| <= delta and on tau in [0, 1]
 
@@ -230,23 +232,22 @@ def _count_intervals_loop(sorted_scores, p_a):
         q_hi.insert(0, float(u[0]))
     t_lo = dp_shifts(np.asarray(q_lo), p_a)
     t_hi = dp_shifts(np.asarray(q_hi), p_a)
-    return np.asarray(cs, dtype=np.int64), t_lo, t_hi
+    return np.asarray(cs, dtype=np.int64), t_lo, t_hi, q_lo, q_hi
 
 
-def multiclass_dp_loop(gs):
-    """``solve_multiclass_dp`` as one Python loop over the reference counts.
+def _multiclass_loop_pick(gs):
+    """The count tables and the kept (gap, matched indices, lo_sum, hi_sum).
 
     Each reference count is matched group by group, its interval ends are
     summed with ``sum``, and a gap replaces the kept one only if it is below
-    it by more than 1e-15; the loop stops at the first zero gap.  The shift
-    placement after the loop is the solver's.
+    it by more than 1e-15; the loop stops at the first zero gap.
     """
     k = gs.n_groups
     stats = gs.stats
     tables = [_count_intervals_loop(gs.by_group[a], float(stats.p_hat_a[a])) for a in range(k)]
 
     def match(a, s):
-        cs, t_lo, t_hi = tables[a]
+        cs, t_lo, t_hi = tables[a][:3]
         n_a = int(stats.n_a[a])
         idx = np.searchsorted(-cs, -s * n_a)
         best_j, best_d = None, math.inf
@@ -257,7 +258,7 @@ def multiclass_dp_loop(gs):
                     best_j, best_d = j, d
         return best_j
 
-    ref_cs, ref_lo, ref_hi = tables[0]
+    ref_cs, ref_lo, ref_hi = tables[0][:3]
     n_ref = int(stats.n_a[0])
     best = None
     for i in range(ref_cs.size):
@@ -273,8 +274,24 @@ def multiclass_dp_loop(gs):
             best = (gap, js, lo_sum, hi_sum)
         if gap == 0.0:
             break
+    return tables, best
 
-    sum_gap, js, lo_sum, hi_sum = best
+
+def multiclass_matched_counts(gs):
+    """Each group's positive count at the reference rate the loop keeps."""
+    tables, (_, js, _, _) = _multiclass_loop_pick(gs)
+    return [int(tables[a][0][j]) for a, j in enumerate(js)]
+
+
+def multiclass_dp_loop(gs):
+    """``solve_multiclass_dp`` as one Python loop over the reference counts.
+
+    The shift and cutoff placement after the loop is the solver's, one group
+    at a time.
+    """
+    k = gs.n_groups
+    stats = gs.stats
+    tables, (sum_gap, js, lo_sum, hi_sum) = _multiclass_loop_pick(gs)
     if lo_sum <= 0.0 <= hi_sum:
         frac = 0.0 if hi_sum == lo_sum else -lo_sum / (hi_sum - lo_sum)
         frac = min(frac, 1.0 - 1e-12)
@@ -288,7 +305,11 @@ def multiclass_dp_loop(gs):
     )
     thresholds = dp_cutoffs(t_hats, stats.p_hat_a)
     for a in range(k):
-        thresholds[a] = _snap_to_scores(float(thresholds[a]), gs.by_group[a])
+        q_lo, q_hi = tables[a][3][js[a]], tables[a][4][js[a]]
+        if frac == 0.0 or q_lo == q_hi:
+            thresholds[a] = q_lo  # the shift sits at t_lo, or the interval is [1, 1]
+        else:  # inside the half-open [q_lo, q_hi)
+            thresholds[a] = min(max(thresholds[a], q_lo), np.nextafter(q_hi, 0.0))
     rule = ThresholdRule(thresholds)
     rates = np.array([_rate(gs.by_group[a], thresholds[a]) for a in range(k)])
     acc, _ = _plugin_metrics(gs, rule, 0.5)

@@ -487,7 +487,7 @@ def test_criterion_10_adult_dp_control():
         epochs=300,
         per_group=False,
     )
-    rows, _ = cli.run_tabular(cfg)
+    rows, _ = cli.RUNNERS["tabular"](cfg)
     ok = True
     details = []
     for row in rows:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -118,6 +119,8 @@ def test_nan_delta_is_structured_error(capsys):
     (["synth", "--cost", "nan"], "cost must lie in [0, 1]"),
     (["multiclass", "--cost", "0.3"],
      "cost must be 0.5 for multiclass: its solver covers the cost-1/2 family only"),
+    (["oracle-compare", "--data", "data.csv"],
+     "oracle-compare runs draw synthetic data: data_path (--data) applies to tabular and tradeoff only"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     code, out, err = run_main([*argv, *FAST], capsys)
@@ -212,3 +215,26 @@ def test_rep_seed_rule_is_stable():
     assert cli.rep_seeds(0, 0) == cli.rep_seeds(0, 0)
     assert cli.rep_seeds(0, 0) != cli.rep_seeds(0, 1)
     assert cli.rep_seeds(1, 0) != cli.rep_seeds(0, 0)
+
+
+@pytest.mark.parametrize("kind", sorted(cli.COLUMNS))
+def test_json_rows_carry_exactly_the_report_columns(tmp_path, capsys, kind):
+    data, schema = _tabular_files(tmp_path)
+    argv = [kind, "--format", "json", "--reps", "2", "--epochs", "10", "--n-deltas", "3"]
+    if kind == "tabular":
+        argv += ["--data", data, "--schema", schema, "--delta", "0,0.1"]
+    else:
+        argv += ["--n-train", "300", "--n-test", "200"]
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(sorted(row) == sorted(cli.COLUMNS[kind]) for row in rows)
+
+
+def test_every_flag_sets_the_config_field_of_its_dest():
+    names = {f.name for f in fields(cli.ExperimentConfig)}
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "kind").choices
+    assert sorted(subparsers) == sorted(cli.RUNNERS)
+    for kind, sub in subparsers.items():
+        dests = {a.dest for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+        assert dests and dests <= names, (kind, dests - names)

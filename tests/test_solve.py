@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairthresh as ft
-from _brute import _snap, brute_force_best, brute_force_family_best, multiclass_dp_loop, swap_groups
+from _brute import (
+    _snap,
+    brute_force_best,
+    brute_force_family_best,
+    multiclass_dp_loop,
+    multiclass_matched_counts,
+    swap_groups,
+)
 from fairthresh.metrics import curve_from_stats
 from fairthresh.solve import _kept_gap, _snap_to_scores
 
@@ -365,6 +372,31 @@ def multiclass_samples(draw):
 @settings(max_examples=300, deadline=None)
 def test_multiclass_scan_equals_loop_bit_for_bit(gs):
     assert_same_multiclass(ft.solve_multiclass_dp(gs), multiclass_dp_loop(gs))
+
+
+@st.composite
+def tie_heavy_multiclass_samples(draw):
+    """k = 2-5 groups of 1-30 scores drawn from a few values: exact 0 and 1,
+    a few base values, and near-duplicates 1e-12 to 1e-9 above each."""
+    base = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    near = [min(b + draw(st.sampled_from((1e-12, 1e-10, 5e-10, 1e-9))), 1.0) for b in base]
+    values = [0.0, 1.0, *base, *near]
+    scores, group = [], []
+    for a in range(draw(st.integers(2, 5))):
+        s = draw(st.lists(st.sampled_from(values), min_size=1, max_size=30))
+        scores += s
+        group += [a] * len(s)
+    label = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return make_gs(scores, group, label)
+
+
+@given(tie_heavy_multiclass_samples())
+@settings(max_examples=300, deadline=None)
+def test_multiclass_rule_realizes_the_matched_counts(gs):
+    res = ft.solve_multiclass_dp(gs)
+    realized = [int(np.sum(s > q)) for s, q in zip(gs.by_group, res.rule.thresholds)]
+    assert realized == multiclass_matched_counts(gs)
+    assert np.array_equal(res.rates, np.array(realized) / gs.stats.n_a)
 
 
 def test_multiclass_scan_equals_loop_on_large_groups():
