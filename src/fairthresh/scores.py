@@ -47,7 +47,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Fitted weights plus the standardization applied to incoming features."""
+    """Fitted weights plus the standardization applied to incoming features.
+
+    ``fit_logistic`` returns every array read-only, so one fitted model can
+    be shared by several callers.
+    """
 
     kind: str  # "joint" | "per-group"
     n_groups: int
@@ -146,6 +150,8 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
 
     if not np.all(np.isfinite(weights)) or not np.all(np.isfinite(bias)):
         raise ValueError("training diverged to non-finite weights")
+    for arr in (mean, scale, weights, bias):
+        arr.setflags(write=False)
     return LogisticModel(
         kind=kind,
         n_groups=data.n_groups,

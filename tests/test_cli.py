@@ -1,9 +1,11 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from fairthresh import cli
+from fairthresh import scores as sc
+from fairthresh.core import MEASURES
 from fairthresh.synth import SynthSpec, draw_population, sample
 
 from make_golden import export_csv, export_schema
@@ -121,11 +123,31 @@ def test_nan_delta_is_structured_error(capsys):
      "cost must be 0.5 for multiclass: its solver covers the cost-1/2 family only"),
     (["oracle-compare", "--data", "data.csv"],
      "oracle-compare runs draw synthetic data: data_path (--data) applies to tabular and tradeoff only"),
+    (["multiclass", "--measure", "eo"],
+     "multiclass solves perfect demographic parity: measure (--measure) must be dp"),
+    (["multiclass", "--delta", "0.1"],
+     "multiclass solves perfect demographic parity: deltas (--delta) do not apply"),
+    (["multiclass", "--randomize"],
+     "multiclass rules are deterministic: randomize (--randomize) does not apply"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     code, out, err = run_main([*argv, *FAST], capsys)
     assert code == 1 and out == ""
     assert _error(err) == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("kind", ["tabular", "tradeoff"])
+@pytest.mark.parametrize("flags", [["--dim", "3"], ["--sigma", "2"], ["--n-train", "100"],
+                                   ["--n-test", "100"], ["--fixed-population"]])
+def test_csv_runs_reject_synthetic_data_settings(capsys, kind, flags):
+    code, out, err = run_main([kind, "--data", "data.csv", *flags], capsys)
+    assert code == 1 and out == ""
+    flag = flags[0]
+    name = flag[2:].replace("-", "_")
+    assert _error(err) == {
+        "error": "ValueError",
+        "message": f"CSV data fixes the rows: {name} ({flag}) applies to synthetic data only",
+    }
 
 
 def test_multiclass_two_group_ddp_is_the_summed_absolute_gap(capsys):
@@ -238,3 +260,51 @@ def test_every_flag_sets_the_config_field_of_its_dest():
     for kind, sub in subparsers.items():
         dests = {a.dest for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
         assert dests and dests <= names, (kind, dests - names)
+
+
+# ---------------------------------------------------------------------------
+# One fit per training sample: the binary runners reuse the last fit
+# ---------------------------------------------------------------------------
+
+SMALL = dict(seed=3, n_train=600, n_test=300, epochs=40, reps=1)
+
+
+def _csv_report(cfg):
+    rows, _ = cli.RUNNERS[cfg.kind](cfg)
+    return cli.report_csv(cfg.kind, rows)
+
+
+def test_binary_runs_on_one_sample_share_one_fit():
+    cfgs = [cli.ExperimentConfig(kind="synth", measure=m, **SMALL) for m in MEASURES]
+    cfgs.append(replace(cfgs[0], deltas=(0.05,), cost=0.3, randomize=True))
+    cold = []
+    for cfg in cfgs:
+        cli._last_fit.clear()
+        cold.append(_csv_report(cfg))
+    cli._last_fit.clear()
+    sc.reset_fit_count()
+    assert [_csv_report(cfg) for cfg in cfgs] == cold
+    assert sc.fit_count() == 1
+
+
+@pytest.mark.parametrize("flags", [["--seed", "4"], ["--epochs", "41"], ["--joint-model"]])
+def test_a_new_sample_or_train_config_refits(capsys, flags):
+    argv = ["synth", "--seed", "3", "--n-train", "600", "--n-test", "300", "--epochs", "40", "--reps", "1"]
+    assert cli.main(argv) == 0
+    sc.reset_fit_count()
+    assert cli.main([*argv, "--measure", "eo"]) == 0
+    assert sc.fit_count() == 0
+    assert cli.main([*argv, *flags]) == 0  # the last of a repeated flag wins
+    assert sc.fit_count() == 1
+    capsys.readouterr()
+
+
+def test_tradeoff_fits_after_a_binary_run_on_the_same_sample():
+    synth = cli.ExperimentConfig(kind="synth", **SMALL)
+    tradeoff = cli.ExperimentConfig(kind="tradeoff", n_deltas=3, **SMALL)
+    # the same training sample and TrainConfig: reused, the fit would not count
+    assert cli._content_digest(cli._data(synth, 0)[1]) == cli._content_digest(cli._data(tradeoff, 0)[1])
+    assert cli._train_config(synth) == cli._train_config(tradeoff)
+    cli.run_binary(synth)
+    _, meta = cli.run_tradeoff(tradeoff)
+    assert meta["fit_count"] == 1

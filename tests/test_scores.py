@@ -124,6 +124,15 @@ def test_fit_validation_errors():
         ft.TrainConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("per_group", [False, True])
+def test_fitted_model_arrays_are_read_only(per_group):
+    # a fitted model may be shared by several runner calls
+    model = ft.fit_logistic(toy_data(np.random.default_rng(8)), ft.TrainConfig(epochs=2, per_group=per_group))
+    for name in ("weights", "bias", "feat_mean", "feat_scale"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0] = 1.0
+
+
 def test_fit_counter():
     sc.reset_fit_count()
     rng = np.random.default_rng(6)
