@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_mod
+import functools
 import hashlib
 import io
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -107,6 +109,7 @@ class ExperimentConfig:
             raise ValueError("delta values must be >= 0")
         if len(self.fractions) != 3:
             raise ValueError("fractions must give three parts: train, validation, test")
+        object.__setattr__(self, "fractions", tuple(self.fractions))  # hashable, for the memo key
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.n_deltas < 1:
@@ -173,47 +176,40 @@ def _data(cfg: ExperimentConfig, rep: int) -> tuple:
     return pop, sample(pop, n_train, train_seed), None, sample(pop, cfg.n_test, test_seed)
 
 
-def _train_config(cfg) -> sc.TrainConfig:
-    return sc.TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs, per_group=cfg.per_group)
+def _fit_and_score(cfg, train, val, test) -> tuple:
+    """Fit on ``train``; the grouped scores of the calibration sample (the
+    validation part when there is one, else ``train``) and of ``test``."""
+    model = sc.fit_logistic(
+        train, sc.TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs, per_group=cfg.per_group)
+    )
+    return tuple(GroupedScores.from_dataset(d, sc.score_dataset(model, d))
+                 for d in (val if val is not None else train, test))
 
 
-def _grouped_scores(model, *samples) -> tuple:
-    """The grouped scores of each sample under ``model``."""
-    return tuple(GroupedScores.from_dataset(d, sc.score_dataset(model, d)) for d in samples)
+# Fields that only the solve and the report read: they change neither the data nor the fit.
+SOLVE_ONLY = ("measure", "deltas", "cost", "randomize", "format", "out", "jobs")
 
 
-def _content_digest(data) -> bytes:
-    """Digest of a dataset's content: ``n_groups`` and the shape and bytes of
-    its features, group and label arrays (``Dataset`` fixes their dtypes)."""
-    h = hashlib.sha256(repr(data.n_groups).encode())
-    for arr in (data.features, data.group, data.label):
-        h.update(repr(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).data)
-    return h.digest()
+@functools.lru_cache(maxsize=1)
+def _scored(data_cfg: ExperimentConfig, rep: int, files) -> tuple:
+    """(population, calibration scores, test scores) of repetition ``rep``.
 
-
-# The last fit: {(training-content digest, TrainConfig): LogisticModel}.
-_last_fit: dict = {}
-
-
-def _fit_reusing_last(train, train_cfg: sc.TrainConfig) -> sc.LogisticModel:
-    """``sc.fit_logistic(train, train_cfg)``, or the previous call's model
-    when the training content and the config are both unchanged.
-
-    The fit is a pure function of the two, and its model is read-only, so
-    runner calls that differ only in measure, tolerance, cost or
-    randomization share one fit.  ``sc.fit_count`` counts real fits only.
-    Only the binary runners fit through here: ``tradeoff`` reports the count
-    and time of its own fit (criterion 9), and a multiclass repetition never
-    repeats a training sample.
+    ``data_cfg`` has every ``SOLVE_ONLY`` field at its default, and ``files``
+    holds the SHA-256 of the CSV and of the schema file given, so runner
+    calls that differ only in measure, tolerance, cost, randomization or
+    output share one draw, fit and scoring, while any other field, or a
+    rewritten file, misses.  Only the last entry is kept; its grouped scores
+    and population are read-only.
     """
-    key = (_content_digest(train), train_cfg)
-    model = _last_fit.get(key)
-    if model is None:
-        model = sc.fit_logistic(train, train_cfg)
-        _last_fit.clear()
-        _last_fit[key] = model
-    return model
+    pop, *samples = _data(data_cfg, rep)
+    return (pop, *_fit_and_score(data_cfg, *samples))
+
+
+def _scored_rep(cfg: ExperimentConfig, rep: int) -> tuple:
+    paths = (cfg.data_path, cfg.schema_path) if cfg.data_path else ()
+    files = tuple(hashlib.sha256(Path(p).read_bytes()).digest() for p in paths if p)
+    defaults = {f.name: f.default for f in fields(cfg) if f.name in SOLVE_ONLY}
+    return _scored(replace(cfg, **defaults), rep, files)
 
 
 def _constraint(cfg, delta) -> FairnessConstraint:
@@ -262,19 +258,16 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
 
 
 def _binary_rep(args):
-    """Repetition ``rep``'s cells over the tolerance grid; calibrates on the
-    validation part when there is one, else on the training sample."""
+    """Repetition ``rep``'s cells over the tolerance grid."""
     cfg, rep = args
-    pop, train, val, test = _data(cfg, rep)
-    model = _fit_reusing_last(train, _train_config(cfg))
-    gs_cal, gs_test = _grouped_scores(model, val if val is not None else train, test)
+    pop, gs_cal, gs_test = _scored_rep(cfg, rep)
     return _cells(cfg, cfg.delta_grid(), gs_cal, gs_test, pop)
 
 
 def _multiclass_rep(args):
     cfg, rep = args
-    pop, train, _, test = _data(cfg, rep)
-    gs_train, gs_test = _grouped_scores(sc.fit_logistic(train, _train_config(cfg)), train, test)
+    pop, *samples = _data(cfg, rep)
+    gs_train, gs_test = _fit_and_score(cfg, *samples)
     res = solve_multiclass_dp(gs_train)
     rep_eval = evaluate(res.rule, gs_test)
     orc = ga.oracle_multiclass_dp(pop)
@@ -338,21 +331,21 @@ def run_multiclass(cfg: ExperimentConfig) -> tuple:
 
 
 def run_tradeoff(cfg: ExperimentConfig) -> tuple:
-    """Tolerance sweep over repetition 0's fit, calibrated on its training
-    sample; the fit count is reported for auditing."""
-    _, train, _, test = _data(cfg, 0)
+    """Tolerance sweep over repetition 0's own fit, calibrated as a binary
+    run is; the fit count is reported for auditing."""
+    _, *samples = _data(cfg, 0)
     sc.reset_fit_count()
     t0 = time.perf_counter()
-    gs_train, gs_test = _grouped_scores(sc.fit_logistic(train, _train_config(cfg)), train, test)
+    gs_cal, gs_test = _fit_and_score(cfg, *samples)
     fit_seconds = time.perf_counter() - t0
     if cfg.deltas is not None:
         deltas = cfg.deltas
     else:
         # default grid: from perfect fairness up to the unconstrained disparity
-        res0 = solve(gs_train, _constraint(cfg, 0.0), cfg.randomize)
+        res0 = solve(gs_cal, _constraint(cfg, 0.0), cfg.randomize)
         deltas = np.linspace(0.0, abs(res0.disparity_at_zero), cfg.n_deltas).tolist()
     t0 = time.perf_counter()
-    cells = _cells(cfg, sorted(deltas), gs_train, gs_test)
+    cells = _cells(cfg, sorted(deltas), gs_cal, gs_test)
     sweep_seconds = time.perf_counter() - t0
     # one cell per row, so every column comes from the cell
     rows = [_aggregate(cfg.kind, [], measure=cfg.measure, accuracy=c["acc"], **c) for c in cells]
@@ -366,10 +359,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> tuple:
 
 def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
     """Split raw rows first, then fit the encoding on the training part only."""
-    if cfg.schema_path:
-        schema = tb.ColumnSchema.load(cfg.schema_path)
-    else:
-        schema = tb.adult_schema()
+    schema = tb.ColumnSchema.load(cfg.schema_path) if cfg.schema_path else tb.adult_schema()
     rows = tb.read_rows(cfg.data_path, schema)
     parts = [[rows[i] for i in idx] for idx in tb.split_indices(len(rows), cfg.fractions, split_seed)]
     for name, part in (("train", parts[0]), ("test", parts[2])):
@@ -380,7 +370,7 @@ def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
     tb.fit_schema(schema, parts[0])
     train, _ = tb.encode_rows(parts[0], schema)
     val, _ = tb.encode_rows(parts[1], schema) if parts[1] else (None, None)
-    test, _ = tb.encode_rows(parts[2], schema) if parts[2] else (None, None)
+    test, _ = tb.encode_rows(parts[2], schema)
     return train, val, test
 
 
@@ -429,12 +419,7 @@ def report_json(kind: str, cfg: ExperimentConfig, rows: list) -> str:
 
 def report_table(kind: str, rows: list) -> str:
     """Human-readable table; mean columns fold in the sd as mean (sd)."""
-    cols = COLUMNS[kind]
-    display = []
-    for c in cols:
-        if c.endswith("_sd"):
-            continue
-        display.append(c)
+    display = [c for c in COLUMNS[kind] if not c.endswith("_sd")]
     lines = []
     rendered = []
     for row in rows:

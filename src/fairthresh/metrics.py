@@ -30,7 +30,8 @@ class GroupedScores:
     """Scores stratified by (group, label), each stratum sorted ascending.
 
     ``by_group[a]`` holds every score of group ``a``; ``by_group_label[a][y]``
-    the scores of rows with group ``a`` and label ``y``.
+    the scores of rows with group ``a`` and label ``y``.  The arrays are
+    read-only, so runner calls that share one instance cannot change it.
     """
 
     by_group: tuple
@@ -53,10 +54,11 @@ class GroupedScores:
         by_group_label = []
         for a in range(stats.n_groups):
             in_a = g == a
-            by_group.append(np.sort(s[in_a]))
-            by_group_label.append(
-                (np.sort(s[in_a & (y == 0)]), np.sort(s[in_a & (y == 1)]))
-            )
+            strata = np.sort(s[in_a]), np.sort(s[in_a & (y == 0)]), np.sort(s[in_a & (y == 1)])
+            for arr in strata:
+                arr.setflags(write=False)
+            by_group.append(strata[0])
+            by_group_label.append(strata[1:])
         return cls(tuple(by_group), tuple(by_group_label), stats)
 
     @classmethod

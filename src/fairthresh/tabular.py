@@ -96,16 +96,20 @@ class ColumnSchema:
     @classmethod
     def from_json(cls, text: str) -> "ColumnSchema":
         obj = json.loads(text)
-        cols = [
-            ColumnSpec(
+        if not isinstance(obj, dict) or "columns" not in obj:
+            raise ValueError("no 'columns' field")
+        cols = []
+        for i, c in enumerate(obj["columns"]):
+            for key in ("name", "kind"):
+                if not isinstance(c, dict) or key not in c:
+                    raise ValueError(f"column {i} has no {key!r} field")
+            cols.append(ColumnSpec(
                 name=c["name"],
                 kind=c["kind"],
                 positive_values=tuple(c.get("positive_values", ())),
                 group_values=tuple(c.get("group_values", ())),
                 vocabulary=tuple(c.get("vocabulary", ())),
-            )
-            for c in obj["columns"]
-        ]
+            ))
         return cls(columns=cols, has_header=obj.get("has_header", True))
 
     def save(self, path) -> None:
@@ -113,7 +117,13 @@ class ColumnSchema:
 
     @classmethod
     def load(cls, path) -> "ColumnSchema":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a schema file; a malformed one raises a ValueError that names the file."""
+        try:
+            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"schema file {path} is not valid JSON: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"schema file {path}: {exc}") from None
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import json
+import shutil
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from fairthresh import cli
@@ -263,7 +265,7 @@ def test_every_flag_sets_the_config_field_of_its_dest():
 
 
 # ---------------------------------------------------------------------------
-# One fit per training sample: the binary runners reuse the last fit
+# The binary runners reuse the last scored repetition
 # ---------------------------------------------------------------------------
 
 SMALL = dict(seed=3, n_train=600, n_test=300, epochs=40, reps=1)
@@ -279,15 +281,15 @@ def test_binary_runs_on_one_sample_share_one_fit():
     cfgs.append(replace(cfgs[0], deltas=(0.05,), cost=0.3, randomize=True))
     cold = []
     for cfg in cfgs:
-        cli._last_fit.clear()
+        cli._scored.cache_clear()
         cold.append(_csv_report(cfg))
-    cli._last_fit.clear()
+    cli._scored.cache_clear()
     sc.reset_fit_count()
     assert [_csv_report(cfg) for cfg in cfgs] == cold
     assert sc.fit_count() == 1
 
 
-@pytest.mark.parametrize("flags", [["--seed", "4"], ["--epochs", "41"], ["--joint-model"]])
+@pytest.mark.parametrize("flags", [["--seed", "4"], ["--epochs", "41"], ["--joint-model"], ["--dim", "4"]])
 def test_a_new_sample_or_train_config_refits(capsys, flags):
     argv = ["synth", "--seed", "3", "--n-train", "600", "--n-test", "300", "--epochs", "40", "--reps", "1"]
     assert cli.main(argv) == 0
@@ -302,9 +304,109 @@ def test_a_new_sample_or_train_config_refits(capsys, flags):
 def test_tradeoff_fits_after_a_binary_run_on_the_same_sample():
     synth = cli.ExperimentConfig(kind="synth", **SMALL)
     tradeoff = cli.ExperimentConfig(kind="tradeoff", n_deltas=3, **SMALL)
-    # the same training sample and TrainConfig: reused, the fit would not count
-    assert cli._content_digest(cli._data(synth, 0)[1]) == cli._content_digest(cli._data(tradeoff, 0)[1])
-    assert cli._train_config(synth) == cli._train_config(tradeoff)
+    # the same training sample and training settings: reused, the fit would not count
+    (_, a, _, _), (_, b, _, _) = cli._data(synth, 0), cli._data(tradeoff, 0)
+    assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("features", "group", "label"))
     cli.run_binary(synth)
-    _, meta = cli.run_tradeoff(tradeoff)
-    assert meta["fit_count"] == 1
+    for _ in range(2):
+        _, meta = cli.run_tradeoff(tradeoff)
+        assert meta["fit_count"] == 1
+
+
+def test_memoized_grouped_scores_are_read_only():
+    _, gs_cal, gs_test = cli._scored_rep(cli.ExperimentConfig(kind="synth", **SMALL), 0)
+    for arr in (gs_cal.by_group[0], gs_cal.by_group_label[1][0], gs_test.by_group[1], gs_test.by_group_label[0][1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+
+
+# A changed value for every field outside ``SOLVE_ONLY``; the file fields on a CSV run.
+KEYED = {
+    "kind": "oracle-compare", "reps": 2, "seed": 4, "n_train": 601, "n_test": 301, "dim": 4,
+    "sigma": 1.5, "n_groups": 3, "fixed_population": True, "epochs": 41, "learning_rate": 0.5,
+    "per_group": False, "n_deltas": 7, "data_path": "copy.csv", "schema_path": "copy.json",
+    "fractions": (0.6, 0.2, 0.2),
+}
+FILE_FIELDS = ("data_path", "schema_path", "fractions")
+
+
+def test_every_config_field_is_keyed_or_solve_only():
+    assert sorted([*KEYED, *cli.SOLVE_ONLY]) == sorted(f.name for f in fields(cli.ExperimentConfig))
+
+
+def test_a_config_given_list_fractions_can_key_the_memo():
+    cfg = cli.ExperimentConfig(kind="synth", fractions=[0.7, 0.1, 0.2])
+    assert cfg == cli.ExperimentConfig(kind="synth") and hash(cfg) == hash(cli.ExperimentConfig(kind="synth"))
+
+
+def _base(tmp_path, name):
+    if name not in FILE_FIELDS:
+        return cli.ExperimentConfig(kind="synth", **SMALL)
+    data, schema = _tabular_files(tmp_path)
+    return cli.ExperimentConfig(kind="tabular", data_path=data, schema_path=schema, reps=1, epochs=10)
+
+
+@pytest.mark.parametrize("name", sorted(KEYED))
+def test_changing_a_data_or_fit_field_misses_the_memo(tmp_path, name):
+    base = _base(tmp_path, name)
+    value = KEYED[name]
+    if name in ("data_path", "schema_path"):  # the same bytes under another path
+        value = str(tmp_path / value)
+        shutil.copyfile(getattr(base, name), value)
+    cli._scored_rep(base, 0)
+    cli._scored_rep(replace(base, **{name: value}), 0)
+    assert cli._scored.cache_info().misses == 2
+
+
+def test_changing_only_solve_fields_hits_the_memo(tmp_path):
+    base = cli.ExperimentConfig(kind="synth", **SMALL)
+    first = cli._scored_rep(base, 0)
+    other = replace(base, measure="eo", deltas=(0.1,), cost=0.3, randomize=True,
+                    format="csv", out=str(tmp_path / "r.csv"), jobs=2)
+    assert cli._scored_rep(other, 0) is first
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_rewriting_the_csv_or_the_schema_refits(tmp_path, which):
+    paths = _tabular_files(tmp_path)
+    cfg = cli.ExperimentConfig(kind="tabular", data_path=paths[0], schema_path=paths[1], reps=1, epochs=10)
+    first = cli._scored_rep(cfg, 0)
+    assert cli._scored_rep(cfg, 0) is first
+    if which == 0:
+        export_csv(sample(draw_population(SynthSpec.binary(dim=3, seed=1)), 300, seed=3), paths[0])
+    else:
+        with open(paths[1], "a", encoding="utf-8") as fh:
+            fh.write("\n")
+    sc.reset_fit_count()
+    cli._scored_rep(cfg, 0)
+    assert sc.fit_count() == 1
+
+
+def test_tradeoff_calibrates_on_the_part_tabular_calibrates_on(tmp_path, capsys):
+    data, schema = _tabular_files(tmp_path, n=600)
+    common = ["--data", data, "--schema", schema, "--delta", "0,0.05,0.1", "--reps", "1",
+              "--epochs", "20", "--seed", "2", "--format", "json"]
+    code, out, _ = run_main(["tabular", *common], capsys)
+    assert code == 0
+    tabular = [r["cal_disparity_mean"] for r in json.loads(out)["rows"]]
+    code, out, _ = run_main(["tradeoff", *common], capsys)
+    assert code == 0
+    assert [r["cal_disparity"] for r in json.loads(out)["rows"]] == tabular
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"has_header": true}', ": no 'columns' field"),
+    ('{"columns": [{"name": "x0"}]}', ": column 0 has no 'kind' field"),
+    ('{"columns": [{"kind": "numeric"}]}', ": column 0 has no 'name' field"),
+    ('{"columns": [{"name": "x0", "kind": "bogus"}]}', ": unknown column kind 'bogus'"),
+    ('{"columns": [', " is not valid JSON: Expecting"),
+])
+def test_corrupt_schema_is_structured_error(tmp_path, capsys, text, message):
+    data, _ = _tabular_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_main(["tabular", "--data", data, "--schema", str(bad), "--reps", "1"], capsys)
+    assert code == 1 and out == ""
+    payload = _error(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(f"schema file {bad}{message}")
