@@ -122,6 +122,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.kind} runs draw synthetic data: data_path (--data) applies to tabular and tradeoff only"
             )
+        if self.schema_path and not self.data_path:
+            raise ValueError("schema_path (--schema) describes a CSV file: it applies only with data_path (--data)")
         if self.kind == "multiclass":
             if self.cost != 0.5:
                 raise ValueError(

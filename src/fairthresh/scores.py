@@ -10,6 +10,8 @@ training data only.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,14 +74,22 @@ def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: floa
     """Mean cross-entropy of a linear logit (bias folded into the design).
 
     Returns (loss, gradient).  The loss uses the softplus form, stable for
-    any logit magnitude.
+    any logit magnitude.  The temporaries are reused in place; every value is
+    the one ``_sigmoid`` and the plain softplus expression give, bit for bit.
     """
     z = design @ theta
-    e = np.exp(-np.abs(z))
+    e = np.copysign(z, -1.0)  # -|z|
+    np.exp(e, out=e)
     # softplus(z) - y z = -log p(y | z)
-    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z))
-    p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # _sigmoid(z), reusing its exponential
-    grad = design.T @ (p - y) / design.shape[0]
+    terms = np.maximum(z, 0.0)
+    terms += np.log1p(e)
+    terms -= y * z
+    loss = float(np.mean(terms))
+    p = np.maximum(e, z >= 0)  # _sigmoid's numerator: 1 where z >= 0 (e <= 1 there), else e
+    e += 1.0
+    p /= e
+    p -= y
+    grad = design.T @ p / design.shape[0]
     if l2:
         loss += 0.5 * l2 * float(theta @ theta)
         grad = grad + l2 * theta
@@ -95,17 +105,22 @@ def _descend(design, y, config: TrainConfig) -> tuple:
     same ``theta``, accept its equal loss without halving and leave ``(theta,
     loss, grad, lr)`` as it was, and so would every later one; descent stops
     there and repeats the loss to fill ``history`` to ``epochs + 1`` entries.
+    That step is computed once per epoch: it is both the fixed-point test and
+    the first candidate.  Reads only ``design`` and ``y``, so fits of
+    different groups may run on different threads.
     """
     theta = np.zeros(design.shape[1])
     lr = config.learning_rate
     loss, grad = loss_and_grad(theta, design, y, config.l2)
     history = [loss]
     for epoch in range(config.epochs):
-        if not np.isnan(loss) and (theta - lr * grad).tobytes() == theta.tobytes():
+        cand = theta - lr * grad
+        if not np.isnan(loss) and cand.tobytes() == theta.tobytes():
             history.extend([loss] * (config.epochs - epoch))
             break
-        for _ in range(60):
-            cand = theta - lr * grad
+        for attempt in range(60):
+            if attempt:
+                cand = theta - lr * grad
             new_loss, new_grad = loss_and_grad(cand, design, y, config.l2)
             if new_loss <= loss + 1e-12:
                 break
@@ -115,8 +130,62 @@ def _descend(design, y, config: TrainConfig) -> tuple:
     return theta, tuple(history)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_groups(fit_group, n_groups: int) -> list:
+    """``[fit_group(a) for a in range(n_groups)]``, run on up to one thread per usable CPU.
+
+    The calling thread works alongside ``min(n_groups, CPUs) - 1`` helper
+    threads; each takes the next group index in turn.  Every helper is
+    joined before this returns or raises, so no thread outlives the call,
+    and the first exception recorded is re-raised in the caller.
+    """
+    results = [None] * n_groups
+    groups = iter(range(n_groups))
+    lock = threading.Lock()
+    failed = []
+
+    def work():
+        try:
+            while not failed:
+                with lock:
+                    a = next(groups, None)
+                if a is None:
+                    return
+                results[a] = fit_group(a)
+        except BaseException as exc:  # re-raised by the caller after the join
+            failed.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(n_groups, _usable_cpus()) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> LogisticModel:
-    """Train the score model on a dataset; increments the fit counter."""
+    """Train the score model on a dataset; increments the fit counter.
+
+    With ``per_group`` the groups' fits are independent, so they run
+    concurrently (see ``_map_groups``): on the calling thread plus one helper
+    thread per further usable CPU, up to one thread per group.  Each fit
+    reads only its own group's rows, and a BLAS call's reduction order does
+    not depend on the thread that makes it, so the model is the same bits at
+    any CPU count.  The joint model is one fit on the calling thread.
+    """
     global _fit_calls
     _fit_calls += 1
 
@@ -128,17 +197,17 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     xs = (x - mean) / scale
 
     if config.per_group:
-        weights = np.zeros((data.n_groups, data.dim))
-        bias = np.zeros(data.n_groups)
-        history = None
-        for a in range(data.n_groups):
+
+        def fit_group(a):
             in_a = data.group == a
             design = np.hstack([xs[in_a], np.ones((int(in_a.sum()), 1))])
-            theta, hist = _descend(design, y[in_a], config)
-            weights[a] = theta[:-1]
-            bias[a] = theta[-1]
-            # keep the first group's trace as the representative history
-            history = hist if history is None else history
+            return _descend(design, y[in_a], config)
+
+        thetas, histories = zip(*_map_groups(fit_group, data.n_groups))
+        weights = np.array([theta[:-1] for theta in thetas])
+        bias = np.array([theta[-1] for theta in thetas])
+        # keep the first group's trace as the representative history
+        history = histories[0]
         kind = "per-group"
     else:
         onehot = np.eye(data.n_groups)[data.group]

@@ -131,6 +131,8 @@ def test_nan_delta_is_structured_error(capsys):
      "multiclass solves perfect demographic parity: deltas (--delta) do not apply"),
     (["multiclass", "--randomize"],
      "multiclass rules are deterministic: randomize (--randomize) does not apply"),
+    (["synth", "--schema", "schema.json"],
+     "schema_path (--schema) describes a CSV file: it applies only with data_path (--data)"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     code, out, err = run_main([*argv, *FAST], capsys)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,3 +288,153 @@ def test_fit_equals_every_epoch_descent(monkeypatch, config, converges):
     assert_same_bits(model.loss_history, ref.loss_history)
     # the fixed-point exit skips the evaluations of the repeated epochs
     assert (len(calls) < n_fits * (config.epochs + 1)) == converges
+
+
+def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch):
+    # every step off zero raises the loss: the epoch keeps the 60th candidate,
+    # made with lr * 2**-59, although lr is halved once more after it
+    monkeypatch.setattr(sc, "loss_and_grad", lambda theta, design, y, l2: (1.0 + np.any(theta), np.ones(2)))
+    theta, history = sc._descend(np.ones((3, 2)), np.ones(3), ft.TrainConfig(learning_rate=1.0, epochs=1))
+    assert_same_bits(theta, np.full(2, -(2.0 ** -59)))
+    assert history == (1.0, 2.0)
+
+
+# ------------------------------------------------------- concurrent group fits
+#
+# Five groups of unequal size (so a design's row count names its group); with
+# 300 epochs the fits of groups 2 and 4 reach GD's fixed point, the others not.
+
+_GROUP_SIZES = (60, 90, 130, 180, 240)
+_GROUP_CONFIG = ft.TrainConfig(learning_rate=1.0, epochs=300, per_group=True)
+
+
+def _five_group_data():
+    rng = np.random.default_rng(0)
+    group = np.repeat(np.arange(5), _GROUP_SIZES)
+    x = rng.normal(size=(group.size, 2))
+    slope = np.array([0.3, 3.0, 0.6, 6.0, 1.0])[group]
+    y = (rng.random(group.size) < 1.0 / (1.0 + np.exp(-slope * x[:, 0]))).astype(int)
+    perm = rng.permutation(group.size)
+    return ft.Dataset(x[perm], group[perm], y[perm])
+
+
+def _sequential_group_fits(data, config):
+    """The per-group fit as one loop over ``_descend`` on the calling thread."""
+    xs = (data.features - data.features.mean(axis=0)) / data.features.std(axis=0)
+    y = data.label.astype(np.float64)
+    thetas, histories = [], []
+    for a in range(data.n_groups):
+        in_a = data.group == a
+        theta, hist = sc._descend(np.hstack([xs[in_a], np.ones((int(in_a.sum()), 1))]), y[in_a], config)
+        thetas.append(theta)
+        histories.append(hist)
+    return np.array(thetas), histories[0]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(sc.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _recording_descend(monkeypatch, wait_for_helper):
+    """Wrap ``_descend`` to record (group size, thread id) per fit.  With
+    ``wait_for_helper`` the calling thread's fits wait, up to 10 s, for a
+    helper's first fit, so that one of the helpers surely runs a fit."""
+    calls = []
+    helper_fitted = threading.Event()
+    caller = threading.get_ident()
+    descend = sc._descend
+
+    def recording(design, y, config):
+        ident = threading.get_ident()
+        calls.append((design.shape[0], ident))
+        if ident == caller and wait_for_helper:
+            helper_fitted.wait(10.0)
+        else:
+            helper_fitted.set()
+        return descend(design, y, config)
+
+    monkeypatch.setattr(sc, "_descend", recording)
+    return calls
+
+
+def test_five_group_data_mixes_converged_and_unconverged_fits(monkeypatch):
+    calls = []
+    loss_and_grad = sc.loss_and_grad
+
+    def counted(theta, design, y, l2=0.0):
+        calls.append(design.shape[0])
+        return loss_and_grad(theta, design, y, l2)
+
+    monkeypatch.setattr(sc, "loss_and_grad", counted)
+    ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    converged = {n for n in _GROUP_SIZES if calls.count(n) < _GROUP_CONFIG.epochs + 1}
+    assert converged == {130, 240}
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 4, 8])
+def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, n_cpus):
+    data = _five_group_data()
+    thetas, history = _sequential_group_fits(data, _GROUP_CONFIG)
+    _cpus(monkeypatch, n_cpus)
+    model = ft.fit_logistic(data, _GROUP_CONFIG)
+    assert_same_bits(model.weights, thetas[:, :-1])
+    assert_same_bits(model.bias, thetas[:, -1])
+    assert_same_bits(model.loss_history, history)
+
+
+@pytest.mark.parametrize("n_cpus", [2, 8])
+def test_a_helper_thread_fits_a_group(monkeypatch, n_cpus):
+    _cpus(monkeypatch, n_cpus)
+    calls = _recording_descend(monkeypatch, wait_for_helper=True)
+    before = threading.active_count()
+    ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    assert sorted(n for n, _ in calls) == list(_GROUP_SIZES)
+    threads = {ident for _, ident in calls}
+    assert threads - {threading.get_ident()}
+    assert len(threads) <= min(n_cpus, 5)
+    assert threading.active_count() == before
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    _cpus(monkeypatch, 1)
+    calls = _recording_descend(monkeypatch, wait_for_helper=False)
+    started = []
+    monkeypatch.setattr(sc.threading.Thread, "start", lambda self: started.append(self))
+    ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    assert started == []
+    assert [ident for _, ident in calls] == [threading.get_ident()] * 5
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 8])
+def test_a_failed_group_fit_is_re_raised_after_every_helper_stopped(monkeypatch, n_cpus):
+    _cpus(monkeypatch, n_cpus)
+    failure = FloatingPointError("group 3 diverged")
+    descend = sc._descend
+
+    def failing(design, y, config):
+        if design.shape[0] == _GROUP_SIZES[3]:
+            raise failure
+        return descend(design, y, config)
+
+    monkeypatch.setattr(sc, "_descend", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as caught:
+        ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    assert caught.value is failure
+    assert threading.active_count() == before
+
+
+def test_map_groups_runs_every_group_once_under_fast_switching(monkeypatch):
+    # more threads than cores, switching threads every microsecond: a lost or
+    # doubled group index would show as a missing or repeated call
+    _cpus(monkeypatch, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls = []
+            out = sc._map_groups(lambda a: calls.append(a) or a * a, 64)
+            assert sorted(calls) == list(range(64))
+            assert out == [a * a for a in range(64)]
+    finally:
+        sys.setswitchinterval(interval)
