@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -26,7 +27,7 @@ def test_predict_zero_weights_is_half():
     model = sc.LogisticModel(
         kind="joint", n_groups=2, dim=2,
         feat_mean=np.zeros(2), feat_scale=np.ones(2),
-        weights=np.zeros(4), bias=np.zeros(1), loss_history=(),
+        weights=np.zeros(4), bias=np.zeros(1), iterations=(), final_loss=(),
     )
     assert sc.predict_proba(model, np.array([3.0, -1.0]), 1) == 0.5
 
@@ -35,7 +36,7 @@ def test_predict_saturates_with_large_bias():
     model = sc.LogisticModel(
         kind="joint", n_groups=2, dim=1,
         feat_mean=np.zeros(1), feat_scale=np.ones(1),
-        weights=np.zeros(3), bias=np.array([40.0]), loss_history=(),
+        weights=np.zeros(3), bias=np.array([40.0]), iterations=(), final_loss=(),
     )
     assert sc.predict_proba(model, np.array([0.0]), 0) == pytest.approx(1.0, abs=1e-15)
 
@@ -45,7 +46,7 @@ def test_predict_matches_hand_sigmoid():
     model = sc.LogisticModel(
         kind="per-group", n_groups=2, dim=1,
         feat_mean=np.zeros(1), feat_scale=np.ones(1),
-        weights=np.array([[w], [0.0]]), bias=np.array([b, 0.0]), loss_history=(),
+        weights=np.array([[w], [0.0]]), bias=np.array([b, 0.0]), iterations=(), final_loss=(),
     )
     for x in (-2.0, 0.0, 0.3, 4.0):
         expect = 1.0 / (1.0 + np.exp(-(w * x + b)))
@@ -96,10 +97,14 @@ def test_fit_constant_labels_pushes_probabilities_to_one():
 
 
 def test_fit_loss_history_non_increasing_full_batch():
+    # a fit of e epochs is the first e epochs of a longer one, so the final
+    # losses over e = 0..300 are the loss history
     rng = np.random.default_rng(3)
     data = toy_data(rng, n=200, d=4)
-    model = ft.fit_logistic(data, ft.TrainConfig(epochs=300, learning_rate=4.0))
-    hist = np.array(model.loss_history)
+    hist = [np.log(2.0)] + [
+        ft.fit_logistic(data, ft.TrainConfig(epochs=e, learning_rate=4.0)).final_loss[0]
+        for e in range(1, 301)
+    ]
     assert np.all(np.diff(hist) <= 1e-12)
 
 
@@ -190,11 +195,16 @@ def _masked_loss_and_grad(theta, design, y, l2=0.0):
 
 
 def _every_epoch_descend(design, y, config):
+    """Descent that evaluates the loss on every epoch; returns ``(theta,
+    iterations, final_loss)`` as ``_descend`` does, with ``iterations`` the
+    first epoch whose first candidate is ``theta`` itself (loss not nan)."""
     theta = np.zeros(design.shape[1])
     lr = config.learning_rate
     loss, grad = _masked_loss_and_grad(theta, design, y, config.l2)
-    history = [loss]
-    for _ in range(config.epochs):
+    iterations = config.epochs
+    for epoch in range(config.epochs):
+        if (theta - lr * grad).tobytes() == theta.tobytes() and not np.isnan(loss):
+            iterations = min(iterations, epoch)
         for _ in range(60):
             cand = theta - lr * grad
             new_loss, new_grad = _masked_loss_and_grad(cand, design, y, config.l2)
@@ -202,8 +212,7 @@ def _every_epoch_descend(design, y, config):
                 break
             lr *= 0.5
         theta, loss, grad = cand, new_loss, new_grad
-        history.append(loss)
-    return theta, tuple(history)
+    return theta, iterations, loss
 
 
 def assert_same_bits(a, b):
@@ -248,6 +257,9 @@ def test_loss_and_grad_equals_masked_restatement_bit_for_bit(z, data, l2):
         ref_loss, ref_grad = _masked_loss_and_grad(theta, design, y, l2)
     assert_same_bits(loss, ref_loss)
     assert_same_bits(grad, ref_grad)
+    # the gradient-only step of a certified epoch
+    with np.errstate(all="ignore"):
+        assert_same_bits(sc._grad(theta, design, y, l2, design @ theta), ref_grad)
 
 
 def _fixed_point_data():
@@ -257,46 +269,120 @@ def _fixed_point_data():
     return ft.Dataset(x, rng.integers(0, 2, 200), y)
 
 
-# (config, whether every fit reaches the fixed point before its last epoch)
+# (config, whether every fit reaches the fixed point before its last epoch).
+# Learning rates 4 and 16 are outside the certificate on this data, so every
+# step is checked; at 16 the first epoch halves the rate to 8.
 _FIXED_POINT_CASES = [
     (ft.TrainConfig(learning_rate=1.0, epochs=400), True),
     (ft.TrainConfig(learning_rate=1.0, epochs=400, per_group=True), True),
     (ft.TrainConfig(learning_rate=1.0, epochs=50), False),
     (ft.TrainConfig(learning_rate=1.0, epochs=60, per_group=True, l2=0.1), False),
+    (ft.TrainConfig(learning_rate=4.0, epochs=400), True),
+    (ft.TrainConfig(learning_rate=4.0, epochs=400, per_group=True), False),
+    (ft.TrainConfig(learning_rate=16.0, epochs=400), False),
+    (ft.TrainConfig(learning_rate=16.0, epochs=400, per_group=True), False),
 ]
 
 
-@pytest.mark.parametrize("config, converges", _FIXED_POINT_CASES)
-def test_fit_equals_every_epoch_descent(monkeypatch, config, converges):
-    data = _fixed_point_data()
-    calls = []
-    loss_and_grad = sc.loss_and_grad
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return loss_and_grad(*args, **kwargs)
-
-    monkeypatch.setattr(sc, "loss_and_grad", counted)
+def _fit_and_referee(data, config):
     model = ft.fit_logistic(data, config)
-    n_fits = data.n_groups if config.per_group else 1
-    monkeypatch.setattr(sc, "_descend", _every_epoch_descend)
-    ref = ft.fit_logistic(data, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_descend", _every_epoch_descend)
+        return model, ft.fit_logistic(data, config)
 
+
+def _assert_fits_equal(model, ref):
     assert_same_bits(model.weights, ref.weights)
     assert_same_bits(model.bias, ref.bias)
-    assert len(model.loss_history) == config.epochs + 1
-    assert_same_bits(model.loss_history, ref.loss_history)
-    # the fixed-point exit skips the evaluations of the repeated epochs
-    assert (len(calls) < n_fits * (config.epochs + 1)) == converges
+    assert_same_bits(model.final_loss, ref.final_loss)
+    assert model.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("config, converges", _FIXED_POINT_CASES)
+def test_fit_equals_every_epoch_descent(config, converges):
+    model, ref = _fit_and_referee(_fixed_point_data(), config)
+    _assert_fits_equal(model, ref)
+    assert all((it < config.epochs) == converges for it in model.iterations)
+
+
+def test_a_checked_step_takes_over_once_the_weights_outgrow_the_certificate(monkeypatch):
+    # separable: the weights grow until the rounding bound leaves the 1e-12
+    # slack; from there every epoch evaluates the loss
+    rng = np.random.default_rng(0)
+    x1 = rng.uniform(-1, 1, 40)
+    y = np.arange(40) % 2
+    data = ft.Dataset(np.column_stack([x1, x1 + 0.03 * (2 * y - 1)]), np.zeros(40, dtype=int), y)
+    config = ft.TrainConfig(learning_rate=1.0, epochs=3000)
+    calls = []
+    loss_and_grad, grad = sc.loss_and_grad, sc._grad
+    monkeypatch.setattr(sc, "loss_and_grad", lambda *args: calls.append("L") or loss_and_grad(*args))
+    monkeypatch.setattr(sc, "_grad", lambda *args: calls.append("g") or grad(*args))
+    model, ref = _fit_and_referee(data, config)
+    _assert_fits_equal(model, ref)
+    # loss_and_grad calls _grad too: "Lg" is one loss evaluation, a lone "g" a certified step
+    steps = "".join(calls).replace("Lg", "L")
+    assert re.fullmatch(r"Lg{100,}L{100,}", steps)
+
+
+_designs = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2), min_size=n, max_size=n),
+    st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_y=_designs, lr=st.sampled_from([0.5, 1.0, 4.0, 16.0]), l2=st.sampled_from([0.0, 0.1]))
+def test_descent_equals_every_epoch_descent_on_small_designs(design_y, lr, l2):
+    rows, y = design_y
+    design = np.column_stack([np.array(rows), np.ones(len(rows))])
+    config = ft.TrainConfig(learning_rate=lr, epochs=40, l2=l2)
+    theta, iterations, final_loss = sc._descend(design, np.array(y), config)
+    ref_theta, ref_iterations, ref_loss = _every_epoch_descend(design, np.array(y), config)
+    assert_same_bits(theta, ref_theta)
+    assert iterations == ref_iterations
+    assert_same_bits(final_loss, ref_loss)
+
+
+def test_a_benchmark_fit_evaluates_the_loss_twice_per_group(monkeypatch):
+    # at zero, and once at the returned weights: every epoch is certified
+    calls = []
+    loss_and_grad = sc.loss_and_grad
+    monkeypatch.setattr(sc, "loss_and_grad", lambda *args: calls.append(1) or loss_and_grad(*args))
+    pop = ft.draw_population(ft.SynthSpec.binary(seed=3))
+    model = ft.fit_logistic(ft.sample(pop, 20000, seed=4),
+                            ft.TrainConfig(learning_rate=1.0, epochs=500, per_group=True))
+    assert len(calls) == 2 * 2
+    assert len(model.iterations) == len(model.final_loss) == 2
+
+
+def test_a_per_group_fit_rejects_a_group_without_training_rows():
+    rng = np.random.default_rng(5)
+    data = ft.Dataset(rng.normal(size=(30, 2)), np.tile([0, 2], 15), rng.integers(0, 2, 30), n_groups=3)
+    with pytest.raises(ValueError, match="group 1 has no training rows"):
+        ft.fit_logistic(data, ft.TrainConfig(epochs=50, per_group=True))
+    ft.fit_logistic(data, ft.TrainConfig(epochs=50))  # the joint model needs no rows of group 1
+
+
+def test_a_non_finite_design_gets_no_certificate():
+    # features near the float64 maximum standardize to nan: no step can be
+    # certified, and the fit fails as diverged, as it did before the certificate
+    rng = np.random.default_rng(6)
+    x = rng.uniform(1e308, 1.7e308, size=(30, 2))
+    data = ft.Dataset(x, np.tile([0, 1], 15), rng.integers(0, 2, 30))
+    for per_group in (False, True):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
+            ft.fit_logistic(data, ft.TrainConfig(epochs=3, per_group=per_group))
 
 
 def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch):
     # every step off zero raises the loss: the epoch keeps the 60th candidate,
-    # made with lr * 2**-59, although lr is halved once more after it
+    # made with lr * 2**-59, although lr is halved once more after it; lr = 4
+    # is outside the certificate (L = 1/2 here), so the step is checked
     monkeypatch.setattr(sc, "loss_and_grad", lambda theta, design, y, l2: (1.0 + np.any(theta), np.ones(2)))
-    theta, history = sc._descend(np.ones((3, 2)), np.ones(3), ft.TrainConfig(learning_rate=1.0, epochs=1))
-    assert_same_bits(theta, np.full(2, -(2.0 ** -59)))
-    assert history == (1.0, 2.0)
+    config = ft.TrainConfig(learning_rate=4.0, epochs=1)
+    theta, iterations, final_loss = sc._descend(np.ones((3, 2)), np.ones(3), config)
+    assert_same_bits(theta, np.full(2, -4.0 * 2.0 ** -59))
+    assert (iterations, final_loss) == (1, 2.0)
 
 
 # ------------------------------------------------------- concurrent group fits
@@ -322,13 +408,12 @@ def _sequential_group_fits(data, config):
     """The per-group fit as one loop over ``_descend`` on the calling thread."""
     xs = (data.features - data.features.mean(axis=0)) / data.features.std(axis=0)
     y = data.label.astype(np.float64)
-    thetas, histories = [], []
+    fits = []
     for a in range(data.n_groups):
         in_a = data.group == a
-        theta, hist = sc._descend(np.hstack([xs[in_a], np.ones((int(in_a.sum()), 1))]), y[in_a], config)
-        thetas.append(theta)
-        histories.append(hist)
-    return np.array(thetas), histories[0]
+        fits.append(sc._descend(np.hstack([xs[in_a], np.ones((int(in_a.sum()), 1))]), y[in_a], config))
+    thetas, iterations, final_loss = zip(*fits)
+    return np.array(thetas), iterations, final_loss
 
 
 def _cpus(monkeypatch, n):
@@ -357,29 +442,22 @@ def _recording_descend(monkeypatch, wait_for_helper):
     return calls
 
 
-def test_five_group_data_mixes_converged_and_unconverged_fits(monkeypatch):
-    calls = []
-    loss_and_grad = sc.loss_and_grad
-
-    def counted(theta, design, y, l2=0.0):
-        calls.append(design.shape[0])
-        return loss_and_grad(theta, design, y, l2)
-
-    monkeypatch.setattr(sc, "loss_and_grad", counted)
-    ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-    converged = {n for n in _GROUP_SIZES if calls.count(n) < _GROUP_CONFIG.epochs + 1}
+def test_five_group_data_mixes_converged_and_unconverged_fits():
+    model = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    converged = {n for n, it in zip(_GROUP_SIZES, model.iterations) if it < _GROUP_CONFIG.epochs}
     assert converged == {130, 240}
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4, 8])
 def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, n_cpus):
     data = _five_group_data()
-    thetas, history = _sequential_group_fits(data, _GROUP_CONFIG)
+    thetas, iterations, final_loss = _sequential_group_fits(data, _GROUP_CONFIG)
     _cpus(monkeypatch, n_cpus)
     model = ft.fit_logistic(data, _GROUP_CONFIG)
     assert_same_bits(model.weights, thetas[:, :-1])
     assert_same_bits(model.bias, thetas[:, -1])
-    assert_same_bits(model.loss_history, history)
+    assert model.iterations == iterations
+    assert_same_bits(model.final_loss, final_loss)
 
 
 @pytest.mark.parametrize("n_cpus", [2, 8])
