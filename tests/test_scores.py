@@ -1,6 +1,10 @@
+import concurrent.futures
+import multiprocessing
+import os
 import re
 import sys
 import threading
+from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairthresh as ft
+from fairthresh import cli
 from fairthresh import gaussian as ga
 from fairthresh import scores as sc
 
@@ -364,14 +369,27 @@ def test_a_per_group_fit_rejects_a_group_without_training_rows():
 
 
 def test_a_non_finite_design_gets_no_certificate():
-    # features near the float64 maximum standardize to nan: no step can be
-    # certified, and the fit fails as diverged, as it did before the certificate
+    # a nan in G certifies no step, however small: every step is checked
+    design = np.ones((30, 3))
+    design[4, 1] = np.nan
+    certified = sc._certificate(design, 0.0)
+    assert not certified(np.zeros(3), np.full(3, 1e-9), 0.5)
+
+
+@pytest.mark.parametrize("per_group", [False, True])
+def test_features_too_large_to_standardize_are_rejected_before_any_fit(monkeypatch, per_group):
+    # finite features near the float64 maximum: the column mean overflows,
+    # and standardization would turn the column into nan
     rng = np.random.default_rng(6)
-    x = rng.uniform(1e308, 1.7e308, size=(30, 2))
+    x = np.column_stack([rng.normal(size=30), rng.uniform(1e308, 1.7e308, size=30)])
     data = ft.Dataset(x, np.tile([0, 1], 15), rng.integers(0, 2, 30))
-    for per_group in (False, True):
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
-            ft.fit_logistic(data, ft.TrainConfig(epochs=3, per_group=per_group))
+    monkeypatch.setattr(sc, "_descend", lambda *args: pytest.fail("descent started"))
+    monkeypatch.setattr(sc, "_map_groups", lambda *args: pytest.fail("group fits started"))
+    sc.reset_fit_count()
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="feature column 1 is too large to standardize"):
+        ft.fit_logistic(data, ft.TrainConfig(epochs=3, per_group=per_group))
+    assert sc.fit_count() == 0
 
 
 def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch):
@@ -385,10 +403,12 @@ def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch
     assert (iterations, final_loss) == (1, 2.0)
 
 
-# ------------------------------------------------------- concurrent group fits
+# ---------------------------------------------------------- group fit workers
 #
 # Five groups of unequal size (so a design's row count names its group); with
 # 300 epochs the fits of groups 2 and 4 reach GD's fixed point, the others not.
+# These fits save far fewer row-epochs than _FORK_SAVING, so a test that wants
+# worker processes sets it to 0.
 
 _GROUP_SIZES = (60, 90, 130, 180, 240)
 _GROUP_CONFIG = ft.TrainConfig(learning_rate=1.0, epochs=300, per_group=True)
@@ -405,7 +425,7 @@ def _five_group_data():
 
 
 def _sequential_group_fits(data, config):
-    """The per-group fit as one loop over ``_descend`` on the calling thread."""
+    """The per-group fit as one loop over ``_descend`` in this process."""
     xs = (data.features - data.features.mean(axis=0)) / data.features.std(axis=0)
     y = data.label.astype(np.float64)
     fits = []
@@ -420,26 +440,28 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(sc.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def _recording_descend(monkeypatch, wait_for_helper):
-    """Wrap ``_descend`` to record (group size, thread id) per fit.  With
-    ``wait_for_helper`` the calling thread's fits wait, up to 10 s, for a
-    helper's first fit, so that one of the helpers surely runs a fit."""
-    calls = []
-    helper_fitted = threading.Event()
-    caller = threading.get_ident()
+def _forking_always_pays(monkeypatch):
+    monkeypatch.setattr(sc, "_FORK_SAVING", 0)
+
+
+def _pid_recording_descend(monkeypatch):
+    """Wrap ``_descend`` so that each fit's ``iterations`` becomes
+    ``(group size, pid of the process that fitted it)``: a worker's memory
+    is its own, so the record travels back through the result."""
     descend = sc._descend
 
     def recording(design, y, config):
-        ident = threading.get_ident()
-        calls.append((design.shape[0], ident))
-        if ident == caller and wait_for_helper:
-            helper_fitted.wait(10.0)
-        else:
-            helper_fitted.set()
-        return descend(design, y, config)
+        theta, _, final_loss = descend(design, y, config)
+        return theta, (design.shape[0], os.getpid()), final_loss
 
     monkeypatch.setattr(sc, "_descend", recording)
-    return calls
+
+
+def _no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was constructed")
+
+    monkeypatch.setattr(sc, "ProcessPoolExecutor", refuse)
 
 
 def test_five_group_data_mixes_converged_and_unconverged_fits():
@@ -453,66 +475,139 @@ def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, 
     data = _five_group_data()
     thetas, iterations, final_loss = _sequential_group_fits(data, _GROUP_CONFIG)
     _cpus(monkeypatch, n_cpus)
+    _forking_always_pays(monkeypatch)
     model = ft.fit_logistic(data, _GROUP_CONFIG)
     assert_same_bits(model.weights, thetas[:, :-1])
     assert_same_bits(model.bias, thetas[:, -1])
     assert model.iterations == iterations
     assert_same_bits(model.final_loss, final_loss)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("n_cpus", [2, 8])
 def test_a_helper_thread_fits_a_group(monkeypatch, n_cpus):
+    # the helpers are worker processes: every group is fitted in one
     _cpus(monkeypatch, n_cpus)
-    calls = _recording_descend(monkeypatch, wait_for_helper=True)
+    _forking_always_pays(monkeypatch)
+    _pid_recording_descend(monkeypatch)
     before = threading.active_count()
-    ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-    assert sorted(n for n, _ in calls) == list(_GROUP_SIZES)
-    threads = {ident for _, ident in calls}
-    assert threads - {threading.get_ident()}
-    assert len(threads) <= min(n_cpus, 5)
+    model = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    assert [n for n, _ in model.iterations] == list(_GROUP_SIZES)
+    pids = {pid for _, pid in model.iterations}
+    assert os.getpid() not in pids
+    assert len(pids) <= min(n_cpus, 5)
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == before
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
+    # nor a worker process: one CPU fits every group in this process
     _cpus(monkeypatch, 1)
-    calls = _recording_descend(monkeypatch, wait_for_helper=False)
-    started = []
-    monkeypatch.setattr(sc.threading.Thread, "start", lambda self: started.append(self))
-    ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-    assert started == []
-    assert [ident for _, ident in calls] == [threading.get_ident()] * 5
+    _forking_always_pays(monkeypatch)
+    _no_pool(monkeypatch)
+    _pid_recording_descend(monkeypatch)
+    before = threading.active_count()
+    model = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    assert model.iterations == tuple((n, os.getpid()) for n in _GROUP_SIZES)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 8])
 def test_a_failed_group_fit_is_re_raised_after_every_helper_stopped(monkeypatch, n_cpus):
     _cpus(monkeypatch, n_cpus)
-    failure = FloatingPointError("group 3 diverged")
+    _forking_always_pays(monkeypatch)
     descend = sc._descend
 
     def failing(design, y, config):
         if design.shape[0] == _GROUP_SIZES[3]:
-            raise failure
+            raise FloatingPointError(f"group 3 diverged in process {os.getpid()}")
         return descend(design, y, config)
 
     monkeypatch.setattr(sc, "_descend", failing)
     before = threading.active_count()
-    with pytest.raises(FloatingPointError) as caught:
+    with pytest.raises(FloatingPointError, match=r"^group 3 diverged in process \d+$") as caught:
         ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-    assert caught.value is failure
+    # with more than one CPU the fit failed in a worker, and its traceback came along
+    in_worker = f"in process {os.getpid()}" not in str(caught.value)
+    assert in_worker == (n_cpus > 1)
+    assert in_worker == isinstance(caught.value.__cause__, _RemoteTraceback)
+    assert multiprocessing.active_children() == []
     assert threading.active_count() == before
 
 
 def test_map_groups_runs_every_group_once_under_fast_switching(monkeypatch):
-    # more threads than cores, switching threads every microsecond: a lost or
-    # doubled group index would show as a missing or repeated call
+    # more workers than cores, and the pool's threads in this process switch
+    # every microsecond: a lost or doubled group would show in the counts, a
+    # misplaced result in the order
     _cpus(monkeypatch, 16)
+    _forking_always_pays(monkeypatch)
+    costs = [(a * 37) % 64 for a in range(64)]  # submitted out of group order
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            calls = []
-            out = sc._map_groups(lambda a: calls.append(a) or a * a, 64)
-            assert sorted(calls) == list(range(64))
-            assert out == [a * a for a in range(64)]
+        for _ in range(5):
+            counts = multiprocessing.get_context("fork").Array("i", 64)
+
+            def fit(a):
+                with counts.get_lock():
+                    counts[a] += 1
+                return a * a, os.getpid()
+
+            out = sc._map_groups(fit, costs)
+            assert list(counts) == [1] * 64
+            assert [square for square, _ in out] == [a * a for a in range(64)]
+            assert os.getpid() not in {pid for _, pid in out}
+            assert multiprocessing.active_children() == []
     finally:
         sys.setswitchinterval(interval)
+
+
+# ------------------------------------------------------- when forking pays
+
+def _benchmark_train(kind, **sizes):
+    """Seed 0's training sample of a CLI run at its default sizes, as the
+    benchmark runs them: 20,000 rows, or 20,000 per group for multiclass."""
+    n_groups = 5 if kind == "multiclass" else 2
+    return cli._data(cli.ExperimentConfig(kind=kind, n_groups=n_groups, seed=0, **sizes), 0)[1]
+
+
+def test_a_multiclass_benchmark_plan_clears_the_gate(monkeypatch):
+    # five groups of 12k-27k rows, 500 epochs: the two-bin schedule saves
+    # about 2.2e7 row-epochs, twice _FORK_SAVING; a fifth of the epochs not
+    _cpus(monkeypatch, 2)
+    rows = np.bincount(_benchmark_train("multiclass").group)
+    assert rows.sum() == 100000
+    assert sc._workers((rows * 500).tolist()) == 2
+    assert sc._workers((rows * 100).tolist()) == 1
+
+
+@pytest.mark.parametrize("n_cpus", [2, 8])
+@pytest.mark.parametrize("kind, sizes", [
+    ("synth", {}),  # the synth benchmark's fit: two groups, saves about 3e6 row-epochs
+    ("multiclass", {"n_train": 400, "epochs": 5}),  # the benchmark's warm-up
+], ids=["synth", "warm-up"])
+def test_small_fits_construct_no_pool(monkeypatch, n_cpus, kind, sizes):
+    data = _benchmark_train(kind, **sizes)
+    _cpus(monkeypatch, n_cpus)
+    _no_pool(monkeypatch)
+    ft.fit_logistic(data, ft.TrainConfig(learning_rate=1.0, epochs=sizes.get("epochs", 500),
+                                         per_group=True))
+
+
+def _fit_five_groups_in_a_worker():
+    return ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+
+
+def test_a_fit_inside_a_jobs_worker_constructs_no_pool(monkeypatch):
+    # a --jobs worker is a child of another pool, whose repetitions fill the
+    # CPUs already; the patches below reach the worker through the fork
+    _cpus(monkeypatch, 8)
+    _forking_always_pays(monkeypatch)
+    expected = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    _no_pool(monkeypatch)
+    ctx = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as jobs:
+        model = jobs.submit(_fit_five_groups_in_a_worker).result()
+    assert_same_bits(model.weights, expected.weights)
+    assert_same_bits(model.bias, expected.bias)
+    assert multiprocessing.active_children() == []
