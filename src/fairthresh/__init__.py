@@ -12,7 +12,6 @@ from .metrics import (
     GroupedScores,
     ThresholdCurve,
     evaluate,
-    positive_rate,
 )
 from .solve import (
     MulticlassSolveResult,
@@ -52,7 +51,6 @@ __all__ = [
     "GroupedScores",
     "ThresholdCurve",
     "evaluate",
-    "positive_rate",
     "MulticlassSolveResult",
     "SolveResult",
     "SolverError",

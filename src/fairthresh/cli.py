@@ -36,7 +36,7 @@ from . import gaussian as ga
 from . import scores as sc
 from . import tabular as tb
 from .core import FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, evaluate
+from .metrics import _STRATA, GroupedScores, ThresholdCurve, evaluate
 from .solve import solve, solve_multiclass_dp
 from .synth import SynthSpec, draw_population, sample
 
@@ -135,6 +135,12 @@ class ExperimentConfig:
                 raise ValueError("multiclass solves perfect demographic parity: deltas (--delta) do not apply")
             if self.randomize:
                 raise ValueError("multiclass rules are deterministic: randomize (--randomize) does not apply")
+        elif self.n_groups != 2:
+            raise ValueError(f"{self.kind} runs compare two groups: n_groups (--groups) applies to multiclass only")
+        if self.cost != 0.5 and self.measure != "dp":
+            raise ValueError(
+                f"only the dp family is cost-sensitive: cost (--cost) does not apply to {self.measure}"
+            )
         if self.data_path:
             defaults = {f.name: f.default for f in fields(self)}
             for name in ("dim", "sigma", "n_train", "n_test", "fixed_population"):
@@ -228,6 +234,13 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
     Given the population, a cell also holds the oracle columns: the exact
     fair-optimal rule's accuracy and the fitted rule's distance from it.
     """
+    n_ay = gs_test.stats.n_ay
+    for y in _STRATA[cfg.measure]:
+        if y is not None and not n_ay[:, y].all():
+            a = int(np.argmin(n_ay[:, y]))
+            raise ValueError(
+                f"the test sample has no row of group {a} with label {y}, which the {cfg.measure} disparity reads"
+            )
     out = []
     for delta in deltas:
         res = solve(gs_cal, _constraint(cfg, delta), cfg.randomize)
@@ -241,7 +254,7 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
         }
         if pop is not None:
             t_or = ga.t_star(pop, cfg.measure, float(delta), cfg.cost)
-            q0, q1 = ga.population_curve(pop, cfg.measure, cfg.cost).thresholds(t_or)
+            q0, q1 = ThresholdCurve(cfg.measure, pop.p_a, pop.p_ya, cfg.cost).thresholds(t_or)
             oracle_acc = ga.fair_accuracy(pop, ThresholdRule(np.array([q0, q1])))
             cell.update(
                 oracle_acc=oracle_acc,

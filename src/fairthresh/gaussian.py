@@ -72,6 +72,12 @@ class GaussianPopulation:
     def dim(self) -> int:
         return self.mu.shape[2]
 
+    def rate(self, a: int, y: Optional[int], q: float, tau: float = 0.0) -> float:
+        """P(predict 1) in stratum (a, y) for the cutoff q on eta, with tie probability tau."""
+        if not tau:  # the oracle's bisections call this hundreds of times per search
+            return tail_rate(self, a, q, y)
+        return tail_rate(self, a, q, y) + tau * tail_atom(self, a, q, y)
+
     def score_law(self, a: int) -> "ScoreLaw":
         """Law of the log-odds score within group a, per label stratum."""
         return self._score_laws[a]
@@ -151,44 +157,8 @@ def tail_atom(pop: GaussianPopulation, a: int, q: float, stratum: Optional[int] 
 
 
 # ---------------------------------------------------------------------------
-# Disparity of the unconstrained rule, and the optimal shift per tolerance
+# The optimal shift per tolerance
 # ---------------------------------------------------------------------------
-
-
-def _check_binary(pop: GaussianPopulation) -> None:
-    if pop.n_groups != 2:
-        raise ValueError("binary measures require exactly two groups")
-
-
-def population_curve(pop: GaussianPopulation, measure: str, cost: float = 0.5) -> ThresholdCurve:
-    """Threshold family with the exact population rates plugged in."""
-    _check_binary(pop)
-    return ThresholdCurve(
-        measure=measure,
-        p_a=(float(pop.p_a[0]), float(pop.p_a[1])),
-        p_ya=(float(pop.p_ya[0]), float(pop.p_ya[1])),
-        cost=cost,
-    )
-
-
-def population_disparity(pop: GaussianPopulation, curve, t: float) -> float:
-    """Exact disparity of the curve's rule at shift t."""
-    q0, q1 = curve.thresholds(t)
-    if curve.measure == "oa":
-        return (
-            tail_rate(pop, 1, q1, 1)
-            - tail_rate(pop, 1, q1, 0)
-            - tail_rate(pop, 0, q0, 1)
-            + tail_rate(pop, 0, q0, 0)
-        )
-    y = curve.strata[0]
-    return tail_rate(pop, 1, q1, y) - tail_rate(pop, 0, q0, y)
-
-
-def unconstrained_disparity(pop: GaussianPopulation, measure: str, cost: float = 0.5) -> float:
-    """Disparity of the accuracy-optimal rule (cutoffs at 1/2, or at cost)."""
-    curve = population_curve(pop, measure, cost)
-    return population_disparity(pop, curve, 0.0)
 
 
 def t_star(
@@ -206,20 +176,20 @@ def t_star(
     """
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
-    curve = population_curve(pop, measure, cost)
-    star = population_disparity(pop, curve, 0.0)
+    curve = ThresholdCurve(measure, pop.p_a, pop.p_ya, cost)
+    star = curve.disparity(pop, 0.0)
     if abs(star) <= delta:
         return 0.0
     target = delta if star > 0 else -delta
     lo, hi = curve.bracket()
     a, b = (0.0, hi) if star > 0 else (lo, 0.0)
-    fa = population_disparity(pop, curve, a) - target
-    fb = population_disparity(pop, curve, b) - target
+    fa = curve.disparity(pop, a) - target
+    fb = curve.disparity(pop, b) - target
     if fa * fb > 0:
         raise ValueError("bracket failure in shift search")
     for _ in range(200):
         mid = 0.5 * (a + b)
-        fm = population_disparity(pop, curve, mid) - target
+        fm = curve.disparity(pop, mid) - target
         if fa * fm > 0:
             a, fa = mid, fm
         else:
@@ -242,9 +212,7 @@ def _positive_rates(pop: GaussianPopulation, rule: ThresholdRule) -> list:
     for a in range(pop.n_groups):
         q = float(rule.thresholds[a])
         tau = float(rule.tie_prob[a])
-        pos1 = tail_rate(pop, a, q, 1) + tau * tail_atom(pop, a, q, 1)
-        pos0 = tail_rate(pop, a, q, 0) + tau * tail_atom(pop, a, q, 0)
-        table.append((pos1, pos0))
+        table.append((pop.rate(a, 1, q, tau), pop.rate(a, 0, q, tau)))
     return table
 
 
@@ -255,15 +223,6 @@ def fair_accuracy(pop: GaussianPopulation, rule: ThresholdRule) -> float:
         py = float(pop.p_ya[a])
         acc += float(pop.p_a[a]) * (py * pos1 + (1.0 - py) * (1.0 - pos0))
     return acc
-
-
-def rule_positive_rates(pop: GaussianPopulation, rule: ThresholdRule) -> np.ndarray:
-    """Exact per-group positive rates of a rule."""
-    out = np.empty(pop.n_groups)
-    for a, (pos1, pos0) in enumerate(_positive_rates(pop, rule)):
-        py = float(pop.p_ya[a])
-        out[a] = py * pos1 + (1.0 - py) * pos0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ false-positive rate (pe), and TPR - FPR (oa): the oa statistic is
 (TPR_1 - FPR_1) - (TPR_0 - FPR_0), not a gap in per-group accuracy.  Each
 measure induces a one-parameter family of group-wise threshold pairs; the
 :class:`ThresholdCurve` below maps the scalar family parameter ``t`` to the
-pair of score cutoffs, and its ``disparity`` method evaluates the plug-in
-disparity of the resulting rule on a sample.
+pair of score cutoffs, and its ``disparity`` method evaluates the disparity
+of the resulting rule from any source of stratum rates: a sample
+(:class:`GroupedScores`) or the exact Gaussian population.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class GroupedScores:
             return self.by_group[a]
         return self.by_group_label[a][y]
 
+    def rate(self, a: int, y: Optional[int], q, tau: float = 0.0):
+        """Fraction of stratum (a, y) above the cutoff(s) q, plus tau weight on ties."""
+        return _rate(self.stratum(a, y), q, tau)
+
 
 def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
     """(above, ties): scores strictly above the cutoff q, and scores equal to it.
@@ -97,18 +102,6 @@ def _rate(sorted_scores: np.ndarray, q, tau: float = 0.0):
     return above / sorted_scores.size
 
 
-def positive_rate(sorted_scores: np.ndarray, q: float, tau: float = 0.0) -> float:
-    """Fraction predicted positive: scores above q, plus tau weight on ties."""
-    s = np.asarray(sorted_scores)
-    if s.size == 0:
-        raise ValueError("empty score list")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tie probability must lie in [0, 1]")
-    return _rate(s, q, tau)
-
-
 # ---------------------------------------------------------------------------
 # One-parameter threshold families (binary protected attribute)
 # ---------------------------------------------------------------------------
@@ -127,8 +120,11 @@ def _clamp(x, lo: float, hi: float):
 class ThresholdCurve:
     """Threshold pair as a function of the disparity-control parameter t.
 
-    Works with either plug-in rates (empirical solving) or exact population
-    rates (oracle computations); only ``p_a`` and ``p_ya`` enter the maps.
+    The one family for sample and population: the plug-in method builds it
+    from a sample's ``p_hat_a`` and ``p_hat_ya``, the oracle from the
+    population's ``p_a`` and ``p_ya``; only these enter the maps, and the
+    disparity reads stratum rates from any object with a
+    ``rate(a, y, q, tau)`` method (y=None: the group marginal).
     ``measure`` is "dp", "eo", "pe" or "oa".  The dp family is centered at
     the cost value c: q_a = c +- t / p_a, except at c = 1/2, where it is
     conventionally written q_a = 1/2 +- t / (2 p_a), so ``t`` runs at
@@ -138,8 +134,9 @@ class ThresholdCurve:
     t = 0 always yields the unconstrained thresholds; for each group the
     threshold moves monotonically as t grows, upward for group 1 and downward
     for group 0 (in the sense of shrinking that group's relevant rate).
-    ``thresholds``, ``inverse`` and ``disparity`` take a scalar or an array,
-    and an array gives elementwise the same bits as scalar calls.
+    ``thresholds``, ``inverse`` and, on a sample, ``disparity`` take a
+    scalar or an array, and an array gives elementwise the same bits as
+    scalar calls.
     """
 
     measure: str
@@ -151,7 +148,17 @@ class ThresholdCurve:
         if self.measure not in _STRATA:
             raise ValueError(f"unknown measure {self.measure!r}")
         if len(self.p_a) != 2 or len(self.p_ya) != 2:
-            raise ValueError("threshold curves require exactly two groups")
+            raise ValueError("binary measures require exactly two groups")
+        p_a = tuple(float(p) for p in self.p_a)
+        p_ya = tuple(float(p) for p in self.p_ya)
+        # a positive rate of 0 (1) leaves no label-1 (label-0) row: exact for a
+        # sample's n_a1 / n_a, never met by a population's rate in (0, 1)
+        for y in self.strata:
+            for a in (0, 1):
+                if y is not None and p_ya[a] == 1.0 - y:
+                    raise ValueError(f"empty stratum (group {a}, label {y})")
+        object.__setattr__(self, "p_a", p_a)
+        object.__setattr__(self, "p_ya", p_ya)
 
     @property
     def strata(self) -> tuple:
@@ -255,19 +262,19 @@ class ThresholdCurve:
             pts.append(t[(t >= lo) & (t <= hi)])  # nan compares false
         return np.unique(np.concatenate(pts))
 
-    def disparity(self, gs: GroupedScores, t, tie_prob=(0.0, 0.0)):
-        """Plug-in disparity of the rule at parameter t."""
-        return self.disparity_at(gs, self.thresholds(t), tie_prob)
+    def disparity(self, rates, t, tie_prob=(0.0, 0.0)):
+        """Disparity of the rule at parameter t, on the stratum rates of ``rates``."""
+        return self.disparity_at(rates, self.thresholds(t), tie_prob)
 
-    def disparity_at(self, gs: GroupedScores, thresholds, tie_prob=(0.0, 0.0)):
-        """Plug-in disparity at the cutoffs (q_0, q_1), each a scalar or an array."""
+    def disparity_at(self, rates, thresholds, tie_prob=(0.0, 0.0)):
+        """Disparity at the cutoffs (q_0, q_1), each a scalar or an array."""
         q0, q1 = thresholds
         if self.measure == "oa":
-            g1 = _rate(gs.stratum(1, 1), q1, tie_prob[1]) - _rate(gs.stratum(1, 0), q1, tie_prob[1])
-            g0 = _rate(gs.stratum(0, 1), q0, tie_prob[0]) - _rate(gs.stratum(0, 0), q0, tie_prob[0])
+            g1 = rates.rate(1, 1, q1, tie_prob[1]) - rates.rate(1, 0, q1, tie_prob[1])
+            g0 = rates.rate(0, 1, q0, tie_prob[0]) - rates.rate(0, 0, q0, tie_prob[0])
             return g1 - g0
         y = self.strata[0]
-        return _rate(gs.stratum(1, y), q1, tie_prob[1]) - _rate(gs.stratum(0, y), q0, tie_prob[0])
+        return rates.rate(1, y, q1, tie_prob[1]) - rates.rate(0, y, q0, tie_prob[0])
 
     def tie_effect(self, gs: GroupedScores, thresholds, a: int) -> float:
         """d(disparity)/d(tie_prob[a]) at the given threshold pair."""
@@ -279,26 +286,6 @@ class ThresholdCurve:
             return sgn * (_counts(s1, q, True)[1] / s1.size - _counts(s0, q, True)[1] / s0.size)
         s = gs.stratum(a, self.strata[0])
         return sgn * _counts(s, q, True)[1] / s.size
-
-
-def curve_from_stats(measure: str, stats: GroupStats, cost: float = 0.5) -> ThresholdCurve:
-    """Plug-in threshold curve for a two-group sample."""
-    if stats.n_groups != 2:
-        raise ValueError("binary measures require exactly two groups")
-    _check_strata(measure, stats)
-    return ThresholdCurve(
-        measure=measure,
-        p_a=(float(stats.p_hat_a[0]), float(stats.p_hat_a[1])),
-        p_ya=(float(stats.p_hat_ya[0]), float(stats.p_hat_ya[1])),
-        cost=cost,
-    )
-
-
-def _check_strata(measure: str, stats: GroupStats) -> None:
-    for y in _STRATA[measure]:
-        for a in range(stats.n_groups):
-            if y is not None and stats.n_ay[a, y] == 0:
-                raise ValueError(f"empty stratum (group {a}, label {y})")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +321,7 @@ def evaluate(rule: ThresholdRule, gs: GroupedScores, cost: float = 0.5) -> EvalR
         for y in (0, 1):
             s = gs.stratum(a, y)
             if s.size:
-                pos_mass[a, y] = positive_rate(s, q, tau) * s.size
+                pos_mass[a, y] = gs.rate(a, y, q, tau) * s.size
     n_ay = stats.n_ay
     with np.errstate(invalid="ignore", divide="ignore"):
         tpr = np.where(n_ay[:, 1] > 0, pos_mass[:, 1] / n_ay[:, 1], np.nan)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, _counts, _rate, curve_from_stats, dp_cutoffs, dp_shifts
+from .metrics import GroupedScores, ThresholdCurve, _counts, _rate, dp_cutoffs, dp_shifts
 
 
 # Slack allowed in every comparison of a disparity against the tolerance.
@@ -92,23 +92,25 @@ def _plugin_metrics(gs: GroupedScores, rule: ThresholdRule, cost: float) -> tupl
     risk = 0.0
     for a in range(gs.n_groups):
         s = gs.by_group[a]
-        q = float(rule.thresholds[a])
-        tau = float(rule.tie_prob[a])
-        pi = (s > q).astype(np.float64)
-        if tau:
-            pi = np.where(s == q, tau, pi)
+        pi = rule.predict_prob(s, a)
         acc += float(np.sum(pi * s + (1.0 - pi) * (1.0 - s)))
         risk += float(np.sum(cost * (1.0 - s) * pi + (1.0 - cost) * s * (1.0 - pi)))
     n = gs.stats.n
     return acc / n, risk / n
 
 
-def _solve_binary(
-    gs: GroupedScores,
-    curve,
-    constraint: FairnessConstraint,
-    randomize: bool,
-) -> SolveResult:
+def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
+    """Calibrate the threshold family of the constraint's measure (and cost).
+
+    The dp family's cutoffs are c +- t / p_a at cost c, and 1/2 +- t / (2 p_a)
+    at c = 1/2.  The oa disparity (TPR_1 - FPR_1) - (TPR_0 - FPR_0) has a
+    sample estimate that is not monotone in t: it ticks upward when a cutoff
+    passes a label-0 score, so it can cross the signed tolerance more than
+    once.  The scan keeps the first crossing; the side of t = 0 opposite the
+    initial disparity is not searched.
+    """
+    stats = gs.stats
+    curve = ThresholdCurve(constraint.measure, stats.p_hat_a, stats.p_hat_ya, constraint.cost)
     delta = constraint.delta
     d0 = curve.disparity(gs, 0.0)
     lo, hi = curve.bracket()
@@ -178,20 +180,6 @@ def _solve_binary(
         plugin_accuracy=acc,
         plugin_cost_risk=risk,
     )
-
-
-def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
-    """Calibrate the threshold family of the constraint's measure (and cost).
-
-    The dp family's cutoffs are c +- t / p_a at cost c, and 1/2 +- t / (2 p_a)
-    at c = 1/2.  The oa disparity (TPR_1 - FPR_1) - (TPR_0 - FPR_0) has a
-    sample estimate that is not monotone in t: it ticks upward when a cutoff
-    passes a label-0 score, so it can cross the signed tolerance more than
-    once.  The scan keeps the first crossing; the side of t = 0 opposite the
-    initial disparity is not searched.
-    """
-    curve = curve_from_stats(constraint.measure, gs.stats, constraint.cost)
-    return _solve_binary(gs, curve, constraint, randomize)
 
 
 # ---------------------------------------------------------------------------

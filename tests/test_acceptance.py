@@ -18,7 +18,6 @@ from fairthresh import cli
 from fairthresh import gaussian as ga
 from fairthresh import scores as sc
 from fairthresh import tabular as tb
-from fairthresh.metrics import curve_from_stats
 
 from _brute import brute_force_best, brute_force_family_best
 
@@ -57,7 +56,7 @@ def synth_runs():
                 res = ft.solve(gs_train, ft.FairnessConstraint(measure, delta))
                 ev = ft.evaluate(res.rule, gs_test)
                 t_or = ga.t_star(pop, measure, delta)
-                curve = ga.population_curve(pop, measure)
+                curve = ft.ThresholdCurve(measure, pop.p_a, pop.p_ya)
                 rule_or = ft.ThresholdRule(np.array(curve.thresholds(t_or)))
                 runs[(measure, delta)].append(
                     {
@@ -222,7 +221,7 @@ def _random_gs_for_monotone(rng):
 
 
 def _grid_monotone(gs, measure):
-    curve = curve_from_stats(measure, gs.stats)
+    curve = ft.ThresholdCurve(measure, gs.stats.p_hat_a, gs.stats.p_hat_ya)
     lo, hi = curve.bracket()
     grid = np.linspace(lo, hi, 401)
     vals = curve.disparity(gs, grid)
@@ -255,10 +254,10 @@ def test_criterion_5_monotone_disparity_oa():
     bad = 0
     for _ in range(100):
         pop = _random_population(rng)
-        curve = ga.population_curve(pop, "oa")
+        curve = ft.ThresholdCurve("oa", pop.p_a, pop.p_ya)
         lo, hi = curve.bracket()
         grid = np.linspace(lo, hi, 403)[1:-1]
-        vals = np.array([ga.population_disparity(pop, curve, float(t)) for t in grid])
+        vals = np.array([curve.disparity(pop, float(t)) for t in grid])
         bad += not bool(np.all(np.diff(vals) < 0.0))
     report(
         "5b",
@@ -304,7 +303,7 @@ def test_criterion_6_randomized_exact_tolerance():
         label[n0 : n0 + 2] = [0, 1]
         gs = ft.GroupedScores.from_arrays(scores, group, label)
         for measure in ("dp", "eo", "pe", "oa"):
-            d0 = curve_from_stats(measure, gs.stats).disparity(gs, 0.0)
+            d0 = ft.ThresholdCurve(measure, gs.stats.p_hat_a, gs.stats.p_hat_ya).disparity(gs, 0.0)
             if abs(d0) < 0.05:
                 continue
             delta = abs(d0) / 2
@@ -421,15 +420,15 @@ def test_criterion_8_oracle_tails_and_shifts():
             sigma=1.0,
         )
         measure = ("dp", "eo", "pe", "oa")[checked % 4]
-        star = ga.unconstrained_disparity(pop, measure)
+        curve = ft.ThresholdCurve(measure, pop.p_a, pop.p_ya)
+        star = curve.disparity(pop, 0.0)
         if abs(star) < 0.05:
             continue
         delta = abs(star) / 2
         t = ga.t_star(pop, measure, delta)
-        curve = ga.population_curve(pop, measure)
         worst_resid = max(
             worst_resid,
-            abs(ga.population_disparity(pop, curve, t) - np.sign(star) * delta),
+            abs(curve.disparity(pop, t) - np.sign(star) * delta),
         )
         checked += 1
     ok = worst_z <= 4.0 and worst_resid <= 1e-9

@@ -133,11 +133,31 @@ def test_nan_delta_is_structured_error(capsys):
      "multiclass rules are deterministic: randomize (--randomize) does not apply"),
     (["synth", "--schema", "schema.json"],
      "schema_path (--schema) describes a CSV file: it applies only with data_path (--data)"),
+    (["synth", "--measure", "eo", "--cost", "0.3"],
+     "only the dp family is cost-sensitive: cost (--cost) does not apply to eo"),
+    (["synth", "--measure", "oa", "--cost", "0.3"],
+     "only the dp family is cost-sensitive: cost (--cost) does not apply to oa"),
+    (["synth", "--groups", "3"], "synth runs compare two groups: n_groups (--groups) applies to multiclass only"),
+    (["tradeoff", "--groups", "3"], "tradeoff runs compare two groups: n_groups (--groups) applies to multiclass only"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     code, out, err = run_main([*argv, *FAST], capsys)
     assert code == 1 and out == ""
     assert _error(err) == {"error": "ValueError", "message": message}
+
+
+def test_an_empty_test_stratum_is_a_structured_error(capsys):
+    # one group of the six test rows has no label-1 row: its TPR, and the eo disparity, would be nan
+    argv = ["synth", "--measure", "eo", "--n-train", "300", "--n-test", "6", "--epochs", "5",
+            "--reps", "1", "--dim", "3", "--seed", "5", "--format", "csv"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 1 and out == ""
+    assert _error(err) == {
+        "error": "ValueError",
+        "message": "the test sample has no row of group 0 with label 1, which the eo disparity reads",
+    }
+    code, out, _ = run_main([*argv[:2], "dp", *argv[3:]], capsys)  # dp reads only the group marginals
+    assert code == 0 and "nan" not in out
 
 
 @pytest.mark.parametrize("kind", ["tabular", "tradeoff"])
@@ -351,6 +371,8 @@ def _base(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(KEYED))
 def test_changing_a_data_or_fit_field_misses_the_memo(tmp_path, name):
     base = _base(tmp_path, name)
+    if name == "n_groups":  # only multiclass runs take another group count
+        base = replace(base, kind="multiclass")
     value = KEYED[name]
     if name in ("data_path", "schema_path"):  # the same bytes under another path
         value = str(tmp_path / value)
@@ -363,9 +385,10 @@ def test_changing_a_data_or_fit_field_misses_the_memo(tmp_path, name):
 def test_changing_only_solve_fields_hits_the_memo(tmp_path):
     base = cli.ExperimentConfig(kind="synth", **SMALL)
     first = cli._scored_rep(base, 0)
-    other = replace(base, measure="eo", deltas=(0.1,), cost=0.3, randomize=True,
+    other = replace(base, deltas=(0.1,), cost=0.3, randomize=True,
                     format="csv", out=str(tmp_path / "r.csv"), jobs=2)
     assert cli._scored_rep(other, 0) is first
+    assert cli._scored_rep(replace(other, measure="eo", cost=0.5), 0) is first
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -18,6 +18,16 @@ def make_pop(rng, dim=3, p1=0.55, sigma=1.0):
 POP = make_pop(np.random.default_rng(1))
 
 
+def curve_of(pop, measure, cost=0.5):
+    """The measure's threshold family with the population's rates."""
+    return ft.ThresholdCurve(measure, pop.p_a, pop.p_ya, cost)
+
+
+def unconstrained(pop, measure, cost=0.5):
+    """Population disparity of the unconstrained rule (t = 0)."""
+    return curve_of(pop, measure, cost).disparity(pop, 0.0)
+
+
 # ------------------------------------------------------------------------ eta
 
 
@@ -109,11 +119,11 @@ def test_stars_identical_groups_zero():
         sigma=1.0,
     )
     for measure in ("dp", "eo", "pe", "oa"):
-        assert ga.unconstrained_disparity(pop, measure) == pytest.approx(0.0, abs=1e-14)
+        assert unconstrained(pop, measure) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_d_star_is_marginal_tail_difference():
-    assert ga.unconstrained_disparity(POP, "dp") == pytest.approx(
+    assert unconstrained(POP, "dp") == pytest.approx(
         ga.tail_rate(POP, 1, 0.5) - ga.tail_rate(POP, 0, 0.5)
     )
 
@@ -125,15 +135,15 @@ def test_d_star_sign_flips_under_group_swap():
         mu=POP.mu[::-1].copy(),
         sigma=POP.sigma,
     )
-    d_star = ga.unconstrained_disparity(POP, "dp")
-    assert ga.unconstrained_disparity(swapped, "dp") == pytest.approx(-d_star)
+    d_star = unconstrained(POP, "dp")
+    assert unconstrained(swapped, "dp") == pytest.approx(-d_star)
 
 
 # --------------------------------------------------------------------- t_star
 
 
 def test_t_star_zero_when_tolerance_vacuous():
-    assert ga.t_star(POP, "dp", abs(ga.unconstrained_disparity(POP, "dp")) + 0.01) == 0.0
+    assert ga.t_star(POP, "dp", abs(unconstrained(POP, "dp")) + 0.01) == 0.0
 
 
 @pytest.mark.parametrize("delta", [-0.1, np.nan])
@@ -148,7 +158,7 @@ def test_t_star_symmetric_population():
     pop = ga.GaussianPopulation(
         p_a=np.array([0.5, 0.5]), p_ya=np.array([0.5, 0.5]), mu=mu, sigma=1.0
     )
-    assert abs(ga.unconstrained_disparity(pop, "dp")) < 1e-12
+    assert abs(unconstrained(pop, "dp")) < 1e-12
     assert ga.t_star(pop, "dp", 0.0) == 0.0
 
 
@@ -158,13 +168,13 @@ def test_t_star_self_consistency(measure):
     checked = 0
     while checked < 12:
         pop = make_pop(rng)
-        star = ga.unconstrained_disparity(pop, measure)
+        star = unconstrained(pop, measure)
         if abs(star) < 0.05:
             continue
         delta = abs(star) / 2
         t = ga.t_star(pop, measure, delta)
-        curve = ga.population_curve(pop, measure)
-        achieved = ga.population_disparity(pop, curve, t)
+        curve = curve_of(pop, measure)
+        achieved = curve.disparity(pop, t)
         assert abs(achieved - np.sign(star) * delta) <= 1e-9
         checked += 1
 
@@ -172,11 +182,11 @@ def test_t_star_self_consistency(measure):
 def test_t_star_cost_family():
     rng = np.random.default_rng(30)
     pop = make_pop(rng)
-    star = ga.unconstrained_disparity(pop, "dp", cost=0.3)
+    star = unconstrained(pop, "dp", cost=0.3)
     delta = abs(star) / 3
     t = ga.t_star(pop, "dp", delta, cost=0.3)
-    curve = ga.population_curve(pop, "dp", cost=0.3)
-    achieved = ga.population_disparity(pop, curve, t)
+    curve = curve_of(pop, "dp", cost=0.3)
+    achieved = curve.disparity(pop, t)
     assert abs(achieved - np.sign(star) * delta) <= 1e-9
     q0, q1 = curve.thresholds(0.0)
     assert (q0, q1) == (0.3, 0.3)
@@ -186,11 +196,48 @@ def test_population_disparity_strictly_decreasing():
     rng = np.random.default_rng(12)
     pop = make_pop(rng)
     for measure in ("dp", "eo", "pe", "oa"):
-        curve = ga.population_curve(pop, measure)
+        curve = curve_of(pop, measure)
         lo, hi = curve.bracket()
         grid = np.linspace(lo + 1e-9, hi - 1e-9, 201)
-        vals = [ga.population_disparity(pop, curve, float(t)) for t in grid]
+        vals = [curve.disparity(pop, float(t)) for t in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
+def test_population_disparity_is_the_tail_rate_difference_bit_for_bit(measure):
+    pop = make_pop(np.random.default_rng(14))
+    curve = curve_of(pop, measure)
+    lo, hi = curve.bracket()
+    for t in np.linspace(lo, hi, 41)[1:-1].tolist():
+        q0, q1 = curve.thresholds(t)
+        r = {(a, y): ga.tail_rate(pop, a, q1 if a else q0, y) for a in (0, 1) for y in (None, 0, 1)}
+        got = curve.disparity(pop, t)
+        if measure == "oa":
+            # the sample's association; r11 - r10 - r01 + r00 agrees to rounding
+            assert got == (r[1, 1] - r[1, 0]) - (r[0, 1] - r[0, 0])
+            assert got == pytest.approx(r[1, 1] - r[1, 0] - r[0, 1] + r[0, 0], rel=0.0, abs=4e-16)
+        else:
+            y = {"dp": None, "eo": 1, "pe": 0}[measure]
+            assert got == r[1, y] - r[0, y]
+
+
+def test_population_rate_puts_tau_on_the_atom_of_a_degenerate_law():
+    # coincident stratum means in group 1: eta is the constant p_ya[1] = 0.3 there
+    mu = np.random.default_rng(18).normal(size=(2, 2, 2))
+    mu[1, 1] = mu[1, 0]
+    pop = ga.GaussianPopulation(p_a=np.array([0.5, 0.5]), p_ya=np.array([0.6, 0.3]), mu=mu, sigma=1.0)
+    assert pop.score_law(1).sd == 0.0
+    for y in (None, 0, 1):
+        assert pop.rate(1, y, 0.3) == 0.0
+        assert pop.rate(1, y, 0.3, tau=0.25) == 0.25
+        assert pop.rate(1, y, 0.2, tau=0.25) == 1.0
+        assert pop.rate(1, y, 0.4, tau=0.25) == 0.0
+        # a non-degenerate law has no atom, so tau changes nothing
+        assert pop.rate(0, y, 0.45, tau=0.25) == pop.rate(0, y, 0.45) == ga.tail_rate(pop, 0, 0.45, y)
+    rule = ft.ThresholdRule(np.array([0.5, 0.3]), np.array([0.0, 0.25]))
+    assert ga.fair_accuracy(pop, rule) == pytest.approx(
+        ga.fair_accuracy(pop, ft.ThresholdRule(np.array([0.5, 0.3]))) + 0.5 * 0.25 * (0.3 - 0.7)
+    )
 
 
 # ------------------------------------------------------------------- accuracy
@@ -252,7 +299,7 @@ def test_oracle_multiclass_equalizes_rates():
     spec = ft.SynthSpec.multiclass(3, seed=17)
     pop = ft.draw_population(spec)
     orc = ga.oracle_multiclass_dp(pop)
-    rates = ga.rule_positive_rates(pop, orc.rule)
+    rates = np.array([pop.rate(a, None, q) for a, q in enumerate(orc.rule.thresholds)])
     assert rates.max() - rates.min() <= 1e-9
     assert abs(orc.sum_residual) <= 1e-9
 

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 import fairthresh as ft
 from fairthresh.metrics import (
     GroupedScores,
+    ThresholdCurve,
     ThresholdRangeError,
-    curve_from_stats,
     dp_cutoffs,
     dp_shifts,
-    positive_rate,
 )
 
 from _brute import swap_groups
@@ -22,9 +21,14 @@ def make_gs(scores, group, label):
     )
 
 
+def curve_of(gs, measure, cost=0.5):
+    """The measure's threshold family with the sample's plug-in rates."""
+    return ThresholdCurve(measure, gs.stats.p_hat_a, gs.stats.p_hat_ya, cost)
+
+
 def disparity(gs, measure, t):
     """Plug-in disparity of the measure's threshold family at parameter t."""
-    return curve_from_stats(measure, gs.stats).disparity(gs, t)
+    return curve_of(gs, measure).disparity(gs, t)
 
 
 HAND = make_gs(
@@ -34,24 +38,21 @@ HAND = make_gs(
 )
 
 
-# ---------------------------------------------------------------- positive_rate
+# ---------------------------------------------------------------- stratum rates
 
 
 def test_positive_rate_enumeration():
-    assert positive_rate(np.array([0.2, 0.5, 0.9]), 0.5) == pytest.approx(1 / 3)
+    gs = make_gs([0.2, 0.5, 0.9, 0.4], [0, 0, 0, 1], [0, 1, 1, 0])
+    assert gs.rate(0, None, 0.5) == pytest.approx(1 / 3)
+    assert gs.rate(0, 1, 0.5) == 0.5
 
 
 def test_positive_rate_all_pass():
-    assert positive_rate(np.array([0.1, 0.2]), 0.0) == 1.0
+    assert make_gs([0.1, 0.2], [0, 1], [0, 1]).rate(1, None, 0.0) == 1.0
 
 
 def test_positive_rate_pure_tie():
-    assert positive_rate(np.array([0.5, 0.5]), 0.5, tau=0.5) == 0.5
-
-
-def test_positive_rate_empty_errors():
-    with pytest.raises(ValueError):
-        positive_rate(np.array([]), 0.5)
+    assert make_gs([0.5, 0.5, 0.1], [0, 0, 1], [0, 1, 0]).rate(0, None, 0.5, tau=0.5) == 0.5
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -79,16 +80,14 @@ def test_ddp_hat_symmetry_zero():
 def test_t_zero_reduces_to_half_cutoffs():
     for measure, y in (("eo", 1), ("pe", 0)):
         got = disparity(HAND, measure, 0.0)
-        s1 = HAND.stratum(1, y)
-        s0 = HAND.stratum(0, y)
-        expect = positive_rate(s1, 0.5) - positive_rate(s0, 0.5)
+        expect = HAND.rate(1, y, 0.5) - HAND.rate(0, y, 0.5)
         assert got == pytest.approx(expect)
     doa0 = disparity(HAND, "oa", 0.0)
     expect = (
-        positive_rate(HAND.stratum(1, 1), 0.5)
-        - positive_rate(HAND.stratum(1, 0), 0.5)
-        - positive_rate(HAND.stratum(0, 1), 0.5)
-        + positive_rate(HAND.stratum(0, 0), 0.5)
+        HAND.rate(1, 1, 0.5)
+        - HAND.rate(1, 0, 0.5)
+        - HAND.rate(0, 1, 0.5)
+        + HAND.rate(0, 0, 0.5)
     )
     assert doa0 == pytest.approx(expect)
 
@@ -104,7 +103,7 @@ def test_deo_symmetric_groups_zero():
 
 def _enumerate_disparity(gs, measure, t):
     """Direct re-derivation from raw indicator sums (independent oracle)."""
-    curve = curve_from_stats(measure, gs.stats)
+    curve = curve_of(gs, measure)
     q0, q1 = curve.thresholds(t)
     def rate(a, y, q):
         s = gs.stratum(a, y)
@@ -123,7 +122,7 @@ def test_six_point_enumeration():
         [0, 1, 1, 0, 1, 1],
     )
     for measure in ("eo", "pe", "oa"):
-        lo, hi = curve_from_stats(measure, gs.stats).bracket()
+        lo, hi = curve_of(gs, measure).bracket()
         for t in np.linspace(lo, hi, 23):
             assert disparity(gs, measure, float(t)) == pytest.approx(
                 _enumerate_disparity(gs, measure, float(t))
@@ -131,18 +130,18 @@ def test_six_point_enumeration():
 
 
 def test_bracket_errors():
-    lo, hi = curve_from_stats("eo", HAND.stats).bracket()
+    lo, hi = curve_of(HAND, "eo").bracket()
     with pytest.raises(ThresholdRangeError, match="threshold out of range"):
         disparity(HAND, "eo", hi * 1.5)
     with pytest.raises(ThresholdRangeError):
-        disparity(HAND, "pe", curve_from_stats("pe", HAND.stats).bracket()[0] * 1.5)
+        disparity(HAND, "pe", curve_of(HAND, "pe").bracket()[0] * 1.5)
 
 
 @pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
 def test_disparity_at_array_cutoffs_match_scalar_calls(measure):
     rng = np.random.default_rng(4)
     gs = _random_gs(rng)
-    curve = curve_from_stats(measure, gs.stats)
+    curve = curve_of(gs, measure)
     q0s, q1s = rng.random(25), rng.random(25)
     q0s[:5], q1s[:5] = gs.by_group[0][:5], gs.by_group[1][:5]  # cutoffs on scores
     got = curve.disparity_at(gs, (q0s, q1s))
@@ -151,8 +150,8 @@ def test_disparity_at_array_cutoffs_match_scalar_calls(measure):
 
 
 def test_dp_scale_follows_cost():
-    half = curve_from_stats("dp", HAND.stats, cost=0.5)
-    cost = curve_from_stats("dp", HAND.stats, cost=0.3)
+    half = curve_of(HAND, "dp", cost=0.5)
+    cost = curve_of(HAND, "dp", cost=0.3)
     assert (half.scale, cost.scale) == (2.0, 1.0)
     p0, p1 = half.p_a
     t = 0.1
@@ -161,6 +160,22 @@ def test_dp_scale_follows_cost():
     assert cost.thresholds(t) == (0.3 - t / p0, 0.3 + t / p1)
     assert half.inverse(half.thresholds(t)[1], 1) == pytest.approx(t)
     assert half.bracket() == (max(-p1, -p0), min(p1, p0))
+
+
+@pytest.mark.parametrize("measure, y", [("eo", 1), ("pe", 0), ("oa", 0), ("oa", 1)])
+@pytest.mark.parametrize("a", [0, 1])
+def test_curve_rejects_a_rate_that_empties_a_read_stratum(measure, y, a):
+    p_ya = [0.5, 0.5]
+    p_ya[a] = 1.0 - y  # no row of group a has label y
+    with pytest.raises(ValueError, match=rf"^empty stratum \(group {a}, label {y}\)$"):
+        ThresholdCurve(measure, (0.4, 0.6), tuple(p_ya))
+
+
+@pytest.mark.parametrize("measure, p", [("dp", 0.0), ("dp", 1.0), ("eo", 1.0), ("pe", 0.0)])
+def test_curve_accepts_a_rate_that_empties_an_unread_stratum(measure, p):
+    curve = ThresholdCurve(measure, np.array([0.4, 0.6]), np.array([p, 0.5]))
+    assert curve.p_a == (0.4, 0.6) and curve.p_ya == (p, 0.5)
+    assert all(type(v) is float for v in curve.p_a + curve.p_ya)
 
 
 def test_empty_stratum_errors():
@@ -207,7 +222,7 @@ def _bits(x):
 def test_array_curve_maps_equal_scalar_calls_bit_for_bit(case, data):
     measure, cost, balanced = ARRAY_CASES[case]
     gs = data.draw(_tied_samples(balanced))
-    curve = curve_from_stats(measure, gs.stats, cost)
+    curve = curve_of(gs, measure, cost)
     if balanced:
         assert curve.p_ya[0] == 0.5
     lo, hi = curve.bracket()
@@ -272,7 +287,7 @@ def test_breakpoints_equal_scalar_restatement(case, kind):
         if balanced:
             label[:n] = np.arange(n) % 2
         gs = make_gs(scores, group, label)
-        curve = curve_from_stats(measure, gs.stats, cost)
+        curve = curve_of(gs, measure, cost)
         got = curve.breakpoints(gs)
         assert got.tolist() == _breakpoints_restated(curve, gs).tolist()
 
@@ -296,7 +311,7 @@ def test_disparity_monotone_nonincreasing(measure):
     rng = np.random.default_rng(5)
     for _ in range(40):
         gs = _random_gs(rng)
-        curve = curve_from_stats(measure, gs.stats)
+        curve = curve_of(gs, measure)
         lo, hi = curve.bracket()
         grid = np.linspace(lo, hi, 301)
         vals = [curve.disparity(gs, float(t)) for t in grid]
@@ -311,7 +326,7 @@ def test_oa_disparity_not_monotone_in_general():
         [1, 1, 1, 0, 0, 0, 0],
         [1, 0, 0, 0, 1, 1, 0],
     )
-    curve = curve_from_stats("oa", gs.stats)
+    curve = curve_of(gs, "oa")
     lo, hi = curve.bracket()
     grid = np.linspace(lo, hi, 1001)
     vals = np.array([curve.disparity(gs, float(t)) for t in grid])
@@ -382,8 +397,8 @@ def test_evaluate_ddp_matches_positive_rate():
         gs = _random_gs(rng)
         rule = ft.ThresholdRule(rng.random(2), rng.random(2))
         rep = ft.evaluate(rule, gs)
-        r1 = positive_rate(gs.by_group[1], rule.thresholds[1], rule.tie_prob[1])
-        r0 = positive_rate(gs.by_group[0], rule.thresholds[0], rule.tie_prob[0])
+        r1 = gs.rate(1, None, rule.thresholds[1], rule.tie_prob[1])
+        r0 = gs.rate(0, None, rule.thresholds[0], rule.tie_prob[0])
         assert rep.ddp == pytest.approx(r1 - r0)
         assert rep.positive_rate_a[1] == pytest.approx(r1)
 

@@ -12,7 +12,6 @@ from _brute import (
     multiclass_matched_counts,
     swap_groups,
 )
-from fairthresh.metrics import curve_from_stats
 from fairthresh.solve import _kept_gap, _snap_to_scores
 
 
@@ -146,7 +145,7 @@ def test_solve_oa_shift_sign_follows_initial_gap():
         [1, 1, 0, 0, 0, 0],
         [1, 0, 0, 1, 1, 0],
     )
-    d0 = curve_from_stats("oa", gs.stats).disparity(gs, 0.0)
+    d0 = ft.ThresholdCurve("oa", gs.stats.p_hat_a, gs.stats.p_hat_ya).disparity(gs, 0.0)
     res = solve(gs, "oa", 0.0)
     assert d0 > 0
     assert res.t_hat > 0
