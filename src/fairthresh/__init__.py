@@ -4,9 +4,7 @@ from .core import (
     Dataset,
     EvalReport,
     FairnessConstraint,
-    GroupStats,
     ThresholdRule,
-    group_stats,
 )
 from .metrics import (
     GroupedScores,
@@ -28,7 +26,6 @@ from .gaussian import (
     fair_accuracy,
     oracle_multiclass_dp,
     t_star,
-    tail_rate,
 )
 from .scores import (
     LogisticModel,
@@ -45,9 +42,7 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "FairnessConstraint",
-    "GroupStats",
     "ThresholdRule",
-    "group_stats",
     "GroupedScores",
     "ThresholdCurve",
     "evaluate",
@@ -63,7 +58,6 @@ __all__ = [
     "fair_accuracy",
     "oracle_multiclass_dp",
     "t_star",
-    "tail_rate",
     "LogisticModel",
     "TrainConfig",
     "fit_logistic",

@@ -124,7 +124,17 @@ class ExperimentConfig:
             )
         if self.schema_path and not self.data_path:
             raise ValueError("schema_path (--schema) describes a CSV file: it applies only with data_path (--data)")
+        defaults = {f.name: f.default for f in fields(self)}
+        if self.fractions != defaults["fractions"] and not self.data_path:
+            raise ValueError("fractions split a CSV file: they apply only with data_path (--data)")
+        if self.n_deltas != defaults["n_deltas"]:
+            if self.kind != "tradeoff":
+                raise ValueError(f"n_deltas (--n-deltas) sizes the tradeoff grid: it does not apply to {self.kind}")
+            if self.deltas is not None:
+                raise ValueError("n_deltas (--n-deltas) sizes the default grid, which deltas (--delta) replace")
         if self.kind == "multiclass":
+            if self.dim != defaults["dim"]:
+                raise ValueError("multiclass populations have one dimension per group: dim (--dim) does not apply")
             if self.cost != 0.5:
                 raise ValueError(
                     "cost must be 0.5 for multiclass: its solver covers the cost-1/2 family only"
@@ -142,7 +152,6 @@ class ExperimentConfig:
                 f"only the dp family is cost-sensitive: cost (--cost) does not apply to {self.measure}"
             )
         if self.data_path:
-            defaults = {f.name: f.default for f in fields(self)}
             for name in ("dim", "sigma", "n_train", "n_test", "fixed_population"):
                 if getattr(self, name) != defaults[name]:
                     flag = "--" + name.replace("_", "-")
@@ -195,7 +204,7 @@ def _fit_and_score(cfg, train, val, test) -> tuple:
 
 
 # Fields that only the solve and the report read: they change neither the data nor the fit.
-SOLVE_ONLY = ("measure", "deltas", "cost", "randomize", "format", "out", "jobs")
+SOLVE_ONLY = ("measure", "deltas", "cost", "randomize", "n_deltas", "format", "out", "jobs")
 
 
 @functools.lru_cache(maxsize=1)
@@ -204,7 +213,7 @@ def _scored(data_cfg: ExperimentConfig, rep: int, files) -> tuple:
 
     ``data_cfg`` has every ``SOLVE_ONLY`` field at its default, and ``files``
     holds the SHA-256 of the CSV and of the schema file given, so runner
-    calls that differ only in measure, tolerance, cost, randomization or
+    calls that differ only in measure, tolerances, cost, randomization or
     output share one draw, fit and scoring, while any other field, or a
     rewritten file, misses.  Only the last entry is kept; its grouped scores
     and population are read-only.
@@ -234,7 +243,7 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
     Given the population, a cell also holds the oracle columns: the exact
     fair-optimal rule's accuracy and the fitted rule's distance from it.
     """
-    n_ay = gs_test.stats.n_ay
+    n_ay = gs_test.n_ay
     for y in _STRATA[cfg.measure]:
         if y is not None and not n_ay[:, y].all():
             a = int(np.argmin(n_ay[:, y]))

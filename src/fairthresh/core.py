@@ -1,4 +1,4 @@
-"""Shared domain types: datasets, group statistics, constraints, rules, reports."""
+"""Shared domain types: datasets, constraints, rules, reports."""
 
 from __future__ import annotations
 
@@ -63,61 +63,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    """Empirical counts and rates per protected group.
-
-    ``n_ay[a, y]`` counts rows with group ``a`` and label ``y``;
-    ``p_hat_a[a] = n_a / n`` and ``p_hat_ya[a] = n_{a,1} / n_a``.
-    """
-
-    n: int
-    n_a: np.ndarray
-    n_ay: np.ndarray
-    p_hat_a: np.ndarray
-    p_hat_ya: np.ndarray
-
-    @property
-    def n_groups(self) -> int:
-        return self.n_a.shape[0]
-
-
-def group_stats(data: Dataset) -> GroupStats:
-    """Count group and (group, label) occurrences and derive the plug-in rates.
-
-    Raises if any group in {0, ..., n_groups - 1} is absent: every
-    downstream threshold formula divides by the group count.
-    """
-    return group_stats_arrays(data.group, data.label, data.n_groups)
-
-
-def group_stats_arrays(group, label, n_groups: int = 0) -> GroupStats:
-    """group_stats for raw arrays, without needing a feature matrix."""
-    grp = np.asarray(group, dtype=np.int64)
-    lab = np.asarray(label, dtype=np.int64)
-    if grp.size == 0:
-        raise ValueError("dataset is empty")
-    if grp.shape != lab.shape or grp.ndim != 1:
-        raise ValueError("group and label must be equal-length vectors")
-    if not np.all((lab == 0) | (lab == 1)):
-        raise ValueError("labels must be 0 or 1")
-    k = n_groups if n_groups else int(grp.max()) + 1
-    n_ay = np.zeros((k, 2), dtype=np.int64)
-    np.add.at(n_ay, (grp, lab), 1)
-    n_a = n_ay.sum(axis=1)
-    if np.any(n_a == 0):
-        missing = int(np.flatnonzero(n_a == 0)[0])
-        raise ValueError(f"empty protected group {missing}")
-    n = int(n_a.sum())
-    return GroupStats(
-        n=n,
-        n_a=_frozen_array(n_a, np.int64),
-        n_ay=_frozen_array(n_ay, np.int64),
-        p_hat_a=_frozen_array(n_a / n, np.float64),
-        p_hat_ya=_frozen_array(n_ay[:, 1] / n_a, np.float64),
-    )
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,12 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .core import ThresholdRule
+from .core import ThresholdRule, _frozen_array
 from .metrics import ThresholdCurve, dp_cutoffs, dp_shifts
 
 
 def _logit(q: float) -> float:
     return math.log(q) - math.log1p(-q)
-
-
-def _frozen(arr, dtype=np.float64):
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -45,9 +39,9 @@ class GaussianPopulation:
     sigma: float
 
     def __post_init__(self):
-        p_a = _frozen(self.p_a)
-        p_ya = _frozen(self.p_ya)
-        mu = _frozen(self.mu)
+        p_a = _frozen_array(self.p_a, np.float64)
+        p_ya = _frozen_array(self.p_ya, np.float64)
+        mu = _frozen_array(self.mu, np.float64)
         if p_a.ndim != 1 or p_a.size < 1:
             raise ValueError("p_a must be a non-empty vector")
         if not math.isclose(float(p_a.sum()), 1.0, abs_tol=1e-9) or np.any(p_a <= 0):
@@ -73,10 +67,28 @@ class GaussianPopulation:
         return self.mu.shape[2]
 
     def rate(self, a: int, y: Optional[int], q: float, tau: float = 0.0) -> float:
-        """P(predict 1) in stratum (a, y) for the cutoff q on eta, with tie probability tau."""
-        if not tau:  # the oracle's bisections call this hundreds of times per search
-            return tail_rate(self, a, q, y)
-        return tail_rate(self, a, q, y) + tau * tail_atom(self, a, q, y)
+        """P(predict 1) in stratum (a, y) for the cutoff q on eta, with tie probability tau.
+
+        ``y`` = None is the group marginal, the label-weighted mix of the two
+        strata.  Ties, P(eta = q), have positive probability only under the
+        degenerate point-mass law, where eta is the constant ``p_ya[a]``.
+        """
+        if q <= 0.0:
+            return 1.0
+        if q >= 1.0:
+            return 0.0
+        law = self.score_law(a)
+        if y is None:
+            py = float(self.p_ya[a])
+            above = py * self.rate(a, 1, q) + (1.0 - py) * self.rate(a, 0, q)
+        elif law.sd == 0.0:
+            above = 1.0 if float(self.p_ya[a]) > q else 0.0
+        else:
+            z = (_logit(q) - law.mean[y]) / law.sd
+            above = float(ndtr(-z))
+        if tau and law.sd == 0.0 and math.isclose(float(self.p_ya[a]), q, rel_tol=0.0, abs_tol=1e-15):
+            return above + tau  # the atom term last, after the mix of the strata
+        return above
 
     def score_law(self, a: int) -> "ScoreLaw":
         """Law of the log-odds score within group a, per label stratum."""
@@ -98,7 +110,7 @@ class GaussianPopulation:
         return ScoreLaw(
             mean=(prior - 0.5 * gap, prior + 0.5 * gap),
             sd=math.sqrt(gap),
-            weight=_frozen(w),
+            weight=_frozen_array(w, np.float64),
             bias=b,
         )
 
@@ -130,30 +142,6 @@ def eta(pop: GaussianPopulation, x, a: int):
     z = xs @ law.weight + law.bias
     out = 1.0 / (1.0 + np.exp(-z))
     return float(out[0]) if single else out
-
-
-def tail_rate(pop: GaussianPopulation, a: int, q: float, stratum: Optional[int] = None) -> float:
-    """P(eta_a(X) > q) under the marginal (stratum=None) or a label stratum."""
-    if q <= 0.0:
-        return 1.0
-    if q >= 1.0:
-        return 0.0
-    if stratum is None:
-        py = float(pop.p_ya[a])
-        return py * tail_rate(pop, a, q, 1) + (1.0 - py) * tail_rate(pop, a, q, 0)
-    law = pop.score_law(a)
-    if law.sd == 0.0:
-        return 1.0 if float(pop.p_ya[a]) > q else 0.0
-    z = (_logit(q) - law.mean[stratum]) / law.sd
-    return float(ndtr(-z))
-
-
-def tail_atom(pop: GaussianPopulation, a: int, q: float, stratum: Optional[int] = None) -> float:
-    """P(eta_a(X) = q); zero except at the degenerate point-mass law."""
-    law = pop.score_law(a)
-    if law.sd > 0.0 or not 0.0 < q < 1.0:
-        return 0.0
-    return 1.0 if math.isclose(float(pop.p_ya[a]), q, rel_tol=0.0, abs_tol=1e-15) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +231,7 @@ class MulticlassOracle:
 
 def _shift_for_rate(pop: GaussianPopulation, a: int, s: float) -> float:
     """The shift t_a at which group a's marginal positive rate equals s."""
-    f = lambda q: tail_rate(pop, a, q) - s
+    f = lambda q: pop.rate(a, None, q) - s
     q = brentq(f, 1e-15, 1.0 - 1e-15, xtol=1e-15)
     return dp_shifts(q, float(pop.p_a[a]))
 

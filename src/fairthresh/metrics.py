@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, EvalReport, GroupStats, ThresholdRule, group_stats_arrays
+from .core import Dataset, EvalReport, ThresholdRule, _frozen_array
 
 
 class ThresholdRangeError(ValueError):
@@ -33,14 +34,22 @@ class GroupedScores:
     ``by_group[a]`` holds every score of group ``a``; ``by_group_label[a][y]``
     the scores of rows with group ``a`` and label ``y``.  The arrays are
     read-only, so runner calls that share one instance cannot change it.
+    The counts and plug-in rates are read off the strata sizes:
+    ``n_ay[a, y]`` rows have group ``a`` and label ``y``,
+    ``p_hat_a[a] = n_a / n`` and ``p_hat_ya[a] = n_{a,1} / n_a``.
     """
 
     by_group: tuple
     by_group_label: tuple
-    stats: GroupStats
 
     @classmethod
     def from_arrays(cls, scores, group, label, n_groups: int = 0) -> "GroupedScores":
+        """Stratify the scores; ``n_groups`` = 0 takes the largest group code plus one.
+
+        Raises if the input is empty, a label is not 0 or 1, a group code lies
+        outside {0, ..., n_groups - 1}, or a group has no row: every threshold
+        formula divides by the group count.
+        """
         s = np.asarray(scores, dtype=np.float64)
         g = np.asarray(group, dtype=np.int64)
         y = np.asarray(label, dtype=np.int64)
@@ -50,17 +59,26 @@ class GroupedScores:
             raise ValueError("scores must be finite (found NaN or infinite values)")
         if s.size and (s.min() < 0.0 or s.max() > 1.0):
             raise ValueError("scores must lie in [0, 1]")
-        stats = group_stats_arrays(g, y, n_groups)
+        if s.size == 0:
+            raise ValueError("dataset is empty")
+        if not np.all((y == 0) | (y == 1)):
+            raise ValueError("labels must be 0 or 1")
+        k = n_groups if n_groups else int(g.max()) + 1
+        bad = g[(g < 0) | (g >= k)]
+        if bad.size:
+            raise ValueError(f"group code {int(bad[0])} is outside 0..{k - 1}")
         by_group = []
         by_group_label = []
-        for a in range(stats.n_groups):
+        for a in range(k):
             in_a = g == a
+            if not in_a.any():
+                raise ValueError(f"empty protected group {a}")
             strata = np.sort(s[in_a]), np.sort(s[in_a & (y == 0)]), np.sort(s[in_a & (y == 1)])
             for arr in strata:
                 arr.setflags(write=False)
             by_group.append(strata[0])
             by_group_label.append(strata[1:])
-        return cls(tuple(by_group), tuple(by_group_label), stats)
+        return cls(tuple(by_group), tuple(by_group_label))
 
     @classmethod
     def from_dataset(cls, data: Dataset, scores) -> "GroupedScores":
@@ -68,7 +86,27 @@ class GroupedScores:
 
     @property
     def n_groups(self) -> int:
-        return self.stats.n_groups
+        return len(self.by_group)
+
+    @cached_property
+    def n_ay(self) -> np.ndarray:
+        return _frozen_array([[s.size for s in pair] for pair in self.by_group_label], np.int64)
+
+    @cached_property
+    def n_a(self) -> np.ndarray:
+        return _frozen_array(self.n_ay.sum(axis=1), np.int64)
+
+    @cached_property
+    def n(self) -> int:
+        return int(self.n_a.sum())
+
+    @cached_property
+    def p_hat_a(self) -> np.ndarray:
+        return _frozen_array(self.n_a / self.n, np.float64)
+
+    @cached_property
+    def p_hat_ya(self) -> np.ndarray:
+        return _frozen_array(self.n_ay[:, 1] / self.n_a, np.float64)
 
     def stratum(self, a: int, y: Optional[int]) -> np.ndarray:
         """Sorted scores of group ``a``, optionally restricted to label ``y``."""
@@ -78,7 +116,11 @@ class GroupedScores:
 
     def rate(self, a: int, y: Optional[int], q, tau: float = 0.0):
         """Fraction of stratum (a, y) above the cutoff(s) q, plus tau weight on ties."""
-        return _rate(self.stratum(a, y), q, tau)
+        s = self.stratum(a, y)
+        above, ties = _counts(s, q, bool(tau))
+        if tau:
+            return (above + tau * ties) / s.size
+        return above / s.size
 
 
 def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
@@ -92,14 +134,6 @@ def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
     if not with_ties:
         return above, None
     return above, hi - np.searchsorted(sorted_scores, q, side="left")
-
-
-def _rate(sorted_scores: np.ndarray, q, tau: float = 0.0):
-    """Fraction above the cutoff(s) q, plus tau weight on ties; no input checks."""
-    above, ties = _counts(sorted_scores, q, bool(tau))
-    if tau:
-        return (above + tau * ties) / sorted_scores.size
-    return above / sorted_scores.size
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +344,7 @@ def dp_shifts(q, p_a):
 
 def evaluate(rule: ThresholdRule, gs: GroupedScores, cost: float = 0.5) -> EvalReport:
     """Expected metrics of a (possibly tie-randomized) rule on one sample."""
-    stats = gs.stats
-    k = stats.n_groups
+    k = gs.n_groups
     if rule.n_groups != k:
         raise ValueError("rule and sample disagree on the number of groups")
     pos_mass = np.zeros((k, 2))  # expected positives per (group, label)
@@ -322,18 +355,18 @@ def evaluate(rule: ThresholdRule, gs: GroupedScores, cost: float = 0.5) -> EvalR
             s = gs.stratum(a, y)
             if s.size:
                 pos_mass[a, y] = gs.rate(a, y, q, tau) * s.size
-    n_ay = stats.n_ay
+    n_ay = gs.n_ay
     with np.errstate(invalid="ignore", divide="ignore"):
         tpr = np.where(n_ay[:, 1] > 0, pos_mass[:, 1] / n_ay[:, 1], np.nan)
         fpr = np.where(n_ay[:, 0] > 0, pos_mass[:, 0] / n_ay[:, 0], np.nan)
-    rate_a = pos_mass.sum(axis=1) / stats.n_a
+    rate_a = pos_mass.sum(axis=1) / gs.n_a
 
     fp = pos_mass[:, 0].sum()
     fn = (n_ay[:, 1] - pos_mass[:, 1]).sum()
-    accuracy = 1.0 - (fp + fn) / stats.n
-    cost_risk = (cost * fp + (1.0 - cost) * fn) / stats.n
+    accuracy = 1.0 - (fp + fn) / gs.n
+    cost_risk = (cost * fp + (1.0 - cost) * fn) / gs.n
 
-    overall = pos_mass.sum() / stats.n
+    overall = pos_mass.sum() / gs.n
     rate_gap_sum = float(np.abs(rate_a - overall).sum())
     if k == 2:
         ddp = float(rate_a[1] - rate_a[0])

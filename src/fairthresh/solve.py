@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, ThresholdCurve, _counts, _rate, dp_cutoffs, dp_shifts
+from .metrics import GroupedScores, ThresholdCurve, _counts, dp_cutoffs, dp_shifts
 
 
 # Slack allowed in every comparison of a disparity against the tolerance.
@@ -95,8 +95,7 @@ def _plugin_metrics(gs: GroupedScores, rule: ThresholdRule, cost: float) -> tupl
         pi = rule.predict_prob(s, a)
         acc += float(np.sum(pi * s + (1.0 - pi) * (1.0 - s)))
         risk += float(np.sum(cost * (1.0 - s) * pi + (1.0 - cost) * s * (1.0 - pi)))
-    n = gs.stats.n
-    return acc / n, risk / n
+    return acc / gs.n, risk / gs.n
 
 
 def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
@@ -109,8 +108,7 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
     once.  The scan keeps the first crossing; the side of t = 0 opposite the
     initial disparity is not searched.
     """
-    stats = gs.stats
-    curve = ThresholdCurve(constraint.measure, stats.p_hat_a, stats.p_hat_ya, constraint.cost)
+    curve = ThresholdCurve(constraint.measure, gs.p_hat_a, gs.p_hat_ya, constraint.cost)
     delta = constraint.delta
     d0 = curve.disparity(gs, 0.0)
     lo, hi = curve.bracket()
@@ -270,19 +268,16 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     k = gs.n_groups
     if k < 2:
         raise SolverError("multi-class solving requires at least two groups")
-    stats = gs.stats
-    tables = [
-        _count_intervals(gs.by_group[a], float(stats.p_hat_a[a])) for a in range(k)
-    ]
+    tables = [_count_intervals(gs.by_group[a], float(gs.p_hat_a[a])) for a in range(k)]
 
     ref_cs, ref_lo, ref_hi = tables[0][:3]
-    s = ref_cs / int(stats.n_a[0])
+    s = ref_cs / int(gs.n_a[0])
     picks = []
     lo_acc = np.zeros(ref_cs.size)
     hi_acc = np.zeros(ref_cs.size)
     for a in range(1, k):
         cs, t_lo, t_hi = tables[a][:3]
-        n_a = int(stats.n_a[a])
+        n_a = int(gs.n_a[a])
         # cs is decreasing; idx is the first index with count <= s * n_a
         idx = np.searchsorted(-cs, -s * n_a)
         above = np.maximum(idx - 1, 0)
@@ -316,10 +311,10 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     thresholds = np.where(
         (frac == 0.0) | (q_lo == q_hi),
         q_lo,
-        np.clip(dp_cutoffs(t_hats, stats.p_hat_a), q_lo, np.nextafter(q_hi, 0.0)),
+        np.clip(dp_cutoffs(t_hats, gs.p_hat_a), q_lo, np.nextafter(q_hi, 0.0)),
     )
     rule = ThresholdRule(thresholds)
-    rates = np.array([_rate(gs.by_group[a], thresholds[a]) for a in range(k)])
+    rates = np.array([gs.rate(a, None, thresholds[a]) for a in range(k)])
     gap = float(rates.max() - rates.min())
     acc, _ = _plugin_metrics(gs, rule, 0.5)
     return MulticlassSolveResult(

@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from fairthresh.core import GroupStats, ThresholdRule
-from fairthresh.metrics import GroupedScores, _counts, _rate, dp_cutoffs, dp_shifts
+from fairthresh.core import ThresholdRule
+from fairthresh.metrics import GroupedScores, _counts, dp_cutoffs, dp_shifts
 from fairthresh.solve import MulticlassSolveResult, _plugin_metrics
 
 TOL = 1e-12  # feasibility slack on |disparity| <= delta and on tau in [0, 1]
@@ -62,7 +62,7 @@ def _tie_effect(measure, gs, a, q):
 def _objective(gs, q0, q1, tau0, tau1, cost):
     """Plug-in objective: accuracy for cost=0.5 shape, else cost risk (negated)."""
     total = 0.0
-    n = gs.stats.n
+    n = gs.n
     for a, q, tau in ((0, q0, tau0), (1, q1, tau1)):
         s = gs.by_group[a]
         pi = (s > q).astype(float)
@@ -181,8 +181,8 @@ def brute_force_family_best(gs, measure, delta, randomize=True):
     Returns (accuracy, rule_description), or (None, None) when the
     half-family holds no feasible rule.
     """
-    p = tuple(float(v) for v in gs.stats.p_hat_a)
-    py = tuple(float(v) for v in gs.stats.p_hat_ya)
+    p = tuple(float(v) for v in gs.p_hat_a)
+    py = tuple(float(v) for v in gs.p_hat_ya)
     upper = _disparity(measure, gs, 0.5, 0.5) > 0.0
     end = _half_bracket_end(measure, p, py, upper)
     ts = [0.0, end]
@@ -205,17 +205,9 @@ def brute_force_family_best(gs, measure, delta, randomize=True):
 
 def swap_groups(gs):
     """The same sample with the two group labels exchanged."""
-    stats = gs.stats
     return GroupedScores(
         by_group=(gs.by_group[1], gs.by_group[0]),
         by_group_label=(gs.by_group_label[1], gs.by_group_label[0]),
-        stats=GroupStats(
-            n=stats.n,
-            n_a=stats.n_a[::-1].copy(),
-            n_ay=stats.n_ay[::-1].copy(),
-            p_hat_a=stats.p_hat_a[::-1].copy(),
-            p_hat_ya=stats.p_hat_ya[::-1].copy(),
-        ),
     )
 
 
@@ -243,12 +235,11 @@ def _multiclass_loop_pick(gs):
     it by more than 1e-15; the loop stops at the first zero gap.
     """
     k = gs.n_groups
-    stats = gs.stats
-    tables = [_count_intervals_loop(gs.by_group[a], float(stats.p_hat_a[a])) for a in range(k)]
+    tables = [_count_intervals_loop(gs.by_group[a], float(gs.p_hat_a[a])) for a in range(k)]
 
     def match(a, s):
         cs, t_lo, t_hi = tables[a][:3]
-        n_a = int(stats.n_a[a])
+        n_a = int(gs.n_a[a])
         idx = np.searchsorted(-cs, -s * n_a)
         best_j, best_d = None, math.inf
         for j in (idx - 1, idx):
@@ -259,7 +250,7 @@ def _multiclass_loop_pick(gs):
         return best_j
 
     ref_cs, ref_lo, ref_hi = tables[0][:3]
-    n_ref = int(stats.n_a[0])
+    n_ref = int(gs.n_a[0])
     best = None
     for i in range(ref_cs.size):
         s = ref_cs[i] / n_ref
@@ -290,7 +281,6 @@ def multiclass_dp_loop(gs):
     at a time.
     """
     k = gs.n_groups
-    stats = gs.stats
     tables, (sum_gap, js, lo_sum, hi_sum) = _multiclass_loop_pick(gs)
     if lo_sum <= 0.0 <= hi_sum:
         frac = 0.0 if hi_sum == lo_sum else -lo_sum / (hi_sum - lo_sum)
@@ -303,7 +293,7 @@ def multiclass_dp_loop(gs):
             for a in range(k)
         ]
     )
-    thresholds = dp_cutoffs(t_hats, stats.p_hat_a)
+    thresholds = dp_cutoffs(t_hats, gs.p_hat_a)
     for a in range(k):
         q_lo, q_hi = tables[a][3][js[a]], tables[a][4][js[a]]
         if frac == 0.0 or q_lo == q_hi:

@@ -47,7 +47,7 @@ CASES = {
     "synth_pe_joint": ["synth", "--measure", "pe", "--seed", "18", "--joint-model",
                        "--delta", "0,0.05", *SMALL],
     "multiclass": ["multiclass", "--groups", "3", "--seed", "19", "--n-train", "300",
-                   "--n-test", "300", "--epochs", "30", "--reps", "2", "--dim", "4"],
+                   "--n-test", "300", "--epochs", "30", "--reps", "2"],
     "tradeoff_dp": ["tradeoff", "--seed", "20", "--n-deltas", "6", *SMALL],
     "tradeoff_oa_randomize": ["tradeoff", "--measure", "oa", "--seed", "21",
                               "--n-deltas", "6", "--randomize", *SMALL],

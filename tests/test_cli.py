@@ -139,6 +139,11 @@ def test_nan_delta_is_structured_error(capsys):
      "only the dp family is cost-sensitive: cost (--cost) does not apply to oa"),
     (["synth", "--groups", "3"], "synth runs compare two groups: n_groups (--groups) applies to multiclass only"),
     (["tradeoff", "--groups", "3"], "tradeoff runs compare two groups: n_groups (--groups) applies to multiclass only"),
+    (["synth", "--n-deltas", "7"], "n_deltas (--n-deltas) sizes the tradeoff grid: it does not apply to synth"),
+    (["tradeoff", "--delta", "0,0.1", "--n-deltas", "9"],
+     "n_deltas (--n-deltas) sizes the default grid, which deltas (--delta) replace"),
+    (["multiclass", "--dim", "4"],
+     "multiclass populations have one dimension per group: dim (--dim) does not apply"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     code, out, err = run_main([*argv, *FAST], capsys)
@@ -179,7 +184,7 @@ def test_multiclass_two_group_ddp_is_the_summed_absolute_gap(capsys):
     # their mean, -0.214, was reported before
     code, out, _ = run_main(
         ["multiclass", "--n-train", "3", "--n-test", "200", "--epochs", "10",
-         "--reps", "3", "--dim", "3", "--format", "json"],
+         "--reps", "3", "--format", "json"],
         capsys,
     )
     assert code == 0
@@ -206,6 +211,17 @@ def test_bad_split_fractions_are_structured_errors(tmp_path, capsys, fractions, 
     payload = _error(err)
     assert payload["error"] == "ValueError"
     assert payload["message"].startswith(message)
+
+
+def test_fractions_without_a_csv_are_a_structured_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fractions": [0.6, 0.2, 0.2]}))
+    code, out, err = run_main(["synth", "--config", str(cfg_path), *FAST], capsys)
+    assert code == 1 and out == ""
+    assert _error(err) == {
+        "error": "ValueError",
+        "message": "fractions split a CSV file: they apply only with data_path (--data)",
+    }
 
 
 def test_empty_validation_part_calibrates_on_train(tmp_path, capsys):
@@ -266,7 +282,9 @@ def test_rep_seed_rule_is_stable():
 @pytest.mark.parametrize("kind", sorted(cli.COLUMNS))
 def test_json_rows_carry_exactly_the_report_columns(tmp_path, capsys, kind):
     data, schema = _tabular_files(tmp_path)
-    argv = [kind, "--format", "json", "--reps", "2", "--epochs", "10", "--n-deltas", "3"]
+    argv = [kind, "--format", "json", "--reps", "2", "--epochs", "10"]
+    if kind == "tradeoff":
+        argv += ["--n-deltas", "3"]
     if kind == "tabular":
         argv += ["--data", data, "--schema", schema, "--delta", "0,0.1"]
     else:
@@ -346,7 +364,7 @@ def test_memoized_grouped_scores_are_read_only():
 KEYED = {
     "kind": "oracle-compare", "reps": 2, "seed": 4, "n_train": 601, "n_test": 301, "dim": 4,
     "sigma": 1.5, "n_groups": 3, "fixed_population": True, "epochs": 41, "learning_rate": 0.5,
-    "per_group": False, "n_deltas": 7, "data_path": "copy.csv", "schema_path": "copy.json",
+    "per_group": False, "data_path": "copy.csv", "schema_path": "copy.json",
     "fractions": (0.6, 0.2, 0.2),
 }
 FILE_FIELDS = ("data_path", "schema_path", "fractions")
@@ -389,6 +407,9 @@ def test_changing_only_solve_fields_hits_the_memo(tmp_path):
                     format="csv", out=str(tmp_path / "r.csv"), jobs=2)
     assert cli._scored_rep(other, 0) is first
     assert cli._scored_rep(replace(other, measure="eo", cost=0.5), 0) is first
+    tradeoff = replace(base, kind="tradeoff")
+    first = cli._scored_rep(tradeoff, 0)
+    assert cli._scored_rep(replace(tradeoff, n_deltas=7), 0) is first  # it only picks tolerances
 
 
 @pytest.mark.parametrize("which", [0, 1])

@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairthresh
-from fairthresh import Dataset, FairnessConstraint, ThresholdRule, group_stats
-from fairthresh.core import group_stats_arrays
+from fairthresh import Dataset, FairnessConstraint, GroupedScores, ThresholdRule
 
 
 def test_public_names_resolve():
@@ -18,31 +19,41 @@ def test_public_names_resolve():
 
 
 def test_group_stats_hand_counts():
-    data = Dataset(
-        features=np.zeros((4, 2)),
-        group=np.array([1, 1, 0, 0]),
-        label=np.array([1, 0, 1, 1]),
-    )
-    gs = group_stats(data)
+    gs = GroupedScores.from_arrays(np.zeros(4), np.array([1, 1, 0, 0]), np.array([1, 0, 1, 1]))
     assert gs.n == 4
     assert gs.n_a.tolist() == [2, 2]
     assert gs.p_hat_a[1] == 0.5
     assert gs.p_hat_ya[1] == 0.5
     assert gs.p_hat_ya[0] == 1.0
     assert gs.n_ay.tolist() == [[0, 2], [1, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        gs.n_a[0] = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gs.n = 5
 
 
 def test_group_stats_single_group_degenerate():
-    gs = group_stats_arrays(np.zeros(3, dtype=int), np.ones(3, dtype=int))
+    gs = GroupedScores.from_arrays(np.full(3, 0.5), np.zeros(3, dtype=int), np.ones(3, dtype=int))
     assert gs.p_hat_a[0] == 1.0
     assert gs.p_hat_ya[0] == 1.0
 
 
 def test_group_stats_empty_inputs():
-    with pytest.raises(ValueError):
-        group_stats_arrays(np.array([], dtype=int), np.array([], dtype=int))
-    with pytest.raises(ValueError, match="empty protected group"):
-        group_stats_arrays(np.array([1, 1]), np.array([0, 1]), n_groups=2)
+    with pytest.raises(ValueError, match="dataset is empty"):
+        GroupedScores.from_arrays(np.array([]), np.array([], dtype=int), np.array([], dtype=int))
+    with pytest.raises(ValueError, match="empty protected group 0"):
+        GroupedScores.from_arrays(np.array([0.2, 0.4]), np.array([1, 1]), np.array([0, 1]), n_groups=2)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        GroupedScores.from_arrays(np.array([0.2, 0.4]), np.array([0, 1]), np.array([0, 2]))
+
+
+@pytest.mark.parametrize("group, n_groups, code", [
+    ([-1, 0, 0, 1, 1], 0, -1),  # once counted in the last group, yet in no stratum
+    ([0, 0, 1, 1, 2], 2, 2),  # once a bare IndexError
+])
+def test_out_of_range_group_codes_are_rejected(group, n_groups, code):
+    with pytest.raises(ValueError, match=f"group code {code} is outside 0..1"):
+        GroupedScores.from_arrays([0.2, 0.4, 0.6, 0.8, 0.3], group, [1, 0, 1, 0, 1], n_groups)
 
 
 def test_dataset_validation():
@@ -60,20 +71,38 @@ def test_dataset_arrays_read_only():
         data.features[0, 0] = 1.0
 
 
+def _random_sample(seed, k=3):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(k + 1, 40))
+    group = rng.integers(0, k, n)
+    group[:k] = np.arange(k)
+    return rng, rng.random(n), group, rng.integers(0, 2, n)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_group_stats_permutation_invariant(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 40))
-    group = rng.integers(0, 3, n)
-    group[:3] = [0, 1, 2]
-    label = rng.integers(0, 2, n)
-    base = group_stats_arrays(group, label)
-    perm = rng.permutation(n)
-    shuffled = group_stats_arrays(group[perm], label[perm])
+    rng, scores, group, label = _random_sample(seed)
+    base = GroupedScores.from_arrays(scores, group, label)
+    perm = rng.permutation(scores.size)
+    shuffled = GroupedScores.from_arrays(scores[perm], group[perm], label[perm])
     assert np.array_equal(base.n_ay, shuffled.n_ay)
     # total count is recoverable from the stratified table
     assert base.n_ay.sum() == base.n == shuffled.n
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_counts_from_the_strata_match_a_direct_count(seed, k):
+    _, scores, group, label = _random_sample(seed, k)
+    gs = GroupedScores.from_arrays(scores, group, label)
+    n_ay = np.zeros((k, 2), dtype=np.int64)
+    np.add.at(n_ay, (group, label), 1)
+    n_a = n_ay.sum(axis=1)
+    assert gs.n_ay.tolist() == n_ay.tolist() and gs.n_a.tolist() == n_a.tolist()
+    assert gs.n == scores.size
+    assert gs.p_hat_a.tobytes() == (n_a / int(n_a.sum())).tobytes()
+    assert gs.p_hat_ya.tobytes() == (n_ay[:, 1] / n_a).tobytes()
 
 
 def test_fairness_constraint_validation():

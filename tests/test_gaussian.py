@@ -68,7 +68,7 @@ def test_eta_dimension_mismatch():
         ga.eta(POP, np.zeros(POP.dim + 1), 0)
 
 
-# ------------------------------------------------------------------ tail_rate
+# ------------------------------------------------------------------ tail rates
 
 
 def test_tail_rate_monte_carlo_half():
@@ -79,14 +79,15 @@ def test_tail_rate_monte_carlo_half():
     for a in (0, 1):
         x = pop.mu[a, 1] + pop.sigma * mc.standard_normal((n, pop.dim))
         est = float(np.mean(ga.eta(pop, x, a) > 0.5))
-        exact = ga.tail_rate(pop, a, 0.5, 1)
+        exact = pop.rate(a, 1, 0.5)
         se = max(np.sqrt(exact * (1 - exact) / n), 1e-9)
         assert abs(est - exact) <= 4 * se
 
 
 def test_tail_rate_saturation():
-    assert ga.tail_rate(POP, 0, 0.0) == 1.0
-    assert ga.tail_rate(POP, 0, 1.0) == 0.0
+    for y in (None, 0, 1):
+        assert POP.rate(0, y, 0.0) == POP.rate(0, y, 0.0, tau=0.5) == 1.0
+        assert POP.rate(0, y, 1.0) == POP.rate(0, y, 1.0, tau=0.5) == 0.0
 
 
 def test_tail_rate_point_mass():
@@ -94,9 +95,11 @@ def test_tail_rate_point_mass():
     pop = ga.GaussianPopulation(
         p_a=np.array([0.5, 0.5]), p_ya=np.array([0.6, 0.6]), mu=mu, sigma=1.0
     )
-    assert ga.tail_rate(pop, 0, 0.5) == 1.0  # eta constant at 0.6 > 0.5
-    assert ga.tail_rate(pop, 0, 0.7) == 0.0
-    assert ga.tail_atom(pop, 0, 0.6) == 1.0
+    assert pop.rate(0, None, 0.5) == 1.0  # eta constant at 0.6 > 0.5
+    assert pop.rate(0, None, 0.7) == 0.0
+    # the atom P(eta = 0.6) = 1, read through the tie probability
+    assert pop.rate(0, None, 0.6) == 0.0
+    assert pop.rate(0, None, 0.6, tau=1.0) == 1.0
 
 
 def test_score_law_shape():
@@ -124,7 +127,7 @@ def test_stars_identical_groups_zero():
 
 def test_d_star_is_marginal_tail_difference():
     assert unconstrained(POP, "dp") == pytest.approx(
-        ga.tail_rate(POP, 1, 0.5) - ga.tail_rate(POP, 0, 0.5)
+        POP.rate(1, None, 0.5) - POP.rate(0, None, 0.5)
     )
 
 
@@ -210,7 +213,7 @@ def test_population_disparity_is_the_tail_rate_difference_bit_for_bit(measure):
     lo, hi = curve.bracket()
     for t in np.linspace(lo, hi, 41)[1:-1].tolist():
         q0, q1 = curve.thresholds(t)
-        r = {(a, y): ga.tail_rate(pop, a, q1 if a else q0, y) for a in (0, 1) for y in (None, 0, 1)}
+        r = {(a, y): pop.rate(a, y, q1 if a else q0) for a in (0, 1) for y in (None, 0, 1)}
         got = curve.disparity(pop, t)
         if measure == "oa":
             # the sample's association; r11 - r10 - r01 + r00 agrees to rounding
@@ -233,7 +236,10 @@ def test_population_rate_puts_tau_on_the_atom_of_a_degenerate_law():
         assert pop.rate(1, y, 0.2, tau=0.25) == 1.0
         assert pop.rate(1, y, 0.4, tau=0.25) == 0.0
         # a non-degenerate law has no atom, so tau changes nothing
-        assert pop.rate(0, y, 0.45, tau=0.25) == pop.rate(0, y, 0.45) == ga.tail_rate(pop, 0, 0.45, y)
+        assert pop.rate(0, y, 0.45, tau=0.25) == pop.rate(0, y, 0.45)
+    # the marginal adds the atom after mixing the strata: mixing 0.3 * 0.1 + 0.7 * 0.1
+    # would give 0.09999999999999999
+    assert pop.rate(1, None, 0.3, tau=0.1) == 0.1
     rule = ft.ThresholdRule(np.array([0.5, 0.3]), np.array([0.0, 0.25]))
     assert ga.fair_accuracy(pop, rule) == pytest.approx(
         ga.fair_accuracy(pop, ft.ThresholdRule(np.array([0.5, 0.3]))) + 0.5 * 0.25 * (0.3 - 0.7)
@@ -283,7 +289,7 @@ def test_oracle_multiclass_identical_groups():
     )
     orc = ga.oracle_multiclass_dp(pop)
     assert np.allclose(orc.t_a, 0.0, atol=1e-9)
-    assert orc.common_rate == pytest.approx(ga.tail_rate(pop, 0, 0.5), abs=1e-9)
+    assert orc.common_rate == pytest.approx(pop.rate(0, None, 0.5), abs=1e-9)
 
 
 def test_oracle_multiclass_matches_binary_t_star():

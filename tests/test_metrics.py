@@ -23,7 +23,7 @@ def make_gs(scores, group, label):
 
 def curve_of(gs, measure, cost=0.5):
     """The measure's threshold family with the sample's plug-in rates."""
-    return ThresholdCurve(measure, gs.stats.p_hat_a, gs.stats.p_hat_ya, cost)
+    return ThresholdCurve(measure, gs.p_hat_a, gs.p_hat_ya, cost)
 
 
 def disparity(gs, measure, t):

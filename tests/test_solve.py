@@ -145,7 +145,7 @@ def test_solve_oa_shift_sign_follows_initial_gap():
         [1, 1, 0, 0, 0, 0],
         [1, 0, 0, 1, 1, 0],
     )
-    d0 = ft.ThresholdCurve("oa", gs.stats.p_hat_a, gs.stats.p_hat_ya).disparity(gs, 0.0)
+    d0 = ft.ThresholdCurve("oa", gs.p_hat_a, gs.p_hat_ya).disparity(gs, 0.0)
     res = solve(gs, "oa", 0.0)
     assert d0 > 0
     assert res.t_hat > 0
@@ -296,14 +296,14 @@ def test_multiclass_binary_crosscheck():
         dp = solve(gs, "dp", 0.0)
         # same rule family; representatives may differ by tie handling at
         # score atoms, so compare the achieved per-group positive rates
-        atom = 2.0 / gs.stats.n_a.min()
+        atom = 2.0 / gs.n_a.min()
         dp_rates = ft.evaluate(dp.rule, gs).positive_rate_a
         for a in (0, 1):
             assert abs(mc.rates[a] - dp_rates[a]) <= atom + 1e-12
         # zero-sum up to one breakpoint gap (the step functions may leave a
         # hole around zero, in which case the nearest endpoint is used)
         widest = max(
-            2.0 * gs.stats.p_hat_a[a] * np.diff(
+            2.0 * gs.p_hat_a[a] * np.diff(
                 np.concatenate([[0.0], np.unique(gs.by_group[a]), [1.0]])
             ).max()
             for a in (0, 1)
@@ -322,7 +322,7 @@ def test_multiclass_rate_gap_bound():
         scores[mask] = ft.eta(pop, data.features[mask], a)
     gs = ft.GroupedScores.from_dataset(data, scores)
     res = ft.solve_multiclass_dp(gs)
-    assert res.max_rate_gap <= 2.0 / gs.stats.n_a.min()
+    assert res.max_rate_gap <= 2.0 / gs.n_a.min()
     assert abs(res.sum_t) <= 1e-9
 
 
@@ -395,7 +395,7 @@ def test_multiclass_rule_realizes_the_matched_counts(gs):
     res = ft.solve_multiclass_dp(gs)
     realized = [int(np.sum(s > q)) for s, q in zip(gs.by_group, res.rule.thresholds)]
     assert realized == multiclass_matched_counts(gs)
-    assert np.array_equal(res.rates, np.array(realized) / gs.stats.n_a)
+    assert np.array_equal(res.rates, np.array(realized) / gs.n_a)
 
 
 def test_multiclass_scan_equals_loop_on_large_groups():
