@@ -112,6 +112,9 @@ class ExperimentConfig:
         object.__setattr__(self, "fractions", tuple(self.fractions))  # hashable, for the memo key
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        for name in ("n_train", "n_test", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} (--{name.replace('_', '-')}) must be >= 1")
         if self.n_deltas < 1:
             raise ValueError("n_deltas must be >= 1")
         if not 0.0 <= self.cost <= 1.0:  # also rejects nan

@@ -78,15 +78,16 @@ class GaussianPopulation:
         if q >= 1.0:
             return 0.0
         law = self.score_law(a)
+        py = float(self.p_ya[a])
         if y is None:
-            py = float(self.p_ya[a])
             above = py * self.rate(a, 1, q) + (1.0 - py) * self.rate(a, 0, q)
         elif law.sd == 0.0:
-            above = 1.0 if float(self.p_ya[a]) > q else 0.0
+            above = 1.0 if py > q else 0.0
         else:
             z = (_logit(q) - law.mean[y]) / law.sd
             above = float(ndtr(-z))
-        if tau and law.sd == 0.0 and math.isclose(float(self.p_ya[a]), q, rel_tol=0.0, abs_tol=1e-15):
+        # the atom counts once: a cutoff below p_ya already counts its mass as above
+        if tau and law.sd == 0.0 and q >= py and math.isclose(py, q, rel_tol=0.0, abs_tol=1e-15):
             return above + tau  # the atom term last, after the mix of the strata
         return above
 
@@ -154,13 +155,12 @@ def t_star(
     measure: str,
     delta: float,
     cost: float = 0.5,
-    tol: float = 1e-13,
 ) -> float:
     """Shift at which the population disparity equals the signed tolerance.
 
     Returns 0 when the unconstrained rule already satisfies the tolerance.
     The disparity is continuous and strictly decreasing for non-degenerate
-    score laws, so the crossing is bisected to absolute tolerance ``tol``.
+    score laws, so the crossing is bisected to an absolute width of 1e-13.
     """
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
@@ -182,7 +182,7 @@ def t_star(
             a, fa = mid, fm
         else:
             b, fb = mid, fm
-        if b - a <= tol:
+        if b - a <= 1e-13:
             break
     return 0.5 * (a + b)
 
@@ -236,7 +236,7 @@ def _shift_for_rate(pop: GaussianPopulation, a: int, s: float) -> float:
     return dp_shifts(q, float(pop.p_a[a]))
 
 
-def oracle_multiclass_dp(pop: GaussianPopulation, tol: float = 1e-12) -> MulticlassOracle:
+def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
     """Solve sum_a t_a = 0 with all marginal rates equal, by bisection on the rate.
 
     Requires a non-degenerate score law in every group (the rate-to-shift map
@@ -249,7 +249,7 @@ def oracle_multiclass_dp(pop: GaussianPopulation, tol: float = 1e-12) -> Multicl
     def total(s: float) -> float:
         return sum(_shift_for_rate(pop, a, s) for a in range(pop.n_groups))
 
-    s_star = brentq(total, 1e-12, 1.0 - 1e-12, xtol=tol)
+    s_star = brentq(total, 1e-12, 1.0 - 1e-12, xtol=1e-12)
     t_a = np.array([_shift_for_rate(pop, a, s_star) for a in range(pop.n_groups)])
     thresholds = dp_cutoffs(t_a, pop.p_a)
     rule = ThresholdRule(thresholds)

@@ -10,103 +10,69 @@ for a fixed seed, so populations and samples are byte-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import Dataset
 from .gaussian import GaussianPopulation
 
-MEAN_MODES = ("uniform-draws", "signed-unit-vectors")
+FAMILIES = ("binary", "multiclass")
+# 1.0 - 0.7 is 0.30000000000000004, not 0.3: the weight every binary population has had
+BINARY_P_A = (1.0 - 0.7, 0.7)
+BINARY_P_YA = (0.4, 0.7)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of a synthetic population draw."""
+    """Parameters of a synthetic population draw; the family fixes the rest."""
 
-    n_groups: int = 2
-    dim: int = 10
-    sigma: float = 1.0
-    p_a: tuple = (0.3, 0.7)
-    p_ya: Optional[tuple] = (0.4, 0.7)  # None: drawn U(0,1) from the seed
-    mean_mode: str = "uniform-draws"
+    family: str
+    n_groups: int
+    dim: int
+    sigma: float
     seed: int = 0
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
         if self.n_groups < 2:
             raise ValueError("need at least two groups")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if len(self.p_a) != self.n_groups:
-            raise ValueError("p_a length must match n_groups")
-        if not math.isclose(sum(self.p_a), 1.0, abs_tol=1e-9) or min(self.p_a) <= 0:
-            raise ValueError("group probabilities must be positive and sum to 1")
-        if self.p_ya is not None and len(self.p_ya) != self.n_groups:
-            raise ValueError("p_ya length must match n_groups")
-        if self.mean_mode not in MEAN_MODES:
-            raise ValueError(f"unknown mean mode {self.mean_mode!r}")
-        if self.mean_mode == "signed-unit-vectors" and self.dim < self.n_groups:
+        if self.family == "multiclass" and self.dim < self.n_groups:
             raise ValueError("signed unit vectors need dim >= n_groups")
 
     @classmethod
-    def binary(cls, dim=10, sigma=1.0, p1=0.7, py1=0.7, py0=0.4, seed=0) -> "SynthSpec":
-        """Two-group benchmark defaults: p_1=0.7, p_{Y,1}=0.7, p_{Y,0}=0.4."""
-        return cls(
-            n_groups=2,
-            dim=dim,
-            sigma=sigma,
-            p_a=(1.0 - p1, p1),
-            p_ya=(py0, py1),
-            mean_mode="uniform-draws",
-            seed=seed,
-        )
+    def binary(cls, dim=10, sigma=1.0, seed=0) -> "SynthSpec":
+        """Two-group benchmark: p_1=0.7, p_{Y,1}=0.7, p_{Y,0}=0.4."""
+        return cls("binary", 2, dim, sigma, seed)
 
     @classmethod
-    def multiclass(cls, n_groups, dim=None, sigma=2.0, p_ya=None, seed=0) -> "SynthSpec":
-        """Multi-group benchmark: p_a proportional to sqrt(a) for a = 1..K."""
-        weights = np.sqrt(np.arange(1, n_groups + 1, dtype=np.float64))
-        p_a = tuple(weights / weights.sum())
-        return cls(
-            n_groups=n_groups,
-            dim=n_groups if dim is None else dim,
-            sigma=sigma,
-            p_a=p_a,
-            p_ya=p_ya,
-            mean_mode="signed-unit-vectors",
-            seed=seed,
-        )
+    def multiclass(cls, n_groups, sigma, seed=0) -> "SynthSpec":
+        """Multi-group benchmark in n_groups dimensions: p_a proportional to sqrt(a) for a = 1..K."""
+        return cls("multiclass", n_groups, n_groups, sigma, seed)
 
 
 def draw_population(spec: SynthSpec) -> GaussianPopulation:
     """Materialize the population for a spec; deterministic given the seed.
 
-    Draw order is fixed: positive rates first (when not specified), then
-    stratum means.
+    The binary family draws its stratum means from the seed, the multiclass
+    family its positive rates.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.p_ya is None:
-        p_ya = rng.uniform(0.0, 1.0, size=spec.n_groups)
-        # keep rates usable by the posterior formulas
-        p_ya = np.clip(p_ya, 1e-6, 1.0 - 1e-6)
-    else:
-        p_ya = np.asarray(spec.p_ya, dtype=np.float64)
-    if spec.mean_mode == "uniform-draws":
+    if spec.family == "binary":
+        p_a, p_ya = BINARY_P_A, BINARY_P_YA
         mu = rng.uniform(0.0, 1.0, size=(spec.n_groups, 2, spec.dim))
     else:
+        weights = np.sqrt(np.arange(1, spec.n_groups + 1, dtype=np.float64))
+        p_a = weights / weights.sum()
+        # keep rates usable by the posterior formulas
+        p_ya = np.clip(rng.uniform(0.0, 1.0, size=spec.n_groups), 1e-6, 1.0 - 1e-6)
         mu = np.zeros((spec.n_groups, 2, spec.dim))
         for a in range(spec.n_groups):
-            mu[a, 0, a] = -1.0
-            mu[a, 1, a] = 1.0
-    return GaussianPopulation(
-        p_a=np.asarray(spec.p_a, dtype=np.float64),
-        p_ya=p_ya,
-        mu=mu,
-        sigma=spec.sigma,
-    )
+            mu[a, :, a] = (-1.0, 1.0)
+    return GaussianPopulation(p_a=p_a, p_ya=p_ya, mu=mu, sigma=spec.sigma)
 
 
 def sample(pop: GaussianPopulation, n: int, seed: int) -> Dataset:

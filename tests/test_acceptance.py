@@ -348,7 +348,7 @@ def test_criterion_7_multiclass(k, reps, ddp_bound):
     ddps, fit_accs, oracle_accs = [], [], []
     for rep in range(reps):
         pop_seed, train_seed, test_seed = cli.rep_seeds(70 + k, rep)
-        pop = ft.draw_population(ft.SynthSpec.multiclass(k, seed=pop_seed))
+        pop = ft.draw_population(ft.SynthSpec.multiclass(k, sigma=2.0, seed=pop_seed))
         train = ft.sample(pop, 10000 * k, train_seed)
         test = ft.sample(pop, 5000, test_seed)
         model = ft.fit_logistic(train, cfg)

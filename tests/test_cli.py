@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from dataclasses import fields, replace
@@ -7,6 +8,7 @@ import pytest
 
 from fairthresh import cli
 from fairthresh import scores as sc
+from fairthresh import tabular as tb
 from fairthresh.core import MEASURES
 from fairthresh.synth import SynthSpec, draw_population, sample
 
@@ -110,6 +112,43 @@ def _error(err):
     return json.loads(err.strip().splitlines()[-1])
 
 
+def _lettered_files(tmp_path, group_values):
+    """400 rows whose protected value is a, b, c or z, and a schema listing ``group_values``."""
+    data = sample(draw_population(SynthSpec.binary(dim=3, seed=1)), 400, seed=2)
+    letters = np.random.default_rng(3).choice(list("abcz"), size=data.n)
+    paths = tmp_path / "data.csv", tmp_path / "schema.json"
+    with open(paths[0], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "x1", "x2", "group", "label"])
+        for x, g, y in zip(data.features, letters, data.label):
+            writer.writerow([*(repr(float(v)) for v in x), g, int(y)])
+    schema = export_schema(3)
+    schema.columns[3] = tb.ColumnSpec(name="group", kind="protected", group_values=group_values)
+    schema.save(paths[1])
+    return data, letters, [str(p) for p in paths]
+
+
+def test_listed_group_values_are_the_groups_in_order(tmp_path, capsys):
+    data, letters, (csv_path, schema_path) = _lettered_files(tmp_path, ("a", "b"))
+    schema = tb.ColumnSchema.load(schema_path)
+    loaded, report = tb.encode_rows(tb.read_rows(csv_path, schema), schema)
+    kept = np.isin(letters, ("a", "b"))
+    assert 0 < report.n_dropped == int((~kept).sum())  # the c and z rows
+    assert loaded.group.tolist() == [0 if v == "a" else 1 for v in letters[kept]]
+    assert np.array_equal(loaded.features, data.features[kept])
+    code, out, _ = run_main(["tabular", "--data", csv_path, "--schema", schema_path,
+                             "--reps", "1", "--epochs", "10"], capsys)
+    assert code == 0 and "cal_disparity" in out
+
+
+def test_three_listed_group_values_are_rejected_by_binary_measures(tmp_path, capsys):
+    _, _, (csv_path, schema_path) = _lettered_files(tmp_path, ("a", "b", "c"))
+    code, out, err = run_main(["tabular", "--data", csv_path, "--schema", schema_path,
+                               "--reps", "1", "--epochs", "10"], capsys)
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": "binary measures require exactly two groups"}
+
+
 def test_nan_delta_is_structured_error(capsys):
     code, out, err = run_main(["synth", "--delta", "0,nan", *FAST], capsys)
     assert code == 1 and out == ""
@@ -144,9 +183,14 @@ def test_nan_delta_is_structured_error(capsys):
      "n_deltas (--n-deltas) sizes the default grid, which deltas (--delta) replace"),
     (["multiclass", "--dim", "4"],
      "multiclass populations have one dimension per group: dim (--dim) does not apply"),
+    (["synth", "--jobs", "0"], "jobs (--jobs) must be >= 1"),
+    (["synth", "--jobs", "-5"], "jobs (--jobs) must be >= 1"),
+    (["synth", "--n-train", "0"], "n_train (--n-train) must be >= 1"),
+    (["multiclass", "--n-test", "0"], "n_test (--n-test) must be >= 1"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
-    code, out, err = run_main([*argv, *FAST], capsys)
+    # FAST first, so that a row's own --n-train or --n-test wins
+    code, out, err = run_main([argv[0], *FAST, *argv[1:]], capsys)
     assert code == 1 and out == ""
     assert _error(err) == {"error": "ValueError", "message": message}
 

@@ -235,6 +235,10 @@ def test_population_rate_puts_tau_on_the_atom_of_a_degenerate_law():
         assert pop.rate(1, y, 0.3, tau=0.25) == 0.25
         assert pop.rate(1, y, 0.2, tau=0.25) == 1.0
         assert pop.rate(1, y, 0.4, tau=0.25) == 0.0
+        # a cutoff one ulp below the atom counts its mass as above, and never again as a tie
+        assert pop.rate(1, y, np.nextafter(0.3, 0.0), tau=0.5) == 1.0
+        assert pop.rate(1, y, np.nextafter(0.3, 1.0), tau=0.5) == 0.5
+        assert pop.rate(1, y, 0.3 + 1e-14, tau=0.5) == 0.0
         # a non-degenerate law has no atom, so tau changes nothing
         assert pop.rate(0, y, 0.45, tau=0.25) == pop.rate(0, y, 0.45)
     # the marginal adds the atom after mixing the strata: mixing 0.3 * 0.1 + 0.7 * 0.1
@@ -302,7 +306,7 @@ def test_oracle_multiclass_matches_binary_t_star():
 
 
 def test_oracle_multiclass_equalizes_rates():
-    spec = ft.SynthSpec.multiclass(3, seed=17)
+    spec = ft.SynthSpec.multiclass(3, sigma=2.0, seed=17)
     pop = ft.draw_population(spec)
     orc = ga.oracle_multiclass_dp(pop)
     rates = np.array([pop.rate(a, None, q) for a, q in enumerate(orc.rule.thresholds)])

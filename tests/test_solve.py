@@ -313,7 +313,7 @@ def test_multiclass_binary_crosscheck():
 
 
 def test_multiclass_rate_gap_bound():
-    spec = ft.SynthSpec.multiclass(3, seed=31)
+    spec = ft.SynthSpec.multiclass(3, sigma=2.0, seed=31)
     pop = ft.draw_population(spec)
     data = ft.sample(pop, 900, seed=32)
     scores = np.empty(data.n)
@@ -399,7 +399,7 @@ def test_multiclass_rule_realizes_the_matched_counts(gs):
 
 
 def test_multiclass_scan_equals_loop_on_large_groups():
-    spec = ft.SynthSpec.multiclass(5, seed=3)
+    spec = ft.SynthSpec.multiclass(5, sigma=2.0, seed=3)
     pop = ft.draw_population(spec)
     data = ft.sample(pop, 20000, seed=4)
     scores = np.empty(data.n)
