@@ -107,6 +107,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.deltas is not None and not all(d >= 0 for d in self.deltas):  # also rejects nan
             raise ValueError("delta values must be >= 0")
+        if self.deltas is not None and not len(self.deltas):
+            raise ValueError("deltas (--delta) must list at least one tolerance")
         if len(self.fractions) != 3:
             raise ValueError("fractions must give three parts: train, validation, test")
         object.__setattr__(self, "fractions", tuple(self.fractions))  # hashable, for the memo key
@@ -253,8 +255,11 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
             raise ValueError(
                 f"the test sample has no row of group {a} with label {y}, which the {cfg.measure} disparity reads"
             )
+    if pop is not None:
+        curve = ThresholdCurve(cfg.measure, pop.p_a, pop.p_ya, cfg.cost)
+        t_stars = ga.t_star(pop, cfg.measure, deltas, cfg.cost).tolist()
     out = []
-    for delta in deltas:
+    for i, delta in enumerate(deltas):
         res = solve(gs_cal, _constraint(cfg, delta), cfg.randomize)
         rep_eval = evaluate(res.rule, gs_test, cfg.cost)
         cell = {
@@ -265,8 +270,8 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
             "cal_plugin_accuracy": res.plugin_accuracy,
         }
         if pop is not None:
-            t_or = ga.t_star(pop, cfg.measure, float(delta), cfg.cost)
-            q0, q1 = ThresholdCurve(cfg.measure, pop.p_a, pop.p_ya, cfg.cost).thresholds(t_or)
+            t_or = t_stars[i]
+            q0, q1 = curve.thresholds(t_or)
             oracle_acc = ga.fair_accuracy(pop, ThresholdRule(np.array([q0, q1])))
             cell.update(
                 oracle_acc=oracle_acc,

@@ -150,41 +150,47 @@ def eta(pop: GaussianPopulation, x, a: int):
 # ---------------------------------------------------------------------------
 
 
-def t_star(
-    pop: GaussianPopulation,
-    measure: str,
-    delta: float,
-    cost: float = 0.5,
-) -> float:
+def t_star(pop: GaussianPopulation, measure: str, delta, cost: float = 0.5):
     """Shift at which the population disparity equals the signed tolerance.
 
     Returns 0 when the unconstrained rule already satisfies the tolerance.
     The disparity is continuous and strictly decreasing for non-degenerate
     score laws, so the crossing is bisected to an absolute width of 1e-13.
+    ``delta`` may be a 1-d sequence of tolerances, giving an array: its
+    lanes are bisected in lockstep, one array call of the threshold map per
+    step, and each lane's rates are read as a scalar call reads them, so
+    every lane has the bits of its scalar call.
     """
-    if not delta >= 0:
+    deltas = np.asarray(delta, dtype=np.float64)
+    if not np.all(deltas >= 0):
         raise ValueError("delta must be >= 0")
+    lanes = deltas.reshape(-1)
+    out = np.zeros(lanes.size)
     curve = ThresholdCurve(measure, pop.p_a, pop.p_ya, cost)
     star = curve.disparity(pop, 0.0)
-    if abs(star) <= delta:
-        return 0.0
-    target = delta if star > 0 else -delta
-    lo, hi = curve.bracket()
-    a, b = (0.0, hi) if star > 0 else (lo, 0.0)
-    fa = curve.disparity(pop, a) - target
-    fb = curve.disparity(pop, b) - target
-    if fa * fb > 0:
-        raise ValueError("bracket failure in shift search")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = curve.disparity(pop, mid) - target
-        if fa * fm > 0:
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if b - a <= 1e-13:
-            break
-    return 0.5 * (a + b)
+    live = np.flatnonzero(abs(star) > lanes)
+    if live.size:
+        target = lanes[live] if star > 0 else -lanes[live]
+        lo, hi = curve.bracket()
+        a0, b0 = (0.0, hi) if star > 0 else (lo, 0.0)
+        fa = curve.disparity(pop, a0) - target
+        if np.any(fa * (curve.disparity(pop, b0) - target) > 0):
+            raise ValueError("bracket failure in shift search")
+        a = np.full(live.size, a0)
+        b = np.full(live.size, b0)
+        run = np.arange(live.size)  # lanes still wider than 1e-13
+        for _ in range(200):
+            mid = 0.5 * (a[run] + b[run])
+            q0, q1 = curve.thresholds(mid)
+            fm = np.array([curve.disparity_at(pop, q) for q in zip(q0, q1)]) - target[run]
+            left = fa[run] * fm > 0
+            a[run[left]], fa[run[left]] = mid[left], fm[left]
+            b[run[~left]] = mid[~left]
+            run = run[b[run] - a[run] > 1e-13]
+            if not run.size:
+                break
+        out[live] = 0.5 * (a + b)
+    return out if deltas.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ class GroupedScores:
 
     ``by_group[a]`` holds every score of group ``a``; ``by_group_label[a][y]``
     the scores of rows with group ``a`` and label ``y``.  The arrays are
-    read-only, so runner calls that share one instance cannot change it.
+    read-only, so runner calls that share one instance cannot change it;
+    what is derived from them is cached on first use.
     The counts and plug-in rates are read off the strata sizes:
     ``n_ay[a, y]`` rows have group ``a`` and label ``y``,
     ``p_hat_a[a] = n_a / n`` and ``p_hat_ya[a] = n_{a,1} / n_a``.
@@ -107,6 +108,12 @@ class GroupedScores:
     @cached_property
     def p_hat_ya(self) -> np.ndarray:
         return _frozen_array(self.n_ay[:, 1] / self.n_a, np.float64)
+
+    @cached_property
+    def scans(self) -> dict:
+        """The binary solver's tolerance-free scans of this sample, keyed by
+        (measure, cost); filled by ``solve._scan``."""
+        return {}
 
     def stratum(self, a: int, y: Optional[int]) -> np.ndarray:
         """Sorted scores of group ``a``, optionally restricted to label ``y``."""

@@ -98,6 +98,27 @@ def _plugin_metrics(gs: GroupedScores, rule: ThresholdRule, cost: float) -> tupl
     return acc / gs.n, risk / gs.n
 
 
+def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> tuple:
+    """``(us, falls, n_candidates)`` of the side ``sign`` of t = 0, once per (measure, cost).
+
+    In u = sign * t and sign * disparity both sides are one search (negation
+    is exact).  ``us`` holds 0, the breakpoints and the bracket end, ascending;
+    ``falls[i]`` is minus the least signed disparity at some ``us[j]``, j <= i,
+    or at the midpoint after it, which stands for that interval's step.  It
+    never decreases, so a tolerance's first crossing is one ``searchsorted``.
+    """
+    key = (curve.measure, curve.cost)
+    if key not in gs.scans:
+        cands = curve.breakpoints(gs)
+        us = sign * cands
+        us = np.unique(np.concatenate([[0.0], us[(us >= 0.0) & (us <= sign * end)], [sign * end]]))
+        at = sign * curve.disparity(gs, sign * us)
+        mid = sign * curve.disparity(gs, sign * (0.5 * (us[:-1] + us[1:])))
+        least = np.minimum(at, np.append(mid, np.inf))
+        gs.scans[key] = (us, -np.minimum.accumulate(least), int(cands.size))
+    return gs.scans[key]
+
+
 def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
     """Calibrate the threshold family of the constraint's measure (and cost).
 
@@ -106,7 +127,8 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
     sample estimate that is not monotone in t: it ticks upward when a cutoff
     passes a label-0 score, so it can cross the signed tolerance more than
     once.  The scan keeps the first crossing; the side of t = 0 opposite the
-    initial disparity is not searched.
+    initial disparity is not searched.  Every tolerance solved on one ``gs``
+    reads the same scan (see :func:`_scan`) and adds only the rule's tail.
     """
     curve = ThresholdCurve(constraint.measure, gs.p_hat_a, gs.p_hat_ya, constraint.cost)
     delta = constraint.delta
@@ -121,27 +143,16 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
         branch = "within-tolerance"
         target = d0
     else:
-        # Walk outward from t = 0 on the side the initial disparity dictates
-        # and stop at the first parameter where the disparity reaches the
-        # signed tolerance.  In u = sign * t and sign * disparity both sides
-        # are one search: negation is exact and -delta - slack equals
-        # -(delta + slack), so a plateau lying exactly on the tolerance is
-        # entered at its near end from either side.  The first crossing is
-        # also well-posed for the oa statistic (TPR_1 - FPR_1) -
-        # (TPR_0 - FPR_0), whose empirical steps are not monotone.
+        # -delta - slack equals -(delta + slack), so a plateau lying exactly
+        # on the tolerance is entered at its near end from either side
         sign = 1.0 if d0 > 0 else -1.0
         branch = "upper" if d0 > 0 else "lower"
         target = sign * delta
         end = hi if d0 > 0 else lo
-        cands = curve.breakpoints(gs)
-        n_candidates = int(cands.size)
-        us = sign * cands
-        us = np.unique(np.concatenate([[0.0], us[(us >= 0.0) & (us <= sign * end)], [sign * end]]))
-        ok_mid = sign * curve.disparity(gs, sign * (0.5 * (us[:-1] + us[1:]))) <= bound
-        ok_at = sign * curve.disparity(gs, sign * us) <= bound
-        hits = np.concatenate([us[:-1][ok_mid], us[ok_at]])
-        saturated = not hits.size
-        t_hat = end if saturated else sign * hits.min()
+        us, falls, n_candidates = _scan(gs, curve, sign, end)
+        i = int(np.searchsorted(falls, -bound))
+        saturated = i == us.size
+        t_hat = end if saturated else sign * us[i]
 
     q0, q1 = curve.thresholds(t_hat)
     q0 = _snap_to_scores(q0, gs.by_group[0])
@@ -162,7 +173,9 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
                         break
 
     rule = ThresholdRule(np.array(thresholds), np.array(tie))
-    achieved = curve.disparity_at(gs, thresholds, tuple(tie))
+    randomized = bool(tie[0] or tie[1])
+    if randomized:
+        achieved = curve.disparity_at(gs, thresholds, tuple(tie))
     acc, risk = _plugin_metrics(gs, rule, constraint.cost)
     return SolveResult(
         t_hat=float(t_hat),
@@ -174,7 +187,7 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
         bracket=(float(lo), float(hi)),
         n_candidates=n_candidates,
         saturated=saturated,
-        randomized=bool(tie[0] or tie[1]),
+        randomized=randomized,
         plugin_accuracy=acc,
         plugin_cost_risk=risk,
     )

@@ -187,6 +187,8 @@ def test_nan_delta_is_structured_error(capsys):
     (["synth", "--jobs", "-5"], "jobs (--jobs) must be >= 1"),
     (["synth", "--n-train", "0"], "n_train (--n-train) must be >= 1"),
     (["multiclass", "--n-test", "0"], "n_test (--n-test) must be >= 1"),
+    (["synth", "--delta", ""], "deltas (--delta) must list at least one tolerance"),
+    (["tradeoff", "--delta", ""], "deltas (--delta) must list at least one tolerance"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     # FAST first, so that a row's own --n-train or --n-test wins

@@ -195,6 +195,66 @@ def test_t_star_cost_family():
     assert (q0, q1) == (0.3, 0.3)
 
 
+def bisect_one(pop, measure, delta, cost):
+    """Reference for one tolerance: the scalar bisection, stopped at width 1e-13 or 200 steps."""
+    curve = curve_of(pop, measure, cost)
+    star = curve.disparity(pop, 0.0)
+    if abs(star) <= delta:
+        return 0.0
+    target = delta if star > 0 else -delta
+    a, b = (0.0, curve.bracket()[1]) if star > 0 else (curve.bracket()[0], 0.0)
+    fa = curve.disparity(pop, a) - target
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = curve.disparity(pop, mid) - target
+        if fa * fm > 0:
+            a, fa = mid, fm
+        else:
+            b = mid
+        if b - a <= 1e-13:
+            break
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("measure, cost", [("dp", 0.5), ("dp", 0.3), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5)])
+def test_t_star_grid_lanes_equal_scalar_calls_bit_for_bit(measure, cost):
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        pop = make_pop(rng, p1=rng.uniform(0.2, 0.8), sigma=rng.uniform(0.5, 2.0))
+        star = abs(unconstrained(pop, measure, cost))
+        # unsorted, repeated, and vacuous (at or above |star|) lanes
+        grid = [star / 2, 0.0, star * 0.9, star / 2, star, star + 0.1, star * 0.1]
+        lanes = ga.t_star(pop, measure, grid, cost)
+        assert isinstance(lanes, np.ndarray) and lanes.shape == (len(grid),)
+        assert lanes[4] == lanes[5] == 0.0
+        for delta, lane in zip(grid, lanes.tolist()):
+            want = repr(bisect_one(pop, measure, delta, cost))
+            assert repr(lane) == repr(ga.t_star(pop, measure, delta, cost)) == want
+
+
+def test_t_star_grid_edge_cases():
+    assert ga.t_star(POP, "dp", []).shape == (0,)
+    for grid in ([0.1, -0.1], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            ga.t_star(POP, "dp", grid)
+
+
+class _FlatPopulation(ga.GaussianPopulation):
+    """Group 1's rates sit 0.8 above group 0's at every cutoff."""
+
+    def rate(self, a, y, q, tau=0.0):
+        return 0.9 if a == 1 else 0.1
+
+
+def test_t_star_grid_raises_the_scalar_bracket_failure():
+    pop = _FlatPopulation(p_a=POP.p_a, p_ya=POP.p_ya, mu=POP.mu, sigma=1.0)
+    with pytest.raises(ValueError, match="bracket failure in shift search"):
+        ga.t_star(pop, "dp", 0.1)
+    with pytest.raises(ValueError, match="bracket failure in shift search"):
+        ga.t_star(pop, "dp", [0.9, 0.1])
+    assert ga.t_star(pop, "dp", [0.9, 1.0]).tolist() == [0.0, 0.0]  # vacuous lanes never bracket
+
+
 def test_population_disparity_strictly_decreasing():
     rng = np.random.default_rng(12)
     pop = make_pop(rng)

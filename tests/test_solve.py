@@ -12,7 +12,7 @@ from _brute import (
     multiclass_matched_counts,
     swap_groups,
 )
-from fairthresh.solve import _kept_gap, _snap_to_scores
+from fairthresh.solve import DELTA_SLACK, _kept_gap, _snap_to_scores
 
 
 def make_gs(scores, group, label):
@@ -470,3 +470,89 @@ def test_solve_keeps_the_constraint_it_is_given(measure):
     pi = (s > q).astype(float)
     want = np.mean(0.3 * (1 - s) * pi + 0.7 * s * (1 - pi))
     assert res.plugin_cost_risk == pytest.approx(want, abs=1e-12)
+
+
+# ------------------------------------------------------ one scan per sample
+
+
+def assert_same_result(res, ref):
+    for field in ("t_hat", "achieved_disparity", "disparity_at_zero", "plugin_accuracy",
+                  "plugin_cost_risk"):
+        assert repr(getattr(res, field)) == repr(getattr(ref, field)), field
+    for field in ("constraint", "branch", "bracket", "n_candidates", "saturated", "randomized"):
+        assert getattr(res, field) == getattr(ref, field), field
+    assert res.rule.thresholds.tobytes() == ref.rule.thresholds.tobytes()
+    assert res.rule.tie_prob.tobytes() == ref.rule.tie_prob.tobytes()
+
+
+def first_crossing(gs, measure, delta, cost):
+    """(t_hat, saturated) by walking the searched candidates one at a time,
+    each checked at itself and at the midpoint of the interval after it."""
+    curve = ft.ThresholdCurve(measure, gs.p_hat_a, gs.p_hat_ya, cost)
+    d0 = curve.disparity(gs, 0.0)
+    bound = delta + DELTA_SLACK
+    if abs(d0) <= bound:
+        return 0.0, False
+    sign = 1.0 if d0 > 0 else -1.0
+    end = curve.bracket()[1 if d0 > 0 else 0]
+    inside = [u for u in (sign * curve.breakpoints(gs)).tolist() if 0.0 <= u <= sign * end]
+    us = sorted({0.0, sign * end, *inside})
+    for u, after in zip(us, us[1:] + [None]):
+        if sign * curve.disparity(gs, sign * u) <= bound:
+            return sign * u, False
+        if after is not None and sign * curve.disparity(gs, sign * (0.5 * (u + after))) <= bound:
+            return sign * u, False
+    return end, True
+
+
+@st.composite
+def scanned_samples(draw):
+    """(scores, group, label) of two groups of 2-30 rows: lattice scores
+    including 0 and 1, continuous scores, or one value per group, which
+    leaves a tolerance below the initial disparity out of reach."""
+    scores, group, label = [], [], []
+    for a in (0, 1):
+        n = draw(st.integers(2, 30))
+        kind = draw(st.sampled_from(("lattice", "continuous", "single")))
+        if kind == "lattice":
+            levels = draw(st.integers(1, 8))
+            s = [i / levels for i in draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))]
+        elif kind == "continuous":
+            s = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        else:
+            s = [draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))] * n
+        y = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+        scores += s
+        group += [a] * n
+        label += y
+    return scores, group, label
+
+
+# (measure, cost) pairs, several on one sample; dp at 0 and 1 has a one-point bracket
+FAMILIES = [("dp", 0.5), ("dp", 0.0), ("dp", 0.3), ("dp", 1.0), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5)]
+
+
+@given(scanned_samples(),
+       st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=3),
+       st.lists(st.sampled_from((0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)), min_size=1, max_size=8),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_one_scan_serves_a_shuffled_grid_as_fresh_samples_would(sample, families, deltas, randomize):
+    # the tolerances repeat and come in any order; every solve reads the shared sample's scans
+    shared = make_gs(*sample)
+    for measure, cost in families:
+        for delta in deltas:
+            res = ft.solve(shared, ft.FairnessConstraint(measure, delta, cost), randomize)
+            assert_same_result(res, ft.solve(make_gs(*sample), res.constraint, randomize))
+            assert (res.t_hat, res.saturated) == first_crossing(shared, measure, delta, cost)
+
+
+def test_scans_are_kept_per_cost():
+    rng = np.random.default_rng(3)
+    gs = _random_gs(rng)
+    at_half = solve(gs, "dp", 0.0, cost=0.5)
+    at_03 = solve(gs, "dp", 0.0, cost=0.3)
+    fresh = solve(_random_gs(np.random.default_rng(3)), "dp", 0.0, cost=0.3)
+    assert_same_result(at_03, fresh)
+    assert at_03.t_hat != at_half.t_hat
+    assert set(gs.scans) == {("dp", 0.5), ("dp", 0.3)}
