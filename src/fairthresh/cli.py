@@ -35,8 +35,8 @@ import numpy as np
 from . import gaussian as ga
 from . import scores as sc
 from . import tabular as tb
-from .core import FairnessConstraint, ThresholdRule
-from .metrics import _STRATA, GroupedScores, ThresholdCurve, evaluate
+from .core import MEASURES, FairnessConstraint, ThresholdRule
+from .metrics import GroupedScores, ThresholdCurve, evaluate
 from .solve import solve, solve_multiclass_dp
 from .synth import SynthSpec, draw_population, sample
 
@@ -114,9 +114,14 @@ class ExperimentConfig:
         object.__setattr__(self, "fractions", tuple(self.fractions))  # hashable, for the memo key
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        for name in ("n_train", "n_test", "jobs"):
+        for name in ("n_train", "n_test", "jobs", "epochs", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} (--{name.replace('_', '-')}) must be >= 1")
+        for name in ("sigma", "learning_rate"):
+            if not 0.0 < getattr(self, name) < float("inf"):  # also rejects nan
+                raise ValueError(f"{name} (--{name.replace('_', '-')}) must be finite and > 0")
+        if self.seed < 0:
+            raise ValueError("seed (--seed) must be >= 0")
         if self.n_deltas < 1:
             raise ValueError("n_deltas must be >= 1")
         if not 0.0 <= self.cost <= 1.0:  # also rejects nan
@@ -138,6 +143,8 @@ class ExperimentConfig:
             if self.deltas is not None:
                 raise ValueError("n_deltas (--n-deltas) sizes the default grid, which deltas (--delta) replace")
         if self.kind == "multiclass":
+            if self.n_groups < 2:
+                raise ValueError("multiclass compares at least two groups: n_groups (--groups) must be >= 2")
             if self.dim != defaults["dim"]:
                 raise ValueError("multiclass populations have one dimension per group: dim (--dim) does not apply")
             if self.cost != 0.5:
@@ -249,7 +256,7 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
     fair-optimal rule's accuracy and the fitted rule's distance from it.
     """
     n_ay = gs_test.n_ay
-    for y in _STRATA[cfg.measure]:
+    for y, _ in MEASURES[cfg.measure]:
         if y is not None and not n_ay[:, y].all():
             a = int(np.argmin(n_ay[:, y]))
             raise ValueError(
@@ -505,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--delta", dest="deltas", type=_parse_deltas,
                        help="comma-separated tolerance list, e.g. 0,0.05,0.1")
-        p.add_argument("--measure", choices=("dp", "eo", "pe", "oa"))
+        p.add_argument("--measure", choices=MEASURES)
         p.add_argument("--cost", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--reps", type=int)

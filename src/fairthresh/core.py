@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MEASURES = ("dp", "eo", "pe", "oa")
+# Each measure's disparity is g_1 - g_0, where g_a sums the rates of group a's
+# strata (a label, or None for the group marginal) with these signs.
+MEASURES = {"dp": ((None, 1.0),), "eo": ((1, 1.0),), "pe": ((0, 1.0),), "oa": ((1, 1.0), (0, -1.0))}
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

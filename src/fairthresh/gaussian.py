@@ -198,24 +198,14 @@ def t_star(pop: GaussianPopulation, measure: str, delta, cost: float = 0.5):
 # ---------------------------------------------------------------------------
 
 
-def _positive_rates(pop: GaussianPopulation, rule: ThresholdRule) -> list:
-    """Per group (pos1, pos0): the rule's exact positive rates among labels 1 and 0."""
-    if rule.n_groups != pop.n_groups:
-        raise ValueError("rule and population disagree on the number of groups")
-    table = []
-    for a in range(pop.n_groups):
-        q = float(rule.thresholds[a])
-        tau = float(rule.tie_prob[a])
-        table.append((pop.rate(a, 1, q, tau), pop.rate(a, 0, q, tau)))
-    return table
-
-
 def fair_accuracy(pop: GaussianPopulation, rule: ThresholdRule) -> float:
     """Exact accuracy of a (possibly tie-randomized) group-thresholding rule."""
+    if rule.n_groups != pop.n_groups:
+        raise ValueError("rule and population disagree on the number of groups")
     acc = 0.0
-    for a, (pos1, pos0) in enumerate(_positive_rates(pop, rule)):
+    for a, (q, tau) in enumerate(zip(rule.thresholds.tolist(), rule.tie_prob.tolist())):
         py = float(pop.p_ya[a])
-        acc += float(pop.p_a[a]) * (py * pos1 + (1.0 - py) * (1.0 - pos0))
+        acc += float(pop.p_a[a]) * (py * pop.rate(a, 1, q, tau) + (1.0 - py) * (1.0 - pop.rate(a, 0, q, tau)))
     return acc
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, EvalReport, ThresholdRule, _frozen_array
+from .core import MEASURES, Dataset, EvalReport, ThresholdRule, _frozen_array
 
 
 class ThresholdRangeError(ValueError):
@@ -149,9 +149,6 @@ def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
 
 _EPS = 1e-12
 
-# Strata whose rates each measure compares: None = the group marginal, else a label.
-_STRATA = {"dp": (None,), "eo": (1,), "pe": (0,), "oa": (0, 1)}
-
 
 def _clamp(x, lo: float, hi: float):
     return np.minimum(np.maximum(x, lo), hi)
@@ -186,7 +183,7 @@ class ThresholdCurve:
     cost: float = 0.5
 
     def __post_init__(self):
-        if self.measure not in _STRATA:
+        if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
         if len(self.p_a) != 2 or len(self.p_ya) != 2:
             raise ValueError("binary measures require exactly two groups")
@@ -194,16 +191,12 @@ class ThresholdCurve:
         p_ya = tuple(float(p) for p in self.p_ya)
         # a positive rate of 0 (1) leaves no label-1 (label-0) row: exact for a
         # sample's n_a1 / n_a, never met by a population's rate in (0, 1)
-        for y in self.strata:
+        for y, _ in MEASURES[self.measure]:
             for a in (0, 1):
                 if y is not None and p_ya[a] == 1.0 - y:
                     raise ValueError(f"empty stratum (group {a}, label {y})")
         object.__setattr__(self, "p_a", p_a)
         object.__setattr__(self, "p_ya", p_ya)
-
-    @property
-    def strata(self) -> tuple:
-        return _STRATA[self.measure]
 
     @property
     def scale(self) -> float:
@@ -235,39 +228,29 @@ class ThresholdCurve:
         if np.any((t < lo - _EPS * span) | (t > hi + _EPS * span)):
             raise ThresholdRangeError("threshold out of range")
         t = _clamp(t, lo, hi)
-        p0, p1 = self.p_a
-        py0, py1 = self.p_ya
-        if self.measure == "dp":
-            c = self.cost
-            q1 = c + t / p1
-            q0 = c - t / p0
-        elif self.measure == "eo":
-            m1 = p1 * py1
-            m0 = p0 * py0
-            q1 = m1 / (2.0 * m1 - t)
-            q0 = m0 / (2.0 * m0 + t)
-        elif self.measure == "pe":
-            v1 = p1 * (1.0 - py1)
-            v0 = p0 * (1.0 - py0)
-            q1 = (v1 + t) / (2.0 * v1 + t)
-            q0 = (v0 - t) / (2.0 * v0 - t)
-        else:
-            q1 = self._zeta_oa(t, 1)
-            q0 = self._zeta_oa(t, 0)
-        return _clamp(q0, 0.0, 1.0), _clamp(q1, 0.0, 1.0)
+        return tuple(_clamp(self._cutoff(t, a), 0.0, 1.0) for a in (0, 1))
 
-    def _zeta_oa(self, t, a: int):
+    def _cutoff(self, t, a: int):
+        """Group a's unclamped cutoff at the unscaled t: group 1's map, which group 0 takes at -t."""
+        st = t if a == 1 else -t
         p = self.p_a[a]
         py = self.p_ya[a]
+        if self.measure == "dp":
+            return self.cost + st / p
+        if self.measure == "eo":
+            m = p * py
+            return m / (2.0 * m - st)
+        if self.measure == "pe":
+            v = p * (1.0 - py)
+            return (v + st) / (2.0 * v + st)
         if abs(1.0 - 2.0 * py) < _EPS:
             # the family pins this group's cutoff (algebraic limit)
             return np.full(np.shape(t), 0.5)
         u = py * (1.0 - py)
-        sgn = 1.0 - 2.0 * a
-        den = 2.0 * p * u + sgn * t
+        den = 2.0 * p * u - st
         if np.any(den <= 0.0):
             raise ThresholdRangeError("threshold out of range")
-        return (p * u + sgn * py * t) / den
+        return (p * u - py * st) / den
 
     def inverse(self, q, a: int):
         """Parameter t at which group a's threshold passes the score q; nan where none does."""
@@ -303,30 +286,24 @@ class ThresholdCurve:
             pts.append(t[(t >= lo) & (t <= hi)])  # nan compares false
         return np.unique(np.concatenate(pts))
 
-    def disparity(self, rates, t, tie_prob=(0.0, 0.0)):
+    def disparity(self, rates, t):
         """Disparity of the rule at parameter t, on the stratum rates of ``rates``."""
-        return self.disparity_at(rates, self.thresholds(t), tie_prob)
+        return self.disparity_at(rates, self.thresholds(t))
 
     def disparity_at(self, rates, thresholds, tie_prob=(0.0, 0.0)):
-        """Disparity at the cutoffs (q_0, q_1), each a scalar or an array."""
-        q0, q1 = thresholds
-        if self.measure == "oa":
-            g1 = rates.rate(1, 1, q1, tie_prob[1]) - rates.rate(1, 0, q1, tie_prob[1])
-            g0 = rates.rate(0, 1, q0, tie_prob[0]) - rates.rate(0, 0, q0, tie_prob[0])
-            return g1 - g0
-        y = self.strata[0]
-        return rates.rate(1, y, q1, tie_prob[1]) - rates.rate(0, y, q0, tie_prob[0])
+        """Disparity g_1 - g_0 at the cutoffs (q_0, q_1), each a scalar or an array;
+        g_a is the signed sum of group a's stratum rates that ``MEASURES`` lists."""
+        g1, g0 = (
+            sum(sgn * rates.rate(a, y, thresholds[a], tie_prob[a]) for y, sgn in MEASURES[self.measure])
+            for a in (1, 0)
+        )
+        return g1 - g0
 
     def tie_effect(self, gs: GroupedScores, thresholds, a: int) -> float:
-        """d(disparity)/d(tie_prob[a]) at the given threshold pair."""
+        """d(disparity)/d(tie_prob[a]) at the given threshold pair: g_a's sum over tie counts."""
         q = thresholds[a]
-        sgn = 1.0 if a == 1 else -1.0
-        if self.measure == "oa":
-            s1 = gs.stratum(a, 1)
-            s0 = gs.stratum(a, 0)
-            return sgn * (_counts(s1, q, True)[1] / s1.size - _counts(s0, q, True)[1] / s0.size)
-        s = gs.stratum(a, self.strata[0])
-        return sgn * _counts(s, q, True)[1] / s.size
+        strata = ((gs.stratum(a, y), sgn) for y, sgn in MEASURES[self.measure])
+        return (1.0 if a == 1 else -1.0) * sum(sgn * _counts(s, q, True)[1] / s.size for s, sgn in strata)
 
 
 # ---------------------------------------------------------------------------

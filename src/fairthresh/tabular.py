@@ -3,9 +3,9 @@
 A :class:`ColumnSchema` names each column and its role.  Numeric columns are
 parsed as floats; categorical columns are one-hot encoded against a
 vocabulary learned from training data (values unseen at fit time encode to
-all zeros and are counted); rows with unparseable values are dropped and
-counted.  Exactly one column is the binary label and exactly one the
-protected attribute.  No dataset ships with the package: real data is
+all zeros and are counted); rows with unparseable values or the wrong
+number of fields are dropped and counted.  Exactly one column is the binary
+label and exactly one the protected attribute.  No dataset ships with the package: real data is
 acquired through a fetch manifest (URL plus SHA-256) into a local cache.
 """
 
@@ -135,7 +135,8 @@ class LoadReport:
 
 
 def read_rows(path, schema: ColumnSchema) -> list:
-    """Raw parsed rows (lists of stripped strings), header checked if present."""
+    """Raw parsed rows (lists of stripped strings), header checked if present;
+    :func:`encode_rows` drops and counts the rows of the wrong width."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = [[cell.strip() for cell in row] for row in reader if row and any(row)]
@@ -146,12 +147,12 @@ def read_rows(path, schema: ColumnSchema) -> list:
         expected = [c.name for c in schema.columns]
         if header != expected:
             raise ValueError(f"header mismatch: expected {expected}, found {header}")
-    width = len(schema.columns)
-    return [r for r in rows if len(r) == width]
+    return rows
 
 
 def fit_schema(schema: ColumnSchema, rows: list) -> ColumnSchema:
-    """Learn categorical vocabularies from the given (training) rows."""
+    """Learn categorical vocabularies from the given (training) rows of the schema's width."""
+    rows = [r for r in rows if len(r) == len(schema.columns)]
     for j, col in enumerate(schema.columns):
         if col.kind == "categorical":
             seen = sorted({r[j] for r in rows if r[j] not in ("", "?")})
@@ -200,7 +201,7 @@ def encode_rows(rows: list, schema: ColumnSchema) -> tuple:
                     group = 1 if cell in col.positive_values else 0
             else:  # label
                 label = 1 if cell in col.positive_values else 0
-        if not ok:
+        if not ok or len(row) != len(schema.columns):
             report.n_dropped += 1
             continue
         report.n_unseen_categories += unseen

@@ -189,6 +189,15 @@ def test_nan_delta_is_structured_error(capsys):
     (["multiclass", "--n-test", "0"], "n_test (--n-test) must be >= 1"),
     (["synth", "--delta", ""], "deltas (--delta) must list at least one tolerance"),
     (["tradeoff", "--delta", ""], "deltas (--delta) must list at least one tolerance"),
+    (["synth", "--epochs", "0"], "epochs (--epochs) must be >= 1"),
+    (["synth", "--dim", "0"], "dim (--dim) must be >= 1"),
+    (["synth", "--learning-rate", "0"], "learning_rate (--learning-rate) must be finite and > 0"),
+    (["synth", "--learning-rate", "nan"], "learning_rate (--learning-rate) must be finite and > 0"),
+    (["synth", "--learning-rate", "inf"], "learning_rate (--learning-rate) must be finite and > 0"),
+    (["synth", "--sigma", "0"], "sigma (--sigma) must be finite and > 0"),
+    (["synth", "--sigma", "inf"], "sigma (--sigma) must be finite and > 0"),
+    (["synth", "--seed", "-1"], "seed (--seed) must be >= 0"),
+    (["multiclass", "--groups", "1"], "multiclass compares at least two groups: n_groups (--groups) must be >= 2"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     # FAST first, so that a row's own --n-train or --n-test wins

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairthresh as ft
+from fairthresh import gaussian as ga
 from fairthresh.metrics import (
     GroupedScores,
     ThresholdCurve,
@@ -251,6 +254,178 @@ def test_array_curve_maps_equal_scalar_calls_bit_for_bit(case, data):
     assert _bits(q1s).tolist() == _bits([q1 for _, q1 in want]).tolist()
     want = [curve.disparity(gs, float(t)) for t in ts]
     assert _bits(curve.disparity(gs, ts)).tolist() == _bits(want).tolist()
+
+
+# ---------------------------------- the family written out measure by measure
+
+# The cutoff maps, the disparity and the tie effect as they were written before
+# the signed-strata table: each measure's formula spelled out for both groups.
+
+
+def _thresholds_per_measure(curve, t):
+    t = t / curve.scale
+    lo, hi = curve._unscaled_bracket()
+    span = max(hi - lo, 1.0)
+    if np.any((t < lo - 1e-12 * span) | (t > hi + 1e-12 * span)):
+        raise ThresholdRangeError("threshold out of range")
+    t = np.minimum(np.maximum(t, lo), hi)
+    p0, p1 = curve.p_a
+    py0, py1 = curve.p_ya
+    if curve.measure == "dp":
+        c = curve.cost
+        q1 = c + t / p1
+        q0 = c - t / p0
+    elif curve.measure == "eo":
+        m1 = p1 * py1
+        m0 = p0 * py0
+        q1 = m1 / (2.0 * m1 - t)
+        q0 = m0 / (2.0 * m0 + t)
+    elif curve.measure == "pe":
+        v1 = p1 * (1.0 - py1)
+        v0 = p0 * (1.0 - py0)
+        q1 = (v1 + t) / (2.0 * v1 + t)
+        q0 = (v0 - t) / (2.0 * v0 - t)
+    else:
+        q1 = _zeta_oa(curve, t, 1)
+        q0 = _zeta_oa(curve, t, 0)
+    return np.minimum(np.maximum(q0, 0.0), 1.0), np.minimum(np.maximum(q1, 0.0), 1.0)
+
+
+def _zeta_oa(curve, t, a):
+    p = curve.p_a[a]
+    py = curve.p_ya[a]
+    if abs(1.0 - 2.0 * py) < 1e-12:
+        return np.full(np.shape(t), 0.5)
+    u = py * (1.0 - py)
+    sgn = 1.0 - 2.0 * a
+    den = 2.0 * p * u + sgn * t
+    if np.any(den <= 0.0):
+        raise ThresholdRangeError("threshold out of range")
+    return (p * u + sgn * py * t) / den
+
+
+def _disparity_at_per_measure(curve, rates, thresholds, tie_prob=(0.0, 0.0)):
+    q0, q1 = thresholds
+    if curve.measure == "oa":
+        g1 = rates.rate(1, 1, q1, tie_prob[1]) - rates.rate(1, 0, q1, tie_prob[1])
+        g0 = rates.rate(0, 1, q0, tie_prob[0]) - rates.rate(0, 0, q0, tie_prob[0])
+        return g1 - g0
+    y = {"dp": None, "eo": 1, "pe": 0}[curve.measure]
+    return rates.rate(1, y, q1, tie_prob[1]) - rates.rate(0, y, q0, tie_prob[0])
+
+
+def _tie_effect_per_measure(curve, gs, thresholds, a):
+    q = thresholds[a]
+    sgn = 1.0 if a == 1 else -1.0
+
+    def ties(s):
+        return np.searchsorted(s, q, side="right") - np.searchsorted(s, q, side="left")
+
+    if curve.measure == "oa":
+        s1 = gs.stratum(a, 1)
+        s0 = gs.stratum(a, 0)
+        return sgn * (ties(s1) / s1.size - ties(s0) / s0.size)
+    s = gs.stratum(a, {"dp": None, "eo": 1, "pe": 0}[curve.measure])
+    return sgn * ties(s) / s.size
+
+
+def _assert_same(got, want):
+    """Equal Python type, dtype, shape and bytes; a tuple element by element."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+        return
+    g, w = np.asarray(got), np.asarray(want)
+    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def _assert_same_outcome(got, want, *args):
+    """``got(*args)`` returns what ``want(*args)`` returns, or both raise ThresholdRangeError."""
+    try:
+        expected = want(*args)
+    except ThresholdRangeError:
+        with pytest.raises(ThresholdRangeError):
+            got(*args)
+        return
+    _assert_same(got(*args), expected)
+
+
+FAMILIES = [("dp", 0.0), ("dp", 0.3), ("dp", 0.5), ("dp", 1.0), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5)]
+# exactly 1/2, within 1e-12 of it (the oa family pins a cutoff inside that band), an n/50 lattice, any
+RATES = st.one_of(
+    st.just(0.5),
+    st.floats(-1e-12, 1e-12).map(lambda e: 0.5 + e),
+    st.integers(1, 49).map(lambda n: n / 50),
+    st.floats(0.001, 0.999),
+)
+TIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@pytest.mark.parametrize("measure, cost", FAMILIES)
+@settings(max_examples=150, deadline=None)
+@given(p0=RATES, p_ya=st.tuples(RATES, RATES), data=st.data())
+def test_cutoff_maps_equal_the_maps_written_per_measure(measure, cost, p0, p_ya, data):
+    curve = ThresholdCurve(measure, (p0, 1.0 - p0), p_ya, cost)
+    lo, hi = curve.bracket()
+    # the bracket ends, the next floats past them (inside the tolerance) and values beyond it
+    ends = [lo, 0.0, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - 1e-9, hi + 1e-9]
+    inside = st.floats(lo, hi) if lo < hi else st.just(lo)
+    ts = data.draw(st.lists(st.one_of(inside, st.sampled_from(ends)), min_size=1, max_size=8))
+    reference = functools.partial(_thresholds_per_measure, curve)
+    for t in ts:
+        _assert_same_outcome(curve.thresholds, reference, float(t))
+        _assert_same_outcome(curve.thresholds, reference, np.float64(t))
+    _assert_same_outcome(curve.thresholds, reference, np.array(ts))
+    _assert_same_outcome(curve.thresholds, reference, np.clip(ts, lo, hi))
+
+
+@pytest.mark.parametrize("measure, cost", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sample_disparity_and_tie_effect_equal_the_formulas_per_measure(measure, cost, data):
+    gs = data.draw(_tied_samples(data.draw(st.booleans())))
+    curve = curve_of(gs, measure, cost)
+    cutoff = [st.one_of(SCORES, st.sampled_from(gs.by_group[a].tolist())) for a in (0, 1)]
+    pairs = data.draw(st.lists(st.tuples(*cutoff), min_size=1, max_size=6)) + [curve.thresholds(0.0)]
+    for q in pairs:
+        tie = data.draw(st.tuples(TIES, TIES))
+        _assert_same(curve.disparity_at(gs, q), _disparity_at_per_measure(curve, gs, q))
+        _assert_same(curve.disparity_at(gs, q, tie), _disparity_at_per_measure(curve, gs, q, tie))
+        for a in (0, 1):
+            _assert_same(curve.tie_effect(gs, q, a), _tie_effect_per_measure(curve, gs, q, a))
+    arrays = tuple(np.array(v, dtype=np.float64) for v in zip(*pairs))
+    _assert_same(curve.disparity_at(gs, arrays, tie), _disparity_at_per_measure(curve, gs, arrays, tie))
+    for t in (0.0, *curve.bracket()):
+        want = _disparity_at_per_measure(curve, gs, _thresholds_per_measure(curve, t))
+        _assert_same(curve.disparity(gs, t), want)
+
+
+@pytest.mark.parametrize("measure, cost", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(p0=RATES, p_ya=st.tuples(RATES, RATES), data=st.data())
+def test_population_disparity_equals_the_formulas_per_measure(measure, cost, p0, p_ya, data):
+    mu = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))).reshape(2, 2, 2)
+    for a in (0, 1):
+        if data.draw(st.booleans()):  # coincident means: eta is the constant p_ya[a], an atom
+            mu[a, 1] = mu[a, 0]
+    pop = ga.GaussianPopulation(p_a=np.array([p0, 1.0 - p0]), p_ya=np.array(p_ya), mu=mu, sigma=1.0)
+    curve = ThresholdCurve(measure, pop.p_a, pop.p_ya, cost)
+    cutoff = [st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, p_ya[a]])) for a in (0, 1)]
+    for q in data.draw(st.lists(st.tuples(*cutoff), min_size=1, max_size=4)):
+        tie = data.draw(st.tuples(TIES, TIES))
+        _assert_same(curve.disparity_at(pop, q), _disparity_at_per_measure(curve, pop, q))
+        _assert_same(curve.disparity_at(pop, q, tie), _disparity_at_per_measure(curve, pop, q, tie))
+    lo, hi = curve.bracket()
+    for t in (lo, 0.0, hi, data.draw(st.floats(lo, hi) if lo < hi else st.just(lo))):
+        try:
+            want = _disparity_at_per_measure(curve, pop, _thresholds_per_measure(curve, t))
+        except ThresholdRangeError:  # an oa cutoff map has no image at some t inside the bracket
+            with pytest.raises(ThresholdRangeError):
+                curve.disparity(pop, t)
+            continue
+        _assert_same(curve.disparity(pop, t), want)
 
 
 def _breakpoints_restated(curve, gs):

@@ -65,6 +65,15 @@ def test_unparseable_numeric_drops_row(tmp_path):
     assert report.n_dropped == 1
 
 
+def test_wrong_width_rows_are_dropped_and_counted(tmp_path):
+    # four data rows: one short (no color field to fit a vocabulary on), one long
+    text = "age,color,sex,hired\n31,red,M,yes\n45\n27,red,F,yes\n52,green,M,no,extra\n"
+    schema = toy_schema()
+    data, report = load(write(tmp_path, "toy.csv", text), schema)
+    assert (report.n_read, report.n_dropped, data.n) == (4, 2, 2)
+    assert schema.columns[1].vocabulary == ("red",)  # the long row's value is not fitted either
+
+
 def test_all_rows_unusable(tmp_path):
     path = write(tmp_path, "toy.csv", "age,color,sex,hired\n?,red,M,yes\n")
     with pytest.raises(ValueError, match="zero usable rows"):
