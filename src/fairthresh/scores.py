@@ -256,11 +256,11 @@ def _usable_cpus() -> int:
 
 
 # Row-epochs (rows x epochs) that forking must save before it is used.  One
-# serial row-epoch of a fit costs about 12 ns (5e7 row-epochs in 620 ms on a
-# shared 2-vCPU Xeon, one BLAS thread), and a pool of forked workers about
-# 50-70 ms in a 100 MiB process: 15 ms to start and stop it, the rest in
-# copy-on-write faults and cold caches in the workers.  The break-even is
-# about 5e6 row-epochs; this is twice that.
+# serial row-epoch of a fit on a column-major design costs about 8 ns at
+# k = 6 (5e7 row-epochs in 390 ms on a shared 2-vCPU Xeon, one BLAS thread),
+# and a pool of forked workers about 50-70 ms in a 100 MiB process: 15 ms to
+# start and stop it, the rest in copy-on-write faults and cold caches in the
+# workers.  The break-even is about 6e6 to 9e6 row-epochs; this is above it.
 _FORK_SAVING = 1e7
 
 
@@ -303,9 +303,9 @@ def _map_groups(fit_group, costs) -> list:
     worker is raised here, and the pool joins every worker before this
     returns or raises, so no process outlives the call.
 
-    Threads would not do: an epoch is about 15 numpy calls of 20-80 us
-    each, and a thread retakes the interpreter lock between them, so two
-    threads fitted five groups only about 5% faster than one.
+    Threads would not do: an epoch is about a dozen numpy calls of 5-40 us
+    each at 20,000 rows, and a thread retakes the interpreter lock between
+    them, so two threads fit five groups only 10-20% faster than one.
     """
     workers = _workers(costs)
     if workers == 1:
@@ -319,6 +319,17 @@ def _map_groups(fit_group, costs) -> list:
             return [futures[a].result() for a in range(len(costs))]
     finally:
         _work = None
+
+
+def _design(xs, extra):
+    """``np.hstack([xs, extra])`` in column-major (Fortran) order, where
+    ``design @ theta`` and ``design.T @ p`` take about half the time at the
+    benchmark's sizes; their sums run in another order than on a row-major
+    design, so the logits differ from its logits in the last bits."""
+    design = np.empty((xs.shape[0], xs.shape[1] + extra.shape[1]), order="F")
+    design[:, :xs.shape[1]] = xs
+    design[:, xs.shape[1]:] = extra
+    return design
 
 
 def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> LogisticModel:
@@ -359,16 +370,14 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
 
         def fit_group(a):
             in_a = data.group == a
-            design = np.hstack([xs[in_a], np.ones((int(rows[a]), 1))])
-            return _descend(design, y[in_a], config)
+            return _descend(_design(xs[in_a], np.ones((int(rows[a]), 1))), y[in_a], config)
 
         thetas, iterations, final_loss = zip(*_map_groups(fit_group, (rows * config.epochs).tolist()))
         weights = np.array([theta[:-1] for theta in thetas])
         bias = np.array([theta[-1] for theta in thetas])
         kind = "per-group"
     else:
-        onehot = np.eye(data.n_groups)[data.group]
-        design = np.hstack([xs, onehot])
+        design = _design(xs, np.eye(data.n_groups)[data.group])
         weights, iterations, final_loss = _descend(design, y, config)
         iterations, final_loss = (iterations,), (final_loss,)
         bias = np.zeros(1)

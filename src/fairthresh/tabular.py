@@ -136,10 +136,11 @@ class LoadReport:
 
 def read_rows(path, schema: ColumnSchema) -> list:
     """Raw parsed rows (lists of stripped strings), header checked if present;
-    :func:`encode_rows` drops and counts the rows of the wrong width."""
+    blank lines are skipped, and :func:`encode_rows` drops and counts the rows
+    of the wrong width or with missing values, all-empty ones (``,,,``) too."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [[cell.strip() for cell in row] for row in reader if row and any(row)]
+        rows = [[cell.strip() for cell in row] for row in reader if row]
     if not rows:
         raise ValueError("empty file")
     if schema.has_header:

@@ -431,9 +431,28 @@ def _sequential_group_fits(data, config):
     fits = []
     for a in range(data.n_groups):
         in_a = data.group == a
-        fits.append(sc._descend(np.hstack([xs[in_a], np.ones((int(in_a.sum()), 1))]), y[in_a], config))
+        fits.append(sc._descend(sc._design(xs[in_a], np.ones((int(in_a.sum()), 1))), y[in_a], config))
     thetas, iterations, final_loss = zip(*fits)
     return np.array(thetas), iterations, final_loss
+
+
+@pytest.mark.parametrize("per_group", [False, True])
+def test_descent_receives_column_major_designs(monkeypatch, per_group):
+    # both layouts hand _descend an F-ordered [features, intercepts] design
+    data = _five_group_data()
+    descend, designs = sc._descend, []
+    monkeypatch.setattr(sc, "_descend", lambda design, y, config: designs.append(design)
+                        or descend(design, y, config))
+    ft.fit_logistic(data, ft.TrainConfig(epochs=5, per_group=per_group))
+    xs = (data.features - data.features.mean(axis=0)) / data.features.std(axis=0)
+    if per_group:
+        expected = [np.hstack([xs[data.group == a], np.ones((n, 1))]) for a, n in enumerate(_GROUP_SIZES)]
+    else:
+        expected = [np.hstack([xs, np.eye(5)[data.group]])]
+    assert len(designs) == len(expected)
+    for design, want in zip(designs, expected):
+        assert design.flags.f_contiguous and not design.flags.c_contiguous
+        assert_same_bits(design, want)
 
 
 def _cpus(monkeypatch, n):
@@ -592,6 +611,20 @@ def test_small_fits_construct_no_pool(monkeypatch, n_cpus, kind, sizes):
     _no_pool(monkeypatch)
     ft.fit_logistic(data, ft.TrainConfig(learning_rate=1.0, epochs=sizes.get("epochs", 500),
                                          per_group=True))
+
+
+def test_the_column_major_design_moves_benchmark_weights_by_under_1e_12(monkeypatch):
+    # the benchmark's synth seed-0 fit on the column-major design against the
+    # same fit on a row-major copy: the products sum in another order only
+    data = _benchmark_train("synth")
+    config = ft.TrainConfig(learning_rate=1.0, epochs=500, per_group=True)
+    model = ft.fit_logistic(data, config)
+    descend = sc._descend
+    monkeypatch.setattr(sc, "_descend", lambda design, y, config:
+                        descend(np.ascontiguousarray(design), y, config))
+    row_major = ft.fit_logistic(data, config)
+    assert np.max(np.abs(model.weights - row_major.weights)) <= 1e-12
+    assert np.max(np.abs(model.bias - row_major.bias)) <= 1e-12
 
 
 def _fit_five_groups_in_a_worker():

@@ -74,6 +74,13 @@ def test_wrong_width_rows_are_dropped_and_counted(tmp_path):
     assert schema.columns[1].vocabulary == ("red",)  # the long row's value is not fitted either
 
 
+def test_an_all_empty_row_is_read_dropped_and_counted(tmp_path):
+    # ",,," has four empty fields, unlike a blank line, which has none
+    text = "age,color,sex,hired\n31,red,M,yes\n,,,\n\n27,red,F,yes\n"
+    data, report = load(write(tmp_path, "toy.csv", text), toy_schema())
+    assert (report.n_read, report.n_dropped, data.n) == (3, 1, 2)
+
+
 def test_all_rows_unusable(tmp_path):
     path = write(tmp_path, "toy.csv", "age,color,sex,hired\n?,red,M,yes\n")
     with pytest.raises(ValueError, match="zero usable rows"):
