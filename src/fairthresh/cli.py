@@ -159,10 +159,6 @@ class ExperimentConfig:
                 raise ValueError("multiclass rules are deterministic: randomize (--randomize) does not apply")
         elif self.n_groups != 2:
             raise ValueError(f"{self.kind} runs compare two groups: n_groups (--groups) applies to multiclass only")
-        if self.cost != 0.5 and self.measure != "dp":
-            raise ValueError(
-                f"only the dp family is cost-sensitive: cost (--cost) does not apply to {self.measure}"
-            )
         if self.data_path:
             for name in ("dim", "sigma", "n_train", "n_test", "fixed_population"):
                 if getattr(self, name) != defaults[name]:

@@ -72,8 +72,8 @@ class FairnessConstraint:
     """A fairness measure with a disparity tolerance.
 
     ``measure`` is one of "dp", "eo", "pe", "oa". ``cost`` is the
-    false-positive cost of the cost-sensitive risk and is only meaningful
-    together with the dp measure; 0.5 recovers the plain 0-1 risk.
+    false-positive cost c of the risk c FP + (1 - c) FN that the rule
+    minimizes, for every measure; 0.5 recovers the plain 0-1 risk.
     """
 
     measure: str

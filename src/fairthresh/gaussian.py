@@ -174,8 +174,11 @@ def t_star(pop: GaussianPopulation, measure: str, delta, cost: float = 0.5):
         lo, hi = curve.bracket()
         a0, b0 = (0.0, hi) if star > 0 else (lo, 0.0)
         fa = curve.disparity(pop, a0) - target
-        if np.any(fa * (curve.disparity(pop, b0) - target) > 0):
-            raise ValueError("bracket failure in shift search")
+        failed = fa * (curve.disparity(pop, b0) - target) > 0
+        if np.any(failed):
+            pinned = "".join(f"; group {a}'s cutoff is pinned at the cost" for a in curve.pinned)
+            raise ValueError(f"bracket failure in shift search: the {measure} family at cost {cost} cannot "
+                             f"reach tolerance {float(lanes[live][failed][0])!r}{pinned}")
         a = np.full(live.size, a0)
         b = np.full(live.size, b0)
         run = np.arange(live.size)  # lanes still wider than 1e-13

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -154,27 +155,41 @@ def _clamp(x, lo: float, hi: float):
     return np.minimum(np.maximum(x, lo), hi)
 
 
+@lru_cache(maxsize=1024)
+def _group_slopes(measure: str, py: float, cost: float) -> tuple:
+    """(A, B, k, pinned) of a group with positive rate py, for the signs s_y of the
+    measure's row: A = s_None + s_0 / (1 - py), B = s_1 / py - s_0 / (1 - py), k = A + c B.
+
+    Summed exactly and rounded once, so the band |k| <= 1e-12 |c B| that pins the cutoff
+    does not move with rounding (for oa at c = 1/2: |1 - 2 py| <= 1e-12); cached, as
+    exact sums take tens of microseconds.
+    """
+    c, py = Fraction(cost), Fraction(py)
+    w = {None: lambda e: 1, 1: lambda e: e / py, 0: lambda e: (1 - e) / (1 - py)}  # rate_y = E[Yhat w_y(eta)]
+    A, A_B, k = (sum(Fraction(sgn) * w[y](e) for y, sgn in MEASURES[measure]) for e in (0, 1, c))
+    return float(A), float(A_B - A), float(k), abs(k) <= Fraction(_EPS) * abs(c * (A_B - A))
+
+
 @dataclass(frozen=True)
 class ThresholdCurve:
     """Threshold pair as a function of the disparity-control parameter t.
 
     The one family for sample and population: the plug-in method builds it
     from a sample's ``p_hat_a`` and ``p_hat_ya``, the oracle from the
-    population's ``p_a`` and ``p_ya``; only these enter the maps, and the
-    disparity reads stratum rates from any object with a
-    ``rate(a, y, q, tau)`` method (y=None: the group marginal).
-    ``measure`` is "dp", "eo", "pe" or "oa".  The dp family is centered at
-    the cost value c: q_a = c +- t / p_a, except at c = 1/2, where it is
-    conventionally written q_a = 1/2 +- t / (2 p_a), so ``t`` runs at
-    ``scale`` = 2 times the cost-sensitive parameter.  The factor is a power
-    of two, so either scale yields bit-identical cutoffs.
+    population's ``p_a`` and ``p_ya``; only these, the cost c and the
+    measure's ``MEASURES`` row enter the maps, and the disparity reads
+    stratum rates from any object with a ``rate(a, y, q, tau)`` method.
+    Group a's signed stratum sum is g_a = E[Yhat (A_a + B_a eta) | a], and
+    the cost-c risk plus s g_a is least at q_a(s) = c + s k_a / (p_a - s B_a)
+    (FairBayes' Neyman-Pearson cutoff; see :func:`_group_slopes`); group 1
+    takes s = t / scale, group 0 s = -t / scale, with ``scale`` 2 at c = 1/2
+    and 1 otherwise (a power of two: the same cutoffs).  For dp, A = 1 and
+    B = 0 give c +- t / p_a.  Where k_a vanishes the cutoff is pinned at c.
 
-    t = 0 always yields the unconstrained thresholds; for each group the
-    threshold moves monotonically as t grows, upward for group 1 and downward
-    for group 0 (in the sense of shrinking that group's relevant rate).
-    ``thresholds``, ``inverse`` and, on a sample, ``disparity`` take a
-    scalar or an array, and an array gives elementwise the same bits as
-    scalar calls.
+    t = 0 always yields the cutoffs (c, c); as t grows each cutoff moves
+    monotonically, shrinking g_1 and growing g_0.  ``thresholds``,
+    ``inverse`` and, on a sample, ``disparity`` take a scalar or an array,
+    and an array gives elementwise the same bits as scalar calls.
     """
 
     measure: str
@@ -200,30 +215,36 @@ class ThresholdCurve:
 
     @property
     def scale(self) -> float:
-        return 2.0 if self.measure == "dp" and self.cost == 0.5 else 1.0
+        return 2.0 if self.cost == 0.5 else 1.0
+
+    @cached_property
+    def _slopes(self) -> tuple:
+        return tuple(_group_slopes(self.measure, py, self.cost) for py in self.p_ya)
+
+    @property
+    def pinned(self) -> tuple:
+        """The groups whose cutoff stays at the cost for every t."""
+        return tuple(a for a in (0, 1) if self._slopes[a][3])
 
     def bracket(self) -> tuple:
-        lo, hi = self._unscaled_bracket()
+        lo, hi = self._bracket
         return lo * self.scale, hi * self.scale
 
-    def _unscaled_bracket(self) -> tuple:
-        p0, p1 = self.p_a
-        py0, py1 = self.p_ya
-        if self.measure == "dp":
-            c = self.cost
-            lo = max(-c * p1, -(1.0 - c) * p0)
-            hi = min((1.0 - c) * p1, c * p0)
-            return lo, hi
-        if self.measure == "eo":
-            return -p0 * py0, p1 * py1
-        if self.measure == "pe":
-            return -p1 * (1.0 - py1), p0 * (1.0 - py0)
-        return -p0 * min(py0, 1.0 - py0), p1 * min(py1, 1.0 - py1)
+    @cached_property
+    def _bracket(self) -> tuple:
+        """(lo, hi) in t / scale: on each side of 0 the nearest parameter at which some
+        group's cutoff reaches 0 or 1, or its map's pole p_a - s B_a = 0."""
+        with np.errstate(divide="ignore"):
+            poles = [sgn * self.p_a[a] / np.float64(self._slopes[a][1]) for a, sgn in ((1, 1.0), (0, -1.0))]
+        ends = np.concatenate([self.inverse([0.0, 1.0], a) / self.scale for a in (1, 0)] + [poles])
+        # a zero end closes both sides; + 0.0 gives it the sign of its side
+        nearest = lambda u: np.min(u, where=u >= 0.0, initial=np.inf) + 0.0  # noqa: E731
+        return float(-nearest(-ends)), float(nearest(ends))
 
     def thresholds(self, t) -> tuple:
         """(q_0, q_1) at parameter t; raises if any t is outside the bracket."""
         t = t / self.scale
-        lo, hi = self._unscaled_bracket()
+        lo, hi = self._bracket
         span = max(hi - lo, 1.0)
         if np.any((t < lo - _EPS * span) | (t > hi + _EPS * span)):
             raise ThresholdRangeError("threshold out of range")
@@ -231,47 +252,24 @@ class ThresholdCurve:
         return tuple(_clamp(self._cutoff(t, a), 0.0, 1.0) for a in (0, 1))
 
     def _cutoff(self, t, a: int):
-        """Group a's unclamped cutoff at the unscaled t: group 1's map, which group 0 takes at -t."""
-        st = t if a == 1 else -t
-        p = self.p_a[a]
-        py = self.p_ya[a]
-        if self.measure == "dp":
-            return self.cost + st / p
-        if self.measure == "eo":
-            m = p * py
-            return m / (2.0 * m - st)
-        if self.measure == "pe":
-            v = p * (1.0 - py)
-            return (v + st) / (2.0 * v + st)
-        if abs(1.0 - 2.0 * py) < _EPS:
-            # the family pins this group's cutoff (algebraic limit)
-            return np.full(np.shape(t), 0.5)
-        u = py * (1.0 - py)
-        den = 2.0 * p * u - st
-        if np.any(den <= 0.0):
+        """Group a's unclamped cutoff at t / scale: group 1's map, which group 0 takes at -t."""
+        s = t if a == 1 else -t
+        _, B, k, pinned = self._slopes[a]
+        if pinned:
+            return np.full(np.shape(t), self.cost)
+        den = self.p_a[a] - s * B
+        if (den <= 0.0).any():
             raise ThresholdRangeError("threshold out of range")
-        return (p * u - py * st) / den
+        return self.cost + s * k / den
 
     def inverse(self, q, a: int):
-        """Parameter t at which group a's threshold passes the score q; nan where none does."""
+        """Parameter t at which group a's threshold passes the score q, s = p_a (q - c) /
+        (A_a + q B_a) at t / scale; nan, or a value outside the bracket, where none does."""
+        A, B, _, pinned = self._slopes[a]
         q = np.asarray(q, dtype=np.float64)
-        p = self.p_a[a]
-        py = self.p_ya[a]
-        sgn = 1.0 if a == 1 else -1.0
         with np.errstate(all="ignore"):
-            if self.measure == "dp":
-                t = sgn * p * (q - self.cost) * self.scale
-            elif self.measure == "eo":
-                t = np.where(q <= 0.0, np.nan, sgn * p * py * (2.0 * q - 1.0) / q)
-            elif self.measure == "pe":
-                t = np.where(q >= 1.0, np.nan, sgn * p * (1.0 - py) * (2.0 * q - 1.0) / (1.0 - q))
-            else:
-                t = np.where(
-                    (np.abs(q - py) < _EPS) | (abs(1.0 - 2.0 * py) < _EPS),
-                    np.nan,
-                    sgn * p * py * (1.0 - py) * (2.0 * q - 1.0) / (q - py),
-                )
-        return t[()]
+            s = np.full(q.shape, np.nan) if pinned else self.p_a[a] * (q - self.cost) / (A + q * B)
+        return ((1.0 if a == 1 else -1.0) * s * self.scale)[()]
 
     def breakpoints(self, gs: GroupedScores) -> np.ndarray:
         """All t values, inside the bracket, where some indicator can flip.

@@ -120,10 +120,11 @@ def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> 
 
 
 def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:
-    """Calibrate the threshold family of the constraint's measure (and cost).
+    """Calibrate the threshold family of the constraint's measure and cost.
 
-    The dp family's cutoffs are c +- t / p_a at cost c, and 1/2 +- t / (2 p_a)
-    at c = 1/2.  The oa disparity (TPR_1 - FPR_1) - (TPR_0 - FPR_0) has a
+    The family is :class:`ThresholdCurve`'s, centered at (c, c) for the cost
+    c of every measure; the rule found has the least plug-in cost risk of
+    its half-family.  The oa disparity (TPR_1 - FPR_1) - (TPR_0 - FPR_0) has a
     sample estimate that is not monotone in t: it ticks upward when a cutoff
     passes a label-0 score, so it can cross the signed tolerance more than
     once.  The scan keeps the first crossing; the side of t = 0 opposite the

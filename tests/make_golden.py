@@ -13,7 +13,7 @@ the change log::
 
 A refactor that must keep every report byte for byte checks that with
 ``--check``, which writes nothing and exits nonzero naming each case whose
-report differs from its golden file::
+report differs from its golden file, with its largest cell move and column::
 
     PYTHONPATH=src python tests/make_golden.py --check
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -100,6 +101,25 @@ def render_case(name: str, fixture: dict) -> str:
     return cli.render(cfg.kind, cfg, rows, "csv")
 
 
+def largest_move(golden: str, report: str) -> str:
+    """The largest absolute difference between float cells of two CSV reports, and its column."""
+    want, got = (list(csv.reader(io.StringIO(text))) for text in (golden, report))
+    if want[0] != got[0] or len(want) != len(got):
+        return "header or row count differs"
+    moves = []
+    for w_row, g_row in zip(want[1:], got[1:]):
+        for col, w, g in zip(want[0], w_row, g_row):
+            if w != g:
+                try:
+                    moves.append((abs(float(g) - float(w)), col))
+                except ValueError:
+                    return f"text cell differs in {col}"
+    if not moves:
+        return "equal cells, different bytes"
+    diff, col = max(moves)
+    return f"largest |diff| {diff:.2g} in {col}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write, or check, the golden CSV reports.")
     parser.add_argument("--check", action="store_true",
@@ -114,8 +134,8 @@ def main(argv=None) -> int:
             path = GOLDEN_DIR / f"{name}.csv"
             if not path.is_file() or path.read_bytes() != text.encode("utf-8"):
                 differ.append(path.name)
-        for name in differ:
-            print(f"differs from golden: {name}", file=sys.stderr)
+                move = largest_move(path.read_text(encoding="utf-8"), text) if path.is_file() else "no golden file"
+                print(f"differs from golden: {path.name} ({move})", file=sys.stderr)
         print(f"{len(CASES) - len(differ)} of {len(CASES)} reports match {GOLDEN_DIR} byte for byte")
         return 1 if differ else 0
     GOLDEN_DIR.mkdir(exist_ok=True)

@@ -172,10 +172,11 @@ def test_nan_delta_is_structured_error(capsys):
      "multiclass rules are deterministic: randomize (--randomize) does not apply"),
     (["synth", "--schema", "schema.json"],
      "schema_path (--schema) describes a CSV file: it applies only with data_path (--data)"),
-    (["synth", "--measure", "eo", "--cost", "0.3"],
-     "only the dp family is cost-sensitive: cost (--cost) does not apply to eo"),
-    (["synth", "--measure", "oa", "--cost", "0.3"],
-     "only the dp family is cost-sensitive: cost (--cost) does not apply to oa"),
+    # every binary population has p_ya[1] = 0.7, so at cost 0.7 group 1's oa cutoff cannot move
+    (["synth", "--measure", "oa", "--cost", "0.7", "--reps", "3"],
+     "bracket failure in shift search: the oa family at cost 0.7 cannot reach tolerance 0.0; "
+     "group 1's cutoff is pinned at the cost"),
+    (["oracle-compare", "--measure", "eo", "--cost", "-0.1"], "cost must lie in [0, 1]"),
     (["synth", "--groups", "3"], "synth runs compare two groups: n_groups (--groups) applies to multiclass only"),
     (["tradeoff", "--groups", "3"], "tradeoff runs compare two groups: n_groups (--groups) applies to multiclass only"),
     (["synth", "--n-deltas", "7"], "n_deltas (--n-deltas) sizes the tradeoff grid: it does not apply to synth"),
@@ -218,6 +219,18 @@ def test_an_empty_test_stratum_is_a_structured_error(capsys):
     }
     code, out, _ = run_main([*argv[:2], "dp", *argv[3:]], capsys)  # dp reads only the group marginals
     assert code == 0 and "nan" not in out
+
+
+@pytest.mark.parametrize("measure, cost", [("eo", "0.3"), ("pe", "0.7")])
+def test_the_cost_moves_every_binary_measure(capsys, measure, cost):
+    argv = ["synth", *FAST, "--measure", measure, "--format", "csv"]
+    reports = []
+    for extra in (["--cost", cost], []):
+        code, out, _ = run_main(argv + extra, capsys)
+        assert code == 0 and "nan" not in out
+        reports.append(list(csv.DictReader(out.splitlines())))
+    assert [r["measure"] for r in reports[0]] == [measure] * 4
+    assert [r["acc_mean"] for r in reports[0]] != [r["acc_mean"] for r in reports[1]]
 
 
 @pytest.mark.parametrize("kind", ["tabular", "tradeoff"])

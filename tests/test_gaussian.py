@@ -1,9 +1,14 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import fairthresh as ft
 from fairthresh import gaussian as ga
+from fairthresh.core import MEASURES
+from fairthresh.synth import SynthSpec, draw_population
 
 
 def make_pop(rng, dim=3, p1=0.55, sigma=1.0):
@@ -216,7 +221,8 @@ def bisect_one(pop, measure, delta, cost):
     return 0.5 * (a + b)
 
 
-@pytest.mark.parametrize("measure, cost", [("dp", 0.5), ("dp", 0.3), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5)])
+@pytest.mark.parametrize("measure, cost", [("dp", 0.5), ("dp", 0.3), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5),
+                                           ("eo", 0.3), ("pe", 0.7), ("oa", 0.3)])
 def test_t_star_grid_lanes_equal_scalar_calls_bit_for_bit(measure, cost):
     rng = np.random.default_rng(17)
     for _ in range(12):
@@ -253,6 +259,61 @@ def test_t_star_grid_raises_the_scalar_bracket_failure():
     with pytest.raises(ValueError, match="bracket failure in shift search"):
         ga.t_star(pop, "dp", [0.9, 0.1])
     assert ga.t_star(pop, "dp", [0.9, 1.0]).tolist() == [0.0, 0.0]  # vacuous lanes never bracket
+
+
+def test_a_pinned_cutoff_is_named_in_the_bracket_failure():
+    # p_ya[1] = 0.7 is the cost: group 1's slope k_1 vanishes and its cutoff stays at 0.7
+    pop = draw_population(SynthSpec.binary(dim=3, seed=1))
+    assert curve_of(pop, "oa", 0.7).pinned == (1,)
+    message = ("bracket failure in shift search: the oa family at cost 0.7 cannot reach tolerance 0.0; "
+               "group 1's cutoff is pinned at the cost")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ga.t_star(pop, "oa", 0.0, 0.7)
+
+
+def _group_risk(pop, a, tails, cost):
+    """Group a's share of the exact cost-c risk at each cutoff's (FPR, TPR)."""
+    p, py = float(pop.p_a[a]), float(pop.p_ya[a])
+    return p * (cost * (1.0 - py) * tails[..., 0] + (1.0 - cost) * py * (1.0 - tails[..., 1]))
+
+
+def _tails(pop, a, qs):
+    """(FPR, TPR) of group a at each cutoff, from the population's exact normal tails."""
+    return np.array([[pop.rate(a, 0, q), pop.rate(a, 1, q)] for q in qs])
+
+
+def _signed_sum(pop, a, tails, measure):
+    py = float(pop.p_ya[a])
+    rate = {0: tails[..., 0], 1: tails[..., 1], None: py * tails[..., 1] + (1.0 - py) * tails[..., 0]}
+    return sum(sgn * rate[y] for y, sgn in MEASURES[measure])
+
+
+def test_cost_sensitive_families_beat_every_feasible_pair_of_a_cutoff_grid():
+    """Referee: no threshold pair of a 1,500-point grid per group with |disparity| <= delta
+    has a lower exact cost risk than t_star's rule, for every measure and cost."""
+    grid = np.linspace(0.0, 1.0, 1500)
+    pinned = 0
+    for seed in range(6):
+        pop = draw_population(SynthSpec.binary(dim=3, seed=seed))
+        tails = [_tails(pop, a, grid) for a in (0, 1)]
+        for measure, cost in itertools.product(("dp", "eo", "pe", "oa"), (0.3, 0.5, 0.7)):
+            curve = curve_of(pop, measure, cost)
+            r0, r1 = (_group_risk(pop, a, tails[a], cost) for a in (0, 1))
+            g0, g1 = (_signed_sum(pop, a, tails[a], measure) for a in (0, 1))
+            for delta in (0.0, 0.05):
+                try:
+                    t = ga.t_star(pop, measure, delta, cost)
+                except ValueError as exc:
+                    assert curve.pinned and "cutoff is pinned at the cost" in str(exc)
+                    pinned += 1
+                    continue
+                q0, q1 = curve.thresholds(t)
+                assert abs(curve.disparity(pop, t)) <= delta + 1e-9
+                family = sum(_group_risk(pop, a, _tails(pop, a, [q])[0], cost) for a, q in ((0, q0), (1, q1)))
+                feasible = np.abs(g1[None, :] - g0[:, None]) <= delta
+                best = np.min(np.where(feasible, r0[:, None] + r1[None, :], np.inf))
+                assert family <= best + 1e-12, (seed, measure, cost, delta, family - best)
+    assert pinned > 0
 
 
 def test_population_disparity_strictly_decreasing():

@@ -197,6 +197,7 @@ ARRAY_CASES = {
     "pe": ("pe", 0.5, False),
     "oa": ("oa", 0.5, False),
     "oa_pinned_group": ("oa", 0.5, True),
+    **{f"{m}_cost_{c}": (m, c, False) for m in ("eo", "pe", "oa") for c in (0.3, 0.7)},
 }
 
 # tie-heavy: most draws come from a few values, the ends of [0, 1] included
@@ -258,50 +259,97 @@ def test_array_curve_maps_equal_scalar_calls_bit_for_bit(case, data):
 
 # ---------------------------------- the family written out measure by measure
 
-# The cutoff maps, the disparity and the tie effect as they were written before
-# the signed-strata table: each measure's formula spelled out for both groups.
+# The cutoff maps, the disparity and the tie effect written out per measure,
+# as they were before the signed-strata table, at any cost c.  The maps take
+# s = +-t / scale (2 at c = 1/2, else 1); at c = 1/2 the eo, pe and oa forms
+# are the cost-free ones at t = 2 s, m / (2 m - t) and so on.
+
+
+def _scale_per_measure(curve):
+    return 2.0 if curve.cost == 0.5 else 1.0
+
+
+def _bracket_per_measure(curve):
+    """(lo, hi) in s = t / scale."""
+    (p0, p1), (py0, py1), c = curve.p_a, curve.p_ya, curve.cost
+    if curve.measure == "dp":
+        return max(-c * p1, -(1.0 - c) * p0), min((1.0 - c) * p1, c * p0)
+    if curve.measure == "eo":
+        return -p0 * py0 * (1.0 - c), p1 * py1 * (1.0 - c)
+    if curve.measure == "pe":
+        return -c * p1 * (1.0 - py1), c * p0 * (1.0 - py0)
+    return -p0 * min(c * (1.0 - py0), py0 * (1.0 - c)), p1 * min(c * (1.0 - py1), py1 * (1.0 - c))
+
+
+def _oa_pinned(curve, a):
+    return abs(curve.cost - curve.p_ya[a]) <= 1e-12 * curve.cost
 
 
 def _thresholds_per_measure(curve, t):
-    t = t / curve.scale
-    lo, hi = curve._unscaled_bracket()
+    t = t / _scale_per_measure(curve)
+    lo, hi = _bracket_per_measure(curve)
     span = max(hi - lo, 1.0)
     if np.any((t < lo - 1e-12 * span) | (t > hi + 1e-12 * span)):
         raise ThresholdRangeError("threshold out of range")
     t = np.minimum(np.maximum(t, lo), hi)
-    p0, p1 = curve.p_a
-    py0, py1 = curve.p_ya
+    return tuple(np.minimum(np.maximum(_cutoff_per_measure(curve, s, a), 0.0), 1.0)
+                 for a, s in ((0, -t), (1, t)))
+
+
+def _cutoff_per_measure(curve, s, a):
+    p, py, c = curve.p_a[a], curve.p_ya[a], curve.cost
     if curve.measure == "dp":
-        c = curve.cost
-        q1 = c + t / p1
-        q0 = c - t / p0
-    elif curve.measure == "eo":
-        m1 = p1 * py1
-        m0 = p0 * py0
-        q1 = m1 / (2.0 * m1 - t)
-        q0 = m0 / (2.0 * m0 + t)
-    elif curve.measure == "pe":
-        v1 = p1 * (1.0 - py1)
-        v0 = p0 * (1.0 - py0)
-        q1 = (v1 + t) / (2.0 * v1 + t)
-        q0 = (v0 - t) / (2.0 * v0 - t)
-    else:
-        q1 = _zeta_oa(curve, t, 1)
-        q0 = _zeta_oa(curve, t, 0)
-    return np.minimum(np.maximum(q0, 0.0), 1.0), np.minimum(np.maximum(q1, 0.0), 1.0)
-
-
-def _zeta_oa(curve, t, a):
-    p = curve.p_a[a]
-    py = curve.p_ya[a]
-    if abs(1.0 - 2.0 * py) < 1e-12:
-        return np.full(np.shape(t), 0.5)
-    u = py * (1.0 - py)
-    sgn = 1.0 - 2.0 * a
-    den = 2.0 * p * u + sgn * t
-    if np.any(den <= 0.0):
+        return c + s / p
+    if curve.measure == "eo":
+        m = p * py
+        return c * m / (m - s)
+    if curve.measure == "pe":
+        v = p * (1.0 - py)
+        return (c * v + s) / (v + s)
+    if _oa_pinned(curve, a):
+        return np.full(np.shape(s), c)
+    u = p * py * (1.0 - py)
+    if np.any(u - s <= 0.0):
         raise ThresholdRangeError("threshold out of range")
-    return (p * u + sgn * py * t) / den
+    return (c * u - py * s) / (u - s)
+
+
+def _param_per_measure(curve, q, a):
+    """The t at which group a's cutoff is q: the inverse of the map above."""
+    p, py, c = curve.p_a[a], curve.p_ya[a], curve.cost
+    with np.errstate(all="ignore"):
+        if curve.measure == "eo":
+            s = p * py * (q - c) / q
+        elif curve.measure == "pe":
+            s = p * (1.0 - py) * (q - c) / (1.0 - q)
+        else:
+            s = p * py * (1.0 - py) * (q - c) / (q - py)
+    return (1.0 if a == 1 else -1.0) * s * _scale_per_measure(curve)
+
+
+# eo, pe and oa against the forms above: each cutoff within 1e-12 of its form,
+# or, where the map is steep (an oa rate just outside the pinning band, near the
+# bracket end), taken at a parameter within 1e-12 * span of t
+MAP_TOL = 1e-12
+
+
+def _assert_close_outcome(curve, t):
+    try:
+        want = _thresholds_per_measure(curve, t)
+    except ThresholdRangeError:
+        with pytest.raises(ThresholdRangeError):
+            curve.thresholds(t)
+        return
+    got = curve.thresholds(t)
+    lo, hi = curve.bracket()
+    for a in (0, 1):
+        assert type(got[a]) is type(want[a]) and np.shape(got[a]) == np.shape(want[a])
+        if curve.measure == "oa" and _oa_pinned(curve, a):
+            assert np.all(got[a] == curve.cost)
+            continue
+        near_q = np.abs(got[a] - want[a]) <= MAP_TOL
+        near_t = np.abs(_param_per_measure(curve, got[a], a) - np.clip(t, lo, hi)) <= MAP_TOL * max(hi - lo, 1.0)
+        assert np.all(near_q | near_t), (a, got[a], want[a])
 
 
 def _disparity_at_per_measure(curve, rates, thresholds, tie_prob=(0.0, 0.0)):
@@ -352,7 +400,9 @@ def _assert_same_outcome(got, want, *args):
     _assert_same(got(*args), expected)
 
 
-FAMILIES = [("dp", 0.0), ("dp", 0.3), ("dp", 0.5), ("dp", 1.0), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5)]
+FAMILIES = [("dp", 0.0), ("dp", 0.3), ("dp", 0.5), ("dp", 1.0)] + [
+    (m, c) for m in ("eo", "pe", "oa") for c in (0.3, 0.5, 0.7)
+]
 # exactly 1/2, within 1e-12 of it (the oa family pins a cutoff inside that band), an n/50 lattice, any
 RATES = st.one_of(
     st.just(0.5),
@@ -361,6 +411,12 @@ RATES = st.one_of(
     st.floats(0.001, 0.999),
 )
 TIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _family_cutoffs(curve, t):
+    """The cutoffs written per measure for dp; for eo, pe and oa, which match
+    their forms within ``MAP_TOL`` only, the family's own."""
+    return _thresholds_per_measure(curve, t) if curve.measure == "dp" else curve.thresholds(t)
 
 
 @pytest.mark.parametrize("measure, cost", FAMILIES)
@@ -373,12 +429,15 @@ def test_cutoff_maps_equal_the_maps_written_per_measure(measure, cost, p0, p_ya,
     ends = [lo, 0.0, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - 1e-9, hi + 1e-9]
     inside = st.floats(lo, hi) if lo < hi else st.just(lo)
     ts = data.draw(st.lists(st.one_of(inside, st.sampled_from(ends)), min_size=1, max_size=8))
-    reference = functools.partial(_thresholds_per_measure, curve)
+    if measure == "dp":  # bit for bit
+        check = functools.partial(_assert_same_outcome, curve.thresholds, functools.partial(_thresholds_per_measure, curve))
+    else:
+        check = functools.partial(_assert_close_outcome, curve)
     for t in ts:
-        _assert_same_outcome(curve.thresholds, reference, float(t))
-        _assert_same_outcome(curve.thresholds, reference, np.float64(t))
-    _assert_same_outcome(curve.thresholds, reference, np.array(ts))
-    _assert_same_outcome(curve.thresholds, reference, np.clip(ts, lo, hi))
+        check(float(t))
+        check(np.float64(t))
+    check(np.array(ts))
+    check(np.clip(ts, lo, hi))
 
 
 @pytest.mark.parametrize("measure, cost", FAMILIES)
@@ -398,7 +457,7 @@ def test_sample_disparity_and_tie_effect_equal_the_formulas_per_measure(measure,
     arrays = tuple(np.array(v, dtype=np.float64) for v in zip(*pairs))
     _assert_same(curve.disparity_at(gs, arrays, tie), _disparity_at_per_measure(curve, gs, arrays, tie))
     for t in (0.0, *curve.bracket()):
-        want = _disparity_at_per_measure(curve, gs, _thresholds_per_measure(curve, t))
+        want = _disparity_at_per_measure(curve, gs, _family_cutoffs(curve, t))
         _assert_same(curve.disparity(gs, t), want)
 
 
@@ -420,7 +479,7 @@ def test_population_disparity_equals_the_formulas_per_measure(measure, cost, p0,
     lo, hi = curve.bracket()
     for t in (lo, 0.0, hi, data.draw(st.floats(lo, hi) if lo < hi else st.just(lo))):
         try:
-            want = _disparity_at_per_measure(curve, pop, _thresholds_per_measure(curve, t))
+            want = _disparity_at_per_measure(curve, pop, _family_cutoffs(curve, t))
         except ThresholdRangeError:  # an oa cutoff map has no image at some t inside the bracket
             with pytest.raises(ThresholdRangeError):
                 curve.disparity(pop, t)

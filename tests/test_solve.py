@@ -462,9 +462,11 @@ def test_solve_keeps_the_constraint_it_is_given(measure):
     constraint = ft.FairnessConstraint(measure, 0.0, cost=0.3)
     res = ft.solve(HAND, constraint)
     assert res.constraint == constraint
-    # the cost weighs the reported plug-in risk only; the rule is the cost-free one
+    # the cost moves the family: at t = 0 both cutoffs sit at the cost, not at 1/2
+    curve = ft.ThresholdCurve(measure, HAND.p_hat_a, HAND.p_hat_ya, 0.3)
+    assert curve.thresholds(0.0) == (0.3, 0.3)
     plain = ft.solve(HAND, ft.FairnessConstraint(measure, 0.0))
-    assert np.array_equal(res.rule.thresholds, plain.rule.thresholds)
+    assert not np.array_equal(res.rule.thresholds, plain.rule.thresholds)
     s = np.concatenate(HAND.by_group)
     q = np.concatenate([np.full(g.size, res.rule.thresholds[a]) for a, g in enumerate(HAND.by_group)])
     pi = (s > q).astype(float)
@@ -529,7 +531,9 @@ def scanned_samples(draw):
 
 
 # (measure, cost) pairs, several on one sample; dp at 0 and 1 has a one-point bracket
-FAMILIES = [("dp", 0.5), ("dp", 0.0), ("dp", 0.3), ("dp", 1.0), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5)]
+FAMILIES = [("dp", 0.5), ("dp", 0.0), ("dp", 0.3), ("dp", 1.0)] + [
+    (m, c) for m in ("eo", "pe", "oa") for c in (0.3, 0.5, 0.7)
+]
 
 
 @given(scanned_samples(),
