@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .core import ThresholdRule, _frozen_array
-from .metrics import ThresholdCurve, dp_cutoffs, dp_shifts
+from .metrics import ThresholdCurve
 
 
 def _logit(q: float) -> float:
@@ -228,13 +228,6 @@ class MulticlassOracle:
     sum_residual: float
 
 
-def _shift_for_rate(pop: GaussianPopulation, a: int, s: float) -> float:
-    """The shift t_a at which group a's marginal positive rate equals s."""
-    f = lambda q: pop.rate(a, None, q) - s
-    q = brentq(f, 1e-15, 1.0 - 1e-15, xtol=1e-15)
-    return dp_shifts(q, float(pop.p_a[a]))
-
-
 def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
     """Solve sum_a t_a = 0 with all marginal rates equal, by bisection on the rate.
 
@@ -245,13 +238,16 @@ def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
         if pop.score_law(a).sd == 0.0:
             raise ValueError(f"degenerate score law in group {a}")
 
-    def total(s: float) -> float:
-        return sum(_shift_for_rate(pop, a, s) for a in range(pop.n_groups))
+    curve = ThresholdCurve("dp", pop.p_a, pop.p_ya)
 
-    s_star = brentq(total, 1e-12, 1.0 - 1e-12, xtol=1e-12)
-    t_a = np.array([_shift_for_rate(pop, a, s_star) for a in range(pop.n_groups)])
-    thresholds = dp_cutoffs(t_a, pop.p_a)
-    rule = ThresholdRule(thresholds)
+    def shifts(s: float) -> list:
+        """Each group's shift of the dp curve at which its marginal positive rate equals s."""
+        return [curve.shift(brentq(lambda q: pop.rate(a, None, q) - s, 1e-15, 1.0 - 1e-15, xtol=1e-15), a)
+                for a in range(pop.n_groups)]
+
+    s_star = brentq(lambda s: sum(shifts(s)), 1e-12, 1.0 - 1e-12, xtol=1e-12)
+    t_a = np.array(shifts(s_star))
+    rule = ThresholdRule(curve.cutoffs(t_a))
     return MulticlassOracle(
         t_a=t_a,
         common_rate=float(s_star),

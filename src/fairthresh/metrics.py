@@ -4,11 +4,11 @@ The four group-fairness measures handled here compare, between the two
 protected groups, the positive rate (dp), the true-positive rate (eo), the
 false-positive rate (pe), and TPR - FPR (oa): the oa statistic is
 (TPR_1 - FPR_1) - (TPR_0 - FPR_0), not a gap in per-group accuracy.  Each
-measure induces a one-parameter family of group-wise threshold pairs; the
-:class:`ThresholdCurve` below maps the scalar family parameter ``t`` to the
-pair of score cutoffs, and its ``disparity`` method evaluates the disparity
-of the resulting rule from any source of stratum rates: a sample
-(:class:`GroupedScores`) or the exact Gaussian population.
+measure gives every group a cutoff map of its own shift; the
+:class:`ThresholdCurve` below holds these maps, the binary family that
+shifts two groups by (-t, t), and the disparity of its rules on any source
+of stratum rates: a sample (:class:`GroupedScores`) or the exact Gaussian
+population.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# One-parameter threshold families (binary protected attribute)
+# Per-group cutoff maps and the binary threshold family
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-12
@@ -172,24 +172,25 @@ def _group_slopes(measure: str, py: float, cost: float) -> tuple:
 
 @dataclass(frozen=True)
 class ThresholdCurve:
-    """Threshold pair as a function of the disparity-control parameter t.
+    """Each group's cutoff as a function of its own shift, for two or K groups.
 
     The one family for sample and population: the plug-in method builds it
     from a sample's ``p_hat_a`` and ``p_hat_ya``, the oracle from the
     population's ``p_a`` and ``p_ya``; only these, the cost c and the
-    measure's ``MEASURES`` row enter the maps, and the disparity reads
-    stratum rates from any object with a ``rate(a, y, q, tau)`` method.
-    Group a's signed stratum sum is g_a = E[Yhat (A_a + B_a eta) | a], and
-    the cost-c risk plus s g_a is least at q_a(s) = c + s k_a / (p_a - s B_a)
-    (FairBayes' Neyman-Pearson cutoff; see :func:`_group_slopes`); group 1
-    takes s = t / scale, group 0 s = -t / scale, with ``scale`` 2 at c = 1/2
-    and 1 otherwise (a power of two: the same cutoffs).  For dp, A = 1 and
-    B = 0 give c +- t / p_a.  Where k_a vanishes the cutoff is pinned at c.
+    measure's ``MEASURES`` row enter the maps.  Group a's signed stratum sum
+    is g_a = E[Yhat (A_a + B_a eta) | a], and the cost-c risk plus s g_a is
+    least at q_a(s) = c + s k_a / (p_a - s B_a) (FairBayes' Neyman-Pearson
+    cutoff; see :func:`_group_slopes`), with s = t_a / scale at the group's
+    shift t_a and ``scale`` 2 at c = 1/2, else 1 (a power of two: the same
+    cutoffs).  For dp, A = 1 and B = 0 give c + t_a / (scale p_a).  Where
+    k_a vanishes the cutoff is pinned at c.  :meth:`cutoffs` is this map and
+    :meth:`shift` its inverse; the K-group dp rule picks shifts summing to 0.
 
-    t = 0 always yields the cutoffs (c, c); as t grows each cutoff moves
-    monotonically, shrinking g_1 and growing g_0.  ``thresholds``,
-    ``inverse`` and, on a sample, ``disparity`` take a scalar or an array,
-    and an array gives elementwise the same bits as scalar calls.
+    The binary methods need two groups and shift them by (-t, t): t = 0
+    yields (c, c), and as t grows g_1 shrinks and g_0 grows.  The disparity
+    reads stratum rates from any object with a ``rate(a, y, q, tau)`` method.
+    ``thresholds``, ``inverse`` and, on a sample, ``disparity`` take a scalar
+    or an array, and an array gives elementwise the same bits as scalar calls.
     """
 
     measure: str
@@ -200,15 +201,13 @@ class ThresholdCurve:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
-        if len(self.p_a) != 2 or len(self.p_ya) != 2:
-            raise ValueError("binary measures require exactly two groups")
         p_a = tuple(float(p) for p in self.p_a)
         p_ya = tuple(float(p) for p in self.p_ya)
         # a positive rate of 0 (1) leaves no label-1 (label-0) row: exact for a
         # sample's n_a1 / n_a, never met by a population's rate in (0, 1)
         for y, _ in MEASURES[self.measure]:
-            for a in (0, 1):
-                if y is not None and p_ya[a] == 1.0 - y:
+            for a, py in enumerate(p_ya):
+                if y is not None and py == 1.0 - y:
                     raise ValueError(f"empty stratum (group {a}, label {y})")
         object.__setattr__(self, "p_a", p_a)
         object.__setattr__(self, "p_ya", p_ya)
@@ -223,53 +222,74 @@ class ThresholdCurve:
 
     @property
     def pinned(self) -> tuple:
-        """The groups whose cutoff stays at the cost for every t."""
-        return tuple(a for a in (0, 1) if self._slopes[a][3])
+        """The groups whose cutoff stays at the cost for every shift."""
+        return tuple(a for a, slopes in enumerate(self._slopes) if slopes[3])
+
+    def cutoffs(self, shifts) -> tuple:
+        """Every group's cutoff at its own shift t_a, clamped into [0, 1]."""
+        return tuple(self._cutoff(s, a) for a, s in enumerate(np.asarray(shifts, dtype=np.float64) / self.scale))
+
+    def _cutoff(self, s, a: int):
+        """Group a's cutoff at s = t_a / scale, clamped into [0, 1]."""
+        _, B, k, pinned = self._slopes[a]
+        den = self.p_a[a] - s * B
+        if not pinned and (den <= 0.0).any():
+            raise ThresholdRangeError("threshold out of range")
+        return _clamp(np.full(np.shape(s), self.cost) if pinned else self.cost + s * k / den, 0.0, 1.0)
+
+    def shift(self, q, a: int):
+        """Shift t_a at which group a's cutoff passes the score q, s = p_a (q - c) /
+        (A_a + q B_a) at t_a / scale; nan where none does (a pinned cutoff)."""
+        A, B, _, pinned = self._slopes[a]
+        q = np.asarray(q, dtype=np.float64)
+        with np.errstate(all="ignore"):  # near the pole A + q B = 0 the shift overflows
+            s = np.full(q.shape, np.nan) if pinned else self.p_a[a] * (q - self.cost) / (A + q * B)
+            return (s * self.scale)[()]
+
+    @property
+    def _signs(self) -> tuple:
+        """The binary family's orientation: group 0 takes the shift -t, group 1 t."""
+        if len(self.p_a) != 2:
+            raise ValueError("binary measures require exactly two groups")
+        return (-1.0, 1.0)
 
     def bracket(self) -> tuple:
-        lo, hi = self._bracket
+        (lo, hi), _ = self._bracket
         return lo * self.scale, hi * self.scale
 
     @cached_property
     def _bracket(self) -> tuple:
-        """(lo, hi) in t / scale: on each side of 0 the nearest parameter at which some
-        group's cutoff reaches 0 or 1, or its map's pole p_a - s B_a = 0."""
+        """((lo, hi), roots) in t / scale: on each side of 0 the nearest parameter at which
+        some group's cutoff reaches 0 or 1, or its map's pole p_a - s B_a = 0; ``roots``
+        lists each (end, group, cutoff) at which a group's cutoff reaches 0 or 1."""
         with np.errstate(divide="ignore"):
-            poles = [sgn * self.p_a[a] / np.float64(self._slopes[a][1]) for a, sgn in ((1, 1.0), (0, -1.0))]
-        ends = np.concatenate([self.inverse([0.0, 1.0], a) / self.scale for a in (1, 0)] + [poles])
+            poles = [sgn * p / np.float64(B) for sgn, p, (_, B, _, _) in zip(self._signs, self.p_a, self._slopes)]
+        roots = [self.inverse([0.0, 1.0], a) / self.scale for a in (0, 1)]
+        ends = np.concatenate(roots + [poles])
         # a zero end closes both sides; + 0.0 gives it the sign of its side
         nearest = lambda u: np.min(u, where=u >= 0.0, initial=np.inf) + 0.0  # noqa: E731
-        return float(-nearest(-ends)), float(nearest(ends))
+        lo, hi = float(-nearest(-ends)), float(nearest(ends))
+        at = ((e, a, q) for e in (lo, hi) for a in (0, 1) for q, r in zip((0.0, 1.0), roots[a]) if r == e)
+        return (lo, hi), tuple(at)
 
     def thresholds(self, t) -> tuple:
-        """(q_0, q_1) at parameter t; raises if any t is outside the bracket."""
-        t = t / self.scale
-        lo, hi = self._bracket
+        """(q_0, q_1) at parameter t, the cutoffs at shifts (-t, t); raises if any t is
+        outside the bracket.  At a bracket end the cutoff that sets it is exactly 0 or 1."""
+        s = t / self.scale
+        (lo, hi), roots = self._bracket
         span = max(hi - lo, 1.0)
-        if np.any((t < lo - _EPS * span) | (t > hi + _EPS * span)):
+        if np.any((s < lo - _EPS * span) | (s > hi + _EPS * span)):
             raise ThresholdRangeError("threshold out of range")
-        t = _clamp(t, lo, hi)
-        return tuple(_clamp(self._cutoff(t, a), 0.0, 1.0) for a in (0, 1))
-
-    def _cutoff(self, t, a: int):
-        """Group a's unclamped cutoff at t / scale: group 1's map, which group 0 takes at -t."""
-        s = t if a == 1 else -t
-        _, B, k, pinned = self._slopes[a]
-        if pinned:
-            return np.full(np.shape(t), self.cost)
-        den = self.p_a[a] - s * B
-        if (den <= 0.0).any():
-            raise ThresholdRangeError("threshold out of range")
-        return self.cost + s * k / den
+        s = _clamp(s, lo, hi)
+        q = [self._cutoff(sgn * s, a) for a, sgn in enumerate(self._signs)]
+        for end, a, root in roots:
+            q[a] = np.where(s == end, root, q[a])[()]
+        return tuple(q)
 
     def inverse(self, q, a: int):
-        """Parameter t at which group a's threshold passes the score q, s = p_a (q - c) /
-        (A_a + q B_a) at t / scale; nan, or a value outside the bracket, where none does."""
-        A, B, _, pinned = self._slopes[a]
-        q = np.asarray(q, dtype=np.float64)
-        with np.errstate(all="ignore"):
-            s = np.full(q.shape, np.nan) if pinned else self.p_a[a] * (q - self.cost) / (A + q * B)
-        return ((1.0 if a == 1 else -1.0) * s * self.scale)[()]
+        """Parameter t at which group a's threshold passes the score q; nan, or a value
+        outside the bracket, where none does."""
+        return self._signs[a] * self.shift(q, a)
 
     def breakpoints(self, gs: GroupedScores) -> np.ndarray:
         """All t values, inside the bracket, where some indicator can flip.
@@ -291,9 +311,9 @@ class ThresholdCurve:
     def disparity_at(self, rates, thresholds, tie_prob=(0.0, 0.0)):
         """Disparity g_1 - g_0 at the cutoffs (q_0, q_1), each a scalar or an array;
         g_a is the signed sum of group a's stratum rates that ``MEASURES`` lists."""
-        g1, g0 = (
+        g0, g1 = (
             sum(sgn * rates.rate(a, y, thresholds[a], tie_prob[a]) for y, sgn in MEASURES[self.measure])
-            for a in (1, 0)
+            for a in range(len(self._signs))
         )
         return g1 - g0
 
@@ -301,22 +321,7 @@ class ThresholdCurve:
         """d(disparity)/d(tie_prob[a]) at the given threshold pair: g_a's sum over tie counts."""
         q = thresholds[a]
         strata = ((gs.stratum(a, y), sgn) for y, sgn in MEASURES[self.measure])
-        return (1.0 if a == 1 else -1.0) * sum(sgn * _counts(s, q, True)[1] / s.size for s, sgn in strata)
-
-
-# ---------------------------------------------------------------------------
-# Multi-group demographic-parity shifts
-# ---------------------------------------------------------------------------
-
-
-def dp_cutoffs(t, p_a):
-    """Cutoffs q_a = 1/2 + t_a / (2 p_a) of the shifts t_a, clipped into [0, 1]."""
-    return np.clip(0.5 + t / (2.0 * p_a), 0.0, 1.0)
-
-
-def dp_shifts(q, p_a):
-    """Shifts t_a = 2 p_a (q_a - 1/2) that put the cutoffs at q_a; inverse of :func:`dp_cutoffs`."""
-    return 2.0 * p_a * (q - 0.5)
+        return self._signs[a] * sum(sgn * _counts(s, q, True)[1] / s.size for s, sgn in strata)
 
 
 # ---------------------------------------------------------------------------

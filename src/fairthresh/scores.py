@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -291,6 +293,16 @@ def _run(a):
     return _work(a)
 
 
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: a thread ends the worker once ``parent`` has died, as the
+    worker then waits on a queue that nothing will write to again."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _map_groups(fit_group, costs) -> list:
     """``[fit_group(a) for a in range(len(costs))]``, in worker processes
     where ``_workers(costs)`` says forking pays, else on the calling thread.
@@ -301,7 +313,8 @@ def _map_groups(fit_group, costs) -> list:
     that could hold a lock across it.  Groups are submitted largest cost
     first, and the results are returned in group order.  An exception in a
     worker is raised here, and the pool joins every worker before this
-    returns or raises, so no process outlives the call.
+    returns or raises; if this process is killed, :func:`_exit_with_parent`
+    ends each worker, so no process outlives the call.
 
     Threads would not do: an epoch is about a dozen numpy calls of 5-40 us
     each at 20,000 rows, and a thread retakes the interpreter lock between
@@ -313,7 +326,8 @@ def _map_groups(fit_group, costs) -> list:
     global _work
     _work = fit_group
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
             futures = {a: pool.submit(_run, a)
                        for a in sorted(range(len(costs)), key=costs.__getitem__, reverse=True)}
             return [futures[a].result() for a in range(len(costs))]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, ThresholdCurve, _counts, dp_cutoffs, dp_shifts
+from .metrics import GroupedScores, ThresholdCurve, _counts
 
 
 # Slack allowed in every comparison of a disparity against the tolerance.
@@ -216,12 +216,12 @@ class MulticlassSolveResult:
     plugin_accuracy: float
 
 
-def _count_intervals(sorted_scores: np.ndarray, p_a: float):
-    """Achievable positive counts and their cutoff and shift intervals.
+def _count_intervals(sorted_scores: np.ndarray, curve: ThresholdCurve, a: int):
+    """Achievable positive counts of group a and their cutoff and shift intervals.
 
     For each achievable count c (positives under cutoff q with strict >),
     returns the half-open cutoff interval [q_lo, q_hi) realizing it and its
-    image [t_lo, t_hi) under t = 2 p_a (q - 1/2); the last interval is the
+    image [t_lo, t_hi) under the curve's shift map; the last interval is the
     single point [1, 1] when a score equals 1.  Counts are listed in
     decreasing order; the arrays are (counts, t_lo, t_hi, q_lo, q_hi).
     """
@@ -233,7 +233,7 @@ def _count_intervals(sorted_scores: np.ndarray, p_a: float):
         cs = np.concatenate([[sorted_scores.size], cs])
         q_lo = np.concatenate([[0.0], q_lo])
         q_hi = np.concatenate([u[:1], q_hi])
-    return np.asarray(cs, dtype=np.int64), dp_shifts(q_lo, p_a), dp_shifts(q_hi, p_a), q_lo, q_hi
+    return np.asarray(cs, dtype=np.int64), curve.shift(q_lo, a), curve.shift(q_hi, a), q_lo, q_hi
 
 
 def _kept_gap(gaps: np.ndarray) -> tuple:
@@ -282,7 +282,8 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     k = gs.n_groups
     if k < 2:
         raise SolverError("multi-class solving requires at least two groups")
-    tables = [_count_intervals(gs.by_group[a], float(gs.p_hat_a[a])) for a in range(k)]
+    curve = ThresholdCurve("dp", gs.p_hat_a, gs.p_hat_ya)
+    tables = [_count_intervals(gs.by_group[a], curve, a) for a in range(k)]
 
     ref_cs, ref_lo, ref_hi = tables[0][:3]
     s = ref_cs / int(gs.n_a[0])
@@ -315,17 +316,12 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
         frac = min(frac, 1.0 - 1e-12)  # keep every shift inside its half-open interval
     else:
         frac = 0.0 if abs(lo_sum) <= abs(hi_sum) else 1.0 - 1e-12
-    t_hats = np.array(
-        [
-            tables[a][1][js[a]] + frac * (tables[a][2][js[a]] - tables[a][1][js[a]])
-            for a in range(k)
-        ]
-    )
-    q_lo, q_hi = (np.array([tables[a][i][js[a]] for a in range(k)]) for i in (3, 4))
+    t_lo, t_hi, q_lo, q_hi = (np.array([tables[a][i][js[a]] for a in range(k)]) for i in (1, 2, 3, 4))
+    t_hats = t_lo + frac * (t_hi - t_lo)
     thresholds = np.where(
         (frac == 0.0) | (q_lo == q_hi),
         q_lo,
-        np.clip(dp_cutoffs(t_hats, gs.p_hat_a), q_lo, np.nextafter(q_hi, 0.0)),
+        np.clip(curve.cutoffs(t_hats), q_lo, np.nextafter(q_hi, 0.0)),
     )
     rule = ThresholdRule(thresholds)
     rates = np.array([gs.rate(a, None, thresholds[a]) for a in range(k)])

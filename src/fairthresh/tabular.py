@@ -19,7 +19,7 @@ import shutil
 import tempfile
 import urllib.request
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -76,22 +76,7 @@ class ColumnSchema:
         return names
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "has_header": self.has_header,
-                "columns": [
-                    {
-                        "name": c.name,
-                        "kind": c.kind,
-                        "positive_values": list(c.positive_values),
-                        "group_values": list(c.group_values),
-                        "vocabulary": list(c.vocabulary),
-                    }
-                    for c in self.columns
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps({"has_header": self.has_header, "columns": [asdict(c) for c in self.columns]}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ColumnSchema":
@@ -103,13 +88,7 @@ class ColumnSchema:
             for key in ("name", "kind"):
                 if not isinstance(c, dict) or key not in c:
                     raise ValueError(f"column {i} has no {key!r} field")
-            cols.append(ColumnSpec(
-                name=c["name"],
-                kind=c["kind"],
-                positive_values=tuple(c.get("positive_values", ())),
-                group_values=tuple(c.get("group_values", ())),
-                vocabulary=tuple(c.get("vocabulary", ())),
-            ))
+            cols.append(ColumnSpec(**{f.name: c[f.name] for f in fields(ColumnSpec) if f.name in c}))
         return cls(columns=cols, has_header=obj.get("has_header", True))
 
     def save(self, path) -> None:

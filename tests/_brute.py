@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from fairthresh.core import ThresholdRule
-from fairthresh.metrics import GroupedScores, _counts, dp_cutoffs, dp_shifts
+from fairthresh.metrics import GroupedScores, _counts
 from fairthresh.solve import MulticlassSolveResult, _plugin_metrics
 
 TOL = 1e-12  # feasibility slack on |disparity| <= delta and on tau in [0, 1]
@@ -222,8 +222,9 @@ def _count_intervals_loop(sorted_scores, p_a):
         cs.insert(0, n)
         q_lo.insert(0, 0.0)
         q_hi.insert(0, float(u[0]))
-    t_lo = dp_shifts(np.asarray(q_lo), p_a)
-    t_hi = dp_shifts(np.asarray(q_hi), p_a)
+    # the dp shift map at cost 1/2, written out: t = 2 p_a (q - 1/2)
+    t_lo = 2.0 * p_a * (np.asarray(q_lo) - 0.5)
+    t_hi = 2.0 * p_a * (np.asarray(q_hi) - 0.5)
     return np.asarray(cs, dtype=np.int64), t_lo, t_hi, q_lo, q_hi
 
 
@@ -293,7 +294,7 @@ def multiclass_dp_loop(gs):
             for a in range(k)
         ]
     )
-    thresholds = dp_cutoffs(t_hats, gs.p_hat_a)
+    thresholds = np.clip(0.5 + t_hats / (2.0 * gs.p_hat_a), 0.0, 1.0)  # the cutoff map, clipped
     for a in range(k):
         q_lo, q_hi = tables[a][3][js[a]], tables[a][4][js[a]]
         if frac == 0.0 or q_lo == q_hi:

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fairthresh as ft
@@ -11,8 +11,6 @@ from fairthresh.metrics import (
     GroupedScores,
     ThresholdCurve,
     ThresholdRangeError,
-    dp_cutoffs,
-    dp_shifts,
 )
 
 from _brute import swap_groups
@@ -236,6 +234,9 @@ def test_array_curve_maps_equal_scalar_calls_bit_for_bit(case, data):
     for a in (0, 1):
         want = [curve.inverse(float(q), a) for q in qs]
         assert _bits(curve.inverse(qs, a)).tolist() == _bits(want).tolist()
+    # the binary family is the per-group map at shifts (-t, t); -1 * keeps a nan's bits
+    assert _bits(-1.0 * curve.shift(qs, 0)).tolist() == _bits(curve.inverse(qs, 0)).tolist()
+    assert _bits(curve.shift(qs, 1)).tolist() == _bits(curve.inverse(qs, 1)).tolist()
 
     outside = ts.copy()
     outside[data.draw(st.integers(0, ts.size - 1))] = data.draw(st.sampled_from([lo - 1.0, hi + 1.0]))
@@ -253,8 +254,37 @@ def test_array_curve_maps_equal_scalar_calls_bit_for_bit(case, data):
     q0s, q1s = curve.thresholds(ts)
     assert _bits(q0s).tolist() == _bits([q0 for q0, _ in want]).tolist()
     assert _bits(q1s).tolist() == _bits([q1 for _, q1 in want]).tolist()
+    # the same bits as the per-group map at shifts (-t, t), but where thresholds
+    # puts the cutoff that sets a bracket end exactly on 0 or 1
+    at_end = (ts == lo) | (ts == hi)
+    for got, per_group in zip((q0s, q1s), curve.cutoffs((-ts, ts))):
+        assert np.all((_bits(got) == _bits(per_group)) | (at_end & ((got == 0.0) | (got == 1.0))))
     want = [curve.disparity(gs, float(t)) for t in ts]
     assert _bits(curve.disparity(gs, ts)).tolist() == _bits(want).tolist()
+
+
+@pytest.mark.parametrize("measure, p_ya, cost, a, root", [
+    ("eo", (0.4, 0.7), 0.3, 0, 1.0),  # group 0's cutoff was 1 - 4.4e-16
+    ("pe", (0.4, 0.7), 0.7, 1, 0.0),  # group 1's was 1.1e-16
+])
+def test_the_cutoff_that_sets_a_bracket_end_lands_on_it_exactly(measure, p_ya, cost, a, root):
+    curve = ThresholdCurve(measure, (0.3, 0.7), p_ya, cost)
+    lo, _ = curve.bracket()
+    assert curve.thresholds(lo)[a] == root
+    assert curve.thresholds(np.array([lo, 0.0]))[a].tolist() == [root, cost]
+    assert abs(curve.cutoffs((-lo, lo))[a] - root) < 1e-15  # the map alone lands a few ulps off
+
+
+@pytest.mark.parametrize("measure, cost", [(m, c) for m in ("dp", "eo", "pe", "oa") for c in (0.3, 0.5, 0.7)])
+@settings(max_examples=100, deadline=None)
+@given(p0=st.floats(0.01, 0.99), p_ya=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)))
+def test_every_bracket_end_puts_a_cutoff_on_0_or_1(measure, cost, p0, p_ya):
+    # with no cutoff pinned, each end is where some group's cutoff reaches 0 or 1
+    curve = ThresholdCurve(measure, (p0, 1.0 - p0), p_ya, cost)
+    assume(not curve.pinned)
+    for end in curve.bracket():
+        assert {0.0, 1.0} & {float(q) for q in curve.thresholds(end)}
+        assert {0.0, 1.0} & {float(q[0]) for q in curve.thresholds(np.array([end]))}
 
 
 # ---------------------------------- the family written out measure by measure
@@ -292,8 +322,27 @@ def _thresholds_per_measure(curve, t):
     if np.any((t < lo - 1e-12 * span) | (t > hi + 1e-12 * span)):
         raise ThresholdRangeError("threshold out of range")
     t = np.minimum(np.maximum(t, lo), hi)
-    return tuple(np.minimum(np.maximum(_cutoff_per_measure(curve, s, a), 0.0), 1.0)
-                 for a, s in ((0, -t), (1, t)))
+    q = [np.minimum(np.maximum(_cutoff_per_measure(curve, s, a), 0.0), 1.0) for a, s in ((0, -t), (1, t))]
+    # at a bracket end, the group whose cutoff reaches 0 or 1 there lands on it exactly
+    for a, sign in ((0, -1.0), (1, 1.0)):
+        for root, s in _roots_per_measure(curve, a).items():
+            for end in (lo, hi):
+                if sign * s == end:
+                    q[a] = np.where(t == end, root, q[a])[()]
+    return tuple(q)
+
+
+def _roots_per_measure(curve, a):
+    """{cutoff: s} for the cutoffs 0 and 1 that group a's map reaches, at its own s."""
+    p, py, c = curve.p_a[a], curve.p_ya[a], curve.cost
+    if curve.measure == "oa" and _oa_pinned(curve, a):
+        return {}
+    return {
+        "dp": {0.0: -c * p, 1.0: (1.0 - c) * p},
+        "eo": {1.0: p * py * (1.0 - c)},
+        "pe": {0.0: -c * p * (1.0 - py)},
+        "oa": {0.0: c * p * (1.0 - py), 1.0: p * py * (1.0 - c)},
+    }[curve.measure]
 
 
 def _cutoff_per_measure(curve, s, a):
@@ -582,16 +631,31 @@ def test_ddp_antisymmetric_under_group_swap():
 
 
 def test_dp_shift_map_and_its_inverse():
-    p_a = np.array([0.2, 0.3, 0.5])
+    # a three-group dp curve at cost 1/2 is the K-group rule's per-group map
+    p_a = (0.2, 0.3, 0.5)
+    curve = ThresholdCurve("dp", p_a, (0.4, 0.5, 0.6))
     t = np.array([-0.04, 0.01, 0.03])
-    q = dp_cutoffs(t, p_a)
+    q = curve.cutoffs(t)
     # the operation order of q = 1/2 + t / (2 p_a) and t = 2 p_a (q - 1/2)
-    assert q.tolist() == [0.5 + t[a] / (2.0 * p_a[a]) for a in range(3)]
-    assert dp_shifts(q, p_a).tolist() == [2.0 * p_a[a] * (q[a] - 0.5) for a in range(3)]
-    assert np.allclose(dp_shifts(q, p_a), t, rtol=0.0, atol=1e-15)
-    # cutoffs clip into [0, 1]; shifts are defined for scalars too
-    assert dp_cutoffs(np.array([-1.0, 1.0]), np.array([0.5, 0.5])).tolist() == [0.0, 1.0]
-    assert dp_shifts(0.75, 0.4) == 2.0 * 0.4 * 0.25
+    assert _bits(q).tolist() == _bits([0.5 + t[a] / (2.0 * p_a[a]) for a in range(3)]).tolist()
+    shifts = [curve.shift(q[a], a) for a in range(3)]
+    assert _bits(shifts).tolist() == _bits([2.0 * p_a[a] * (q[a] - 0.5) for a in range(3)]).tolist()
+    assert np.allclose(shifts, t, rtol=0.0, atol=1e-15)
+    # cutoffs clip into [0, 1]; shifts map arrays too
+    assert curve.cutoffs(np.array([-1.0, 0.0, 1.0])) == (0.0, 0.5, 1.0)
+    qs = np.array([0.0, 0.25, 0.75, 1.0])
+    assert _bits(curve.shift(qs, 1)).tolist() == _bits(2.0 * 0.3 * (qs - 0.5)).tolist()
+
+
+@pytest.mark.parametrize("call", ["thresholds", "inverse", "bracket", "breakpoints", "disparity", "tie_effect"])
+def test_binary_methods_of_a_three_group_curve_raise(call):
+    gs = make_gs([0.2, 0.8, 0.5, 0.6, 0.3, 0.9], [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1])
+    curve = curve_of(gs, "eo")
+    assert curve.cutoffs((0.0, 0.0, 0.0)) == (0.5, 0.5, 0.5)
+    args = {"thresholds": (0.0,), "inverse": (0.5, 0), "bracket": (), "breakpoints": (gs,),
+            "disparity": (gs, 0.0), "tie_effect": (gs, (0.5, 0.5, 0.5), 0)}[call]
+    with pytest.raises(ValueError, match="^binary measures require exactly two groups$"):
+        getattr(curve, call)(*args)
 
 
 # -------------------------------------------------------------------- evaluate

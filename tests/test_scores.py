@@ -2,8 +2,11 @@ import concurrent.futures
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
@@ -644,3 +647,75 @@ def test_a_fit_inside_a_jobs_worker_constructs_no_pool(monkeypatch):
     assert_same_bits(model.weights, expected.weights)
     assert_same_bits(model.bias, expected.bias)
     assert multiprocessing.active_children() == []
+
+
+# A process that fits five groups in two forked workers, each fit recording
+# its worker's pid and then running on for a minute, so the pool is alive
+# when the process is killed.
+_KILLED_FIT = """
+import os, sys, time
+import numpy as np
+import fairthresh as ft
+from fairthresh import scores as sc
+
+sc._FORK_SAVING = 0
+sc._usable_cpus = lambda: 2
+descend = sc._descend
+
+def recording_descend(design, y, config):
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{os.getpid()}\\n")
+    fit = descend(design, y, config)
+    time.sleep(60)
+    return fit
+
+sc._descend = recording_descend
+rng = np.random.default_rng(0)
+group = np.repeat(np.arange(5), 20)
+ft.fit_logistic(ft.Dataset(rng.normal(size=(100, 2)), group, rng.integers(0, 2, 100)),
+                ft.TrainConfig(epochs=5, per_group=True))
+"""
+
+
+def _start_time(pid):
+    """The kernel's start time of a live, unreaped process, or None: a zombie
+    counts as gone, and the start time tells a reused pid apart."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state, *fields = f.read().rsplit(")", 1)[1].split()
+    except FileNotFoundError:
+        return None
+    return None if state == "Z" else fields[18]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc/self"),
+                    reason="needs fork and /proc")
+def test_group_fit_workers_exit_when_their_parent_is_killed(tmp_path):
+    pid_file = tmp_path / "pids"
+    src = os.path.dirname(os.path.dirname(ft.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_FIT, str(pid_file)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = {}
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pids = {int(p) for p in pid_file.read_text().split()} if pid_file.exists() else set()
+            workers = {pid: _start_time(pid) for pid in pids}
+        assert len(workers) == 2 and proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(10)
+        deadline = time.monotonic() + 10
+        alive = set(workers)
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
+            alive = {pid for pid in alive if _start_time(pid) == workers[pid]}
+        assert not alive, f"workers {sorted(alive)} outlived their killed parent"
+    finally:
+        for pid, start in workers.items():
+            if start is not None and _start_time(pid) == start:
+                os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
