@@ -5,9 +5,10 @@ Because the covariances are equal and isotropic, the posterior positive
 probability within a group is a logistic function of a one-dimensional linear
 score whose stratum laws are Gaussian with a shared variance, so every tail
 probability needed by the threshold theory reduces to a normal CDF; no
-d-dimensional integration is performed.  Normal CDFs use scipy.special.ndtr
-(erfc based, absolute error below 1e-15), with the complementary form for
-upper tails.
+d-dimensional integration is performed.  The normal CDF ``_ndtr`` is built on
+``math.erf`` and ``math.erfc`` (absolute error below 1e-15), and the
+multiclass oracle's monotone root searches use the bracketing ``_root``, so
+the module needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -18,15 +19,69 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .core import ThresholdRule, _frozen_array
 from .metrics import ThresholdCurve
 
+_SQRT_HALF = math.sqrt(0.5)
+
 
 def _logit(q: float) -> float:
     return math.log(q) - math.log1p(-q)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF: erf near 0, and erfc in the tails, where it keeps full relative accuracy."""
+    z = x * _SQRT_HALF
+    if abs(x) < 1.0:
+        return 0.5 + 0.5 * math.erf(z)
+    tail = 0.5 * math.erfc(abs(z))
+    return 1.0 - tail if x > 0 else tail
+
+
+def _root(f, lo: float, hi: float, xtol: float) -> float:
+    """A root of the continuous ``f`` on [lo, hi], located to within ``xtol``.
+
+    Regula falsi with the Illinois modification (Dowell & Jarratt 1971, BIT
+    11): when one end of the bracket is kept twice in a row, the weight of its
+    value is halved, which pulls the next secant point toward it.  Each point
+    is kept at least ``xtol / 2`` inside the bracket, so an end already at the
+    root closes the bracket in one more step; a point that is still not
+    strictly inside (a non-finite secant) is replaced by the midpoint.
+    Returns the end of the final bracket with the smaller ``|f|``; an exact
+    zero is returned at once.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"f does not change sign on the bracket [{lo!r}, {hi!r}]")
+    wlo = whi = 1.0  # Illinois weights of the two end values
+    side = 0  # -1 after lo moved, +1 after hi moved
+    step = 0.5 * xtol
+    while hi - lo > xtol:
+        glo, ghi = wlo * flo, whi * fhi
+        x = min(max(hi - ghi * (hi - lo) / (ghi - glo), lo + step), hi - step)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # adjacent floats: the bracket cannot shrink
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo, wlo = x, fx, 1.0
+            if side < 0:
+                whi *= 0.5
+            side = -1
+        else:
+            hi, fhi, whi = x, fx, 1.0
+            if side > 0:
+                wlo *= 0.5
+            side = 1
+    return lo if abs(flo) < abs(fhi) else hi
 
 
 @dataclass(frozen=True)
@@ -79,13 +134,16 @@ class GaussianPopulation:
             return 0.0
         law = self.score_law(a)
         py = float(self.p_ya[a])
-        if y is None:
-            above = py * self.rate(a, 1, q) + (1.0 - py) * self.rate(a, 0, q)
-        elif law.sd == 0.0:
+        if law.sd == 0.0:
             above = 1.0 if py > q else 0.0
-        else:
-            z = (_logit(q) - law.mean[y]) / law.sd
-            above = float(ndtr(-z))
+            if y is None:  # the mix of two equal strata, rounded as any mix is
+                above = py * above + (1.0 - py) * above
+        else:  # a stratum's rate is the normal tail of its score above the cutoff's logit
+            cut = _logit(q)
+            if y is None:
+                above = py * _ndtr((law.mean[1] - cut) / law.sd) + (1.0 - py) * _ndtr((law.mean[0] - cut) / law.sd)
+            else:
+                above = _ndtr((law.mean[y] - cut) / law.sd)
         # the atom counts once: a cutoff below p_ya already counts its mass as above
         if tau and law.sd == 0.0 and q >= py and math.isclose(py, q, rel_tol=0.0, abs_tol=1e-15):
             return above + tau  # the atom term last, after the mix of the strata
@@ -229,23 +287,38 @@ class MulticlassOracle:
 
 
 def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
-    """Solve sum_a t_a = 0 with all marginal rates equal, by bisection on the rate.
+    """Solve sum_a t_a = 0 with all marginal rates equal, by a root search on the common rate.
 
     Requires a non-degenerate score law in every group (the rate-to-shift map
-    must be continuous and strictly decreasing).
+    must be continuous and strictly decreasing).  Each evaluation of the sum
+    finds every group's cutoff at the common rate by an inner root search.
     """
     for a in range(pop.n_groups):
         if pop.score_law(a).sd == 0.0:
             raise ValueError(f"degenerate score law in group {a}")
 
     curve = ThresholdCurve("dp", pop.p_a, pop.p_ya)
+    solved = {}  # common rate -> each group's cutoff at that rate
+
+    def cutoff(a: int, s: float) -> float:
+        """Group a's cutoff at which its marginal positive rate equals s."""
+        gap = lambda q: pop.rate(a, None, q) - s  # noqa: E731
+        # a cutoff falls as the rate rises, so the cutoffs solved at the nearest rates on
+        # either side of s bracket this one, widened by twice the search tolerance
+        lo = max((qs[a] for r, qs in solved.items() if r > s), default=0.0)
+        hi = min((qs[a] for r, qs in solved.items() if r < s), default=1.0)
+        try:
+            return _root(gap, max(lo - 2e-15, 1e-15), min(hi + 2e-15, 1.0 - 1e-15), 1e-15)
+        except ValueError:  # rounding left the root outside that bracket
+            return _root(gap, 1e-15, 1.0 - 1e-15, 1e-15)
 
     def shifts(s: float) -> list:
         """Each group's shift of the dp curve at which its marginal positive rate equals s."""
-        return [curve.shift(brentq(lambda q: pop.rate(a, None, q) - s, 1e-15, 1.0 - 1e-15, xtol=1e-15), a)
-                for a in range(pop.n_groups)]
+        if s not in solved:
+            solved[s] = [cutoff(a, s) for a in range(pop.n_groups)]
+        return [curve.shift(q, a) for a, q in enumerate(solved[s])]
 
-    s_star = brentq(lambda s: sum(shifts(s)), 1e-12, 1.0 - 1e-12, xtol=1e-12)
+    s_star = _root(lambda s: sum(shifts(s)), 1e-12, 1.0 - 1e-12, 1e-15)
     t_a = np.array(shifts(s_star))
     rule = ThresholdRule(curve.cutoffs(t_a))
     return MulticlassOracle(

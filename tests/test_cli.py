@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,6 +31,27 @@ def test_synth_smoke(capsys):
     assert code == 0
     assert "disparity" in out and "oracle_acc" in out
     assert json.loads(err.strip())["seconds"] >= 0
+
+
+# Imports the CLI, runs a tiny oa synth call (it reaches t_star) and a tiny
+# multiclass call (it reaches the multiclass oracle), then prints every loaded
+# scipy module.
+_STARTUP = """
+import sys
+from fairthresh import cli
+tiny = ["--n-train", "300", "--n-test", "200", "--epochs", "5", "--reps", "1", "--format", "csv"]
+assert cli.main(["synth", "--measure", "oa", "--delta", "0,0.05", *tiny]) == 0
+assert cli.main(["multiclass", "--groups", "3", *tiny]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_program_runs_on_numpy_without_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_synth_csv_report_byte_identical(tmp_path, capsys):
