@@ -260,9 +260,8 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
             )
     if pop is not None:
         curve = ThresholdCurve(cfg.measure, pop.p_a, pop.p_ya, cfg.cost)
-        t_stars = ga.t_star(pop, cfg.measure, deltas, cfg.cost).tolist()
     out = []
-    for i, delta in enumerate(deltas):
+    for delta in deltas:
         res = solve(gs_cal, _constraint(cfg, delta), cfg.randomize)
         rep_eval = evaluate(res.rule, gs_test, cfg.cost)
         cell = {
@@ -273,7 +272,7 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
             "cal_plugin_accuracy": res.plugin_accuracy,
         }
         if pop is not None:
-            t_or = t_stars[i]
+            t_or = ga.t_star(pop, cfg.measure, delta, cfg.cost)
             q0, q1 = curve.thresholds(t_or)
             oracle_acc = ga.fair_accuracy(pop, ThresholdRule(np.array([q0, q1])))
             cell.update(

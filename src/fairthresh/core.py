@@ -10,6 +10,10 @@ import numpy as np
 # strata (a label, or None for the group marginal) with these signs.
 MEASURES = {"dp": ((None, 1.0),), "eo": ((1, 1.0),), "pe": ((0, 1.0),), "oa": ((1, 1.0), (0, -1.0))}
 
+# Slack allowed in every comparison of a disparity against the tolerance, by the
+# sample solver and the population oracle alike.
+DELTA_SLACK = 1e-12
+
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)

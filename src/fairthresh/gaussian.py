@@ -6,9 +6,10 @@ probability within a group is a logistic function of a one-dimensional linear
 score whose stratum laws are Gaussian with a shared variance, so every tail
 probability needed by the threshold theory reduces to a normal CDF; no
 d-dimensional integration is performed.  The normal CDF ``_ndtr`` is built on
-``math.erf`` and ``math.erfc`` (absolute error below 1e-15), and the
-multiclass oracle's monotone root searches use the bracketing ``_root``, so
-the module needs numpy and the standard library only.
+``math.erf`` and ``math.erfc`` (absolute error below 1e-15), and every
+oracle root search, ``t_star``'s and the multiclass oracle's, uses the
+bracketing ``_root``, so the module needs numpy and the standard library
+only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ThresholdRule, _frozen_array
+from .core import DELTA_SLACK, ThresholdRule, _frozen_array
 from .metrics import ThresholdCurve
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -155,7 +156,7 @@ class GaussianPopulation:
 
     @cached_property
     def _score_laws(self) -> tuple:
-        # computed once: the oracle's bisections read a law on every tail rate
+        # computed once: the oracle's root searches read a law on every tail rate
         return tuple(self._score_law(a) for a in range(self.n_groups))
 
     def _score_law(self, a: int) -> "ScoreLaw":
@@ -208,50 +209,31 @@ def eta(pop: GaussianPopulation, x, a: int):
 # ---------------------------------------------------------------------------
 
 
-def t_star(pop: GaussianPopulation, measure: str, delta, cost: float = 0.5):
-    """Shift at which the population disparity equals the signed tolerance.
+def t_star(pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.5) -> float:
+    """Shift at which the population disparity reaches the signed tolerance.
 
-    Returns 0 when the unconstrained rule already satisfies the tolerance.
-    The disparity is continuous and strictly decreasing for non-degenerate
-    score laws, so the crossing is bisected to an absolute width of 1e-13.
-    ``delta`` may be a 1-d sequence of tolerances, giving an array: its
-    lanes are bisected in lockstep, one array call of the threshold map per
-    step, and each lane's rates are read as a scalar call reads them, so
-    every lane has the bits of its scalar call.
+    As in :func:`~fairthresh.solve.solve`, a disparity within ``DELTA_SLACK``
+    of the tolerance reaches it: 0 is returned when the unconstrained rule's
+    disparity does, and otherwise the shift nearest 0 on its side at which
+    the disparity equals the tolerance plus the slack.  The disparity is
+    continuous and strictly decreasing in the searched direction for
+    non-degenerate score laws, so ``_root`` locates that crossing to 1e-13.
     """
-    deltas = np.asarray(delta, dtype=np.float64)
-    if not np.all(deltas >= 0):
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
-    lanes = deltas.reshape(-1)
-    out = np.zeros(lanes.size)
     curve = ThresholdCurve(measure, pop.p_a, pop.p_ya, cost)
     star = curve.disparity(pop, 0.0)
-    live = np.flatnonzero(abs(star) > lanes)
-    if live.size:
-        target = lanes[live] if star > 0 else -lanes[live]
-        lo, hi = curve.bracket()
-        a0, b0 = (0.0, hi) if star > 0 else (lo, 0.0)
-        fa = curve.disparity(pop, a0) - target
-        failed = fa * (curve.disparity(pop, b0) - target) > 0
-        if np.any(failed):
-            pinned = "".join(f"; group {a}'s cutoff is pinned at the cost" for a in curve.pinned)
-            raise ValueError(f"bracket failure in shift search: the {measure} family at cost {cost} cannot "
-                             f"reach tolerance {float(lanes[live][failed][0])!r}{pinned}")
-        a = np.full(live.size, a0)
-        b = np.full(live.size, b0)
-        run = np.arange(live.size)  # lanes still wider than 1e-13
-        for _ in range(200):
-            mid = 0.5 * (a[run] + b[run])
-            q0, q1 = curve.thresholds(mid)
-            fm = np.array([curve.disparity_at(pop, q) for q in zip(q0, q1)]) - target[run]
-            left = fa[run] * fm > 0
-            a[run[left]], fa[run[left]] = mid[left], fm[left]
-            b[run[~left]] = mid[~left]
-            run = run[b[run] - a[run] > 1e-13]
-            if not run.size:
-                break
-        out[live] = 0.5 * (a + b)
-    return out if deltas.ndim else float(out[0])
+    bound = delta + DELTA_SLACK
+    if abs(star) <= bound:
+        return 0.0
+    lo, hi = curve.bracket()
+    sign, end = (1.0, hi) if star > 0 else (-1.0, -lo)
+    over = lambda u: sign * curve.disparity(pop, sign * u) - bound  # noqa: E731
+    if over(end) > 0:
+        pinned = "".join(f"; group {a}'s cutoff is pinned at the cost" for a in curve.pinned)
+        raise ValueError(f"bracket failure in shift search: the {measure} family at cost {cost} cannot "
+                         f"reach tolerance {float(delta)!r}{pinned}")
+    return sign * _root(over, 0.0, end, 1e-13)
 
 
 # ---------------------------------------------------------------------------

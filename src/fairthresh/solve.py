@@ -31,12 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FairnessConstraint, ThresholdRule
+from .core import DELTA_SLACK, FairnessConstraint, ThresholdRule
 from .metrics import GroupedScores, ThresholdCurve, _counts
-
-
-# Slack allowed in every comparison of a disparity against the tolerance.
-DELTA_SLACK = 1e-12
 
 
 class SolverError(ValueError):

@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 import fairthresh as ft
 from fairthresh import gaussian as ga
-from fairthresh.core import MEASURES
+from fairthresh.core import DELTA_SLACK, MEASURES
 from fairthresh.synth import SynthSpec, draw_population
 
 
@@ -248,12 +248,14 @@ def test_t_star_cost_family():
 
 
 def bisect_one(pop, measure, delta, cost):
-    """Reference for one tolerance: the scalar bisection, stopped at width 1e-13 or 200 steps."""
+    """Referee for one tolerance: plain bisection of the disparity against the tolerance plus
+    DELTA_SLACK, stopped at width 1e-13 or 200 steps."""
     curve = curve_of(pop, measure, cost)
     star = curve.disparity(pop, 0.0)
-    if abs(star) <= delta:
+    bound = delta + DELTA_SLACK
+    if abs(star) <= bound:
         return 0.0
-    target = delta if star > 0 else -delta
+    target = bound if star > 0 else -bound
     a, b = (0.0, curve.bracket()[1]) if star > 0 else (curve.bracket()[0], 0.0)
     fa = curve.disparity(pop, a) - target
     for _ in range(200):
@@ -268,28 +270,47 @@ def bisect_one(pop, measure, delta, cost):
     return 0.5 * (a + b)
 
 
-@pytest.mark.parametrize("measure, cost", [("dp", 0.5), ("dp", 0.3), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5),
-                                           ("eo", 0.3), ("pe", 0.7), ("oa", 0.3)])
-def test_t_star_grid_lanes_equal_scalar_calls_bit_for_bit(measure, cost):
+class _Counted:
+    """A population whose stratum-rate reads are counted."""
+
+    def __init__(self, pop):
+        self.pop, self.p_a, self.p_ya, self.reads = pop, pop.p_a, pop.p_ya, 0
+
+    def rate(self, a, y, q, tau=0.0):
+        self.reads += 1
+        return self.pop.rate(a, y, q, tau)
+
+
+REFEREE_CASES = [("dp", 0.5), ("dp", 0.3), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5), ("eo", 0.3), ("pe", 0.7), ("oa", 0.3)]
+
+
+def referee_grid(measure, cost):
+    """12 populations, each with unsorted, repeated and vacuous (at or above |star|) tolerances."""
     rng = np.random.default_rng(17)
     for _ in range(12):
         pop = make_pop(rng, p1=rng.uniform(0.2, 0.8), sigma=rng.uniform(0.5, 2.0))
         star = abs(unconstrained(pop, measure, cost))
-        # unsorted, repeated, and vacuous (at or above |star|) lanes
-        grid = [star / 2, 0.0, star * 0.9, star / 2, star, star + 0.1, star * 0.1]
-        lanes = ga.t_star(pop, measure, grid, cost)
-        assert isinstance(lanes, np.ndarray) and lanes.shape == (len(grid),)
-        assert lanes[4] == lanes[5] == 0.0
-        for delta, lane in zip(grid, lanes.tolist()):
-            want = repr(bisect_one(pop, measure, delta, cost))
-            assert repr(lane) == repr(ga.t_star(pop, measure, delta, cost)) == want
+        yield pop, [star / 2, 0.0, star * 0.9, star / 2, star, star + 0.1, star * 0.1]
 
 
-def test_t_star_grid_edge_cases():
-    assert ga.t_star(POP, "dp", []).shape == (0,)
-    for grid in ([0.1, -0.1], [0.0, np.nan]):
-        with pytest.raises(ValueError, match="delta must be >= 0"):
-            ga.t_star(POP, "dp", grid)
+@pytest.mark.parametrize("measure, cost", REFEREE_CASES)
+def test_t_star_matches_the_bisection_referee(measure, cost):
+    for pop, grid in referee_grid(measure, cost):
+        ts = [ga.t_star(pop, measure, delta, cost) for delta in grid]
+        assert ts[4] == ts[5] == 0.0
+        for delta, t in zip(grid, ts):
+            assert abs(t - bisect_one(pop, measure, delta, cost)) <= 2e-13
+
+
+@pytest.mark.parametrize("measure, cost", REFEREE_CASES)
+def test_t_star_reads_at_most_32_disparities_per_tolerance(measure, cost):
+    reads_per_disparity = 2 * len(MEASURES[measure])
+    for pop, grid in referee_grid(measure, cost):
+        for delta in grid:
+            counted = _Counted(pop)
+            ga.t_star(counted, measure, delta, cost)
+            assert counted.reads % reads_per_disparity == 0
+            assert counted.reads // reads_per_disparity <= 32
 
 
 class _FlatPopulation(ga.GaussianPopulation):
@@ -301,11 +322,39 @@ class _FlatPopulation(ga.GaussianPopulation):
 
 def test_t_star_grid_raises_the_scalar_bracket_failure():
     pop = _FlatPopulation(p_a=POP.p_a, p_ya=POP.p_ya, mu=POP.mu, sigma=1.0)
-    with pytest.raises(ValueError, match="bracket failure in shift search"):
-        ga.t_star(pop, "dp", 0.1)
-    with pytest.raises(ValueError, match="bracket failure in shift search"):
-        ga.t_star(pop, "dp", [0.9, 0.1])
-    assert ga.t_star(pop, "dp", [0.9, 1.0]).tolist() == [0.0, 0.0]  # vacuous lanes never bracket
+    for delta in (0.1, 0.0):
+        with pytest.raises(ValueError, match="bracket failure in shift search"):
+            ga.t_star(pop, "dp", delta)
+    counted = _Counted(pop)
+    assert ga.t_star(counted, "dp", 0.9) == ga.t_star(pop, "dp", 1.0) == 0.0
+    assert counted.reads == 2  # the disparity at t = 0 only: a vacuous tolerance never searches the bracket
+
+
+T0, SLOPE = 0.05, 1e-3
+
+
+class _FlickerPopulation(ga.GaussianPopulation):
+    """dp disparity SLOPE * (T0 - t) + 1e-13 up to t = T0, then rounding-level noise
+    (+-5e-17, its sign flickering with t) up to the end of the bracket."""
+
+    def rate(self, a, y, q, tau=0.0):
+        if a == 0:
+            return 1e-16
+        t = float(curve_of(self, "dp").shift(q, 1))  # group 1's shift is the family parameter
+        if t <= T0:
+            return 1e-16 + SLOPE * (T0 - t) + 1e-13
+        return 1e-16 + (5e-17 if math.sin(1e7 * t) < 0 else -5e-17)
+
+
+def test_t_star_allows_the_solver_slack_and_ignores_rounding_noise():
+    pop = _FlickerPopulation(p_a=POP.p_a, p_ya=POP.p_ya, mu=POP.mu, sigma=1.0)
+    curve = curve_of(pop, "dp")
+    assert T0 < 0.5 * curve.bracket()[1]
+    assert curve.disparity(pop, T0) == pytest.approx(1e-13, rel=1e-3)
+    noise = [curve.disparity(pop, t) for t in np.linspace(T0 * 1.01, curve.bracket()[1], 101)]
+    assert max(map(abs, noise)) < 1e-16 and min(noise) < 0 < max(noise)
+    at_slack = T0 - (DELTA_SLACK - 1e-13) / SLOPE  # where the disparity equals DELTA_SLACK
+    assert abs(ga.t_star(pop, "dp", 0.0) - at_slack) <= 1e-12
 
 
 def test_a_pinned_cutoff_is_named_in_the_bracket_failure():
