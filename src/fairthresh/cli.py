@@ -25,7 +25,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -35,7 +34,7 @@ import numpy as np
 from . import gaussian as ga
 from . import scores as sc
 from . import tabular as tb
-from .core import MEASURES, FairnessConstraint, ThresholdRule
+from .core import MEASURES, FairnessConstraint, ThresholdRule, fork_map
 from .metrics import GroupedScores, ThresholdCurve, evaluate
 from .solve import solve, solve_multiclass_dp
 from .synth import SynthSpec, draw_population, sample
@@ -291,15 +290,13 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _binary_rep(args):
+def _binary_rep(cfg, rep):
     """Repetition ``rep``'s cells over the tolerance grid."""
-    cfg, rep = args
     pop, gs_cal, gs_test = _scored_rep(cfg, rep)
     return _cells(cfg, cfg.delta_grid(), gs_cal, gs_test, pop)
 
 
-def _multiclass_rep(args):
-    cfg, rep = args
+def _multiclass_rep(cfg, rep):
     pop, *samples = _data(cfg, rep)
     gs_train, gs_test = _fit_and_score(cfg, *samples)
     res = solve_multiclass_dp(gs_train)
@@ -312,13 +309,6 @@ def _multiclass_rep(args):
         "pop_acc_gap": abs(orc.accuracy - ga.fair_accuracy(pop, res.rule)),
         "sum_t": abs(res.sum_t),
     }
-
-
-def _map(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
 
 
 _STATS = {
@@ -351,7 +341,7 @@ def _aggregate(kind: str, cells: list, **fixed) -> dict:
 
 def run_binary(cfg: ExperimentConfig) -> tuple:
     """``cfg.reps`` repetitions of fit and tolerance grid; one row per tolerance."""
-    per_rep = _map(_binary_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
+    per_rep = fork_map(functools.partial(_binary_rep, cfg), cfg.reps, cfg.jobs)
     rows = [
         _aggregate(cfg.kind, cells, measure=cfg.measure, delta=cells[0]["delta"], reps=cfg.reps)
         for cells in zip(*per_rep)
@@ -360,7 +350,7 @@ def run_binary(cfg: ExperimentConfig) -> tuple:
 
 
 def run_multiclass(cfg: ExperimentConfig) -> tuple:
-    cells = _map(_multiclass_rep, [(cfg, r) for r in range(cfg.reps)], cfg.jobs)
+    cells = fork_map(functools.partial(_multiclass_rep, cfg), cfg.reps, cfg.jobs)
     return [_aggregate(cfg.kind, cells, n_groups=cfg.n_groups, reps=cfg.reps)], {}
 
 

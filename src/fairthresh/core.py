@@ -1,7 +1,12 @@
-"""Shared domain types: datasets, constraints, rules, reports."""
+"""Shared domain types: datasets, constraints, rules, reports; the one worker pool."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,3 +168,57 @@ class EvalReport:
         object.__setattr__(self, "positive_rate_a", _frozen_array(self.positive_rate_a, np.float64))
         object.__setattr__(self, "tpr_a", _frozen_array(self.tpr_a, np.float64))
         object.__setattr__(self, "fpr_a", _frozen_array(self.fpr_a, np.float64))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_task = None  # a worker's fn, set by _start_worker in the worker only
+
+
+def _start_worker(fn, parent: int) -> None:
+    """Pool initializer: keep ``fn`` for :func:`_run`, and start a thread that
+    ends the worker once ``parent`` has died, as the worker then waits on a
+    queue that nothing will write to again."""
+    global _task
+    _task = fn
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _run(i):
+    return _task(i)
+
+
+def fork_map(fn, n: int, workers: int, order=None) -> list:
+    """``[fn(i) for i in range(n)]``, in at most ``min(workers, n, usable CPUs)``
+    forked worker processes, submitted in ``order`` (default ``range(n)``).
+
+    Runs on the calling thread instead when that cap is 1, where ``fork`` does
+    not exist, or inside a worker of another pool, whose tasks fill the CPUs
+    already.  Workers are forked, so they inherit ``fn`` (through the pool
+    initializer) and everything it reads; only ``i`` and the result are
+    pickled.  ``fork`` copies only the calling thread, which is safe because
+    fairthresh starts no other thread that could hold a lock across it.  The
+    results come back in index order; an exception in a worker is raised
+    here, and the pool joins every worker before this returns or raises.  If
+    this process is killed instead, :func:`_start_worker`'s thread ends each
+    worker within about 0.2 s, so no process outlives the call.
+    """
+    workers = min(workers, n, _usable_cpus())
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return [fn(i) for i in range(n)]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn, os.getpid())) as pool:
+        futures = {i: pool.submit(_run, i) for i in (range(n) if order is None else order)}
+        return [futures[i].result() for i in range(n)]

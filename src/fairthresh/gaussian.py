@@ -280,25 +280,14 @@ def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
             raise ValueError(f"degenerate score law in group {a}")
 
     curve = ThresholdCurve("dp", pop.p_a, pop.p_ya)
-    solved = {}  # common rate -> each group's cutoff at that rate
 
     def cutoff(a: int, s: float) -> float:
         """Group a's cutoff at which its marginal positive rate equals s."""
-        gap = lambda q: pop.rate(a, None, q) - s  # noqa: E731
-        # a cutoff falls as the rate rises, so the cutoffs solved at the nearest rates on
-        # either side of s bracket this one, widened by twice the search tolerance
-        lo = max((qs[a] for r, qs in solved.items() if r > s), default=0.0)
-        hi = min((qs[a] for r, qs in solved.items() if r < s), default=1.0)
-        try:
-            return _root(gap, max(lo - 2e-15, 1e-15), min(hi + 2e-15, 1.0 - 1e-15), 1e-15)
-        except ValueError:  # rounding left the root outside that bracket
-            return _root(gap, 1e-15, 1.0 - 1e-15, 1e-15)
+        return _root(lambda q: pop.rate(a, None, q) - s, 1e-15, 1.0 - 1e-15, 1e-15)
 
     def shifts(s: float) -> list:
         """Each group's shift of the dp curve at which its marginal positive rate equals s."""
-        if s not in solved:
-            solved[s] = [cutoff(a, s) for a in range(pop.n_groups)]
-        return [curve.shift(q, a) for a, q in enumerate(solved[s])]
+        return [curve.shift(cutoff(a, s), a) for a in range(pop.n_groups)]
 
     s_star = _root(lambda s: sum(shifts(s)), 1e-12, 1.0 - 1e-12, 1e-15)
     t_a = np.array(shifts(s_star))

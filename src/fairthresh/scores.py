@@ -11,16 +11,11 @@ training data only.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _usable_cpus, fork_map
 
 _fit_calls = 0
 
@@ -250,13 +245,6 @@ def _descend(design, y, config: TrainConfig) -> tuple:
     return theta, iterations, loss
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # Row-epochs (rows x epochs) that forking must save before it is used.  One
 # serial row-epoch of a fit on a column-major design costs about 8 ns at
 # k = 6 (5e7 row-epochs in 390 ms on a shared 2-vCPU Xeon, one BLAS thread),
@@ -270,15 +258,12 @@ def _workers(costs) -> int:
     """Worker processes to fit groups of the given costs (row-epochs each)
     in; 1 means a loop on the calling thread.
 
-    Forks only where it pays: on more than one usable CPU and group, where
-    ``fork`` exists, outside a worker of another pool (a ``--jobs`` worker,
-    whose repetitions fill the CPUs already), and when the saving of the
-    longest-processing-time-first schedule, ``sum(costs)`` less its largest
-    bin, reaches ``_FORK_SAVING``.
+    Forks only where it pays: on more than one usable CPU and group, and
+    when the saving of the longest-processing-time-first schedule,
+    ``sum(costs)`` less its largest bin, reaches ``_FORK_SAVING``.
     """
     workers = min(len(costs), _usable_cpus())
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.parent_process() is not None):
+    if workers < 2:
         return 1
     bins = [0] * workers
     for cost in sorted(costs, reverse=True):
@@ -286,53 +271,16 @@ def _workers(costs) -> int:
     return workers if sum(costs) - max(bins) >= _FORK_SAVING else 1
 
 
-_work = None  # the fit of the running _map_groups, inherited by its forked workers
-
-
-def _run(a):
-    return _work(a)
-
-
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: a thread ends the worker once ``parent`` has died, as the
-    worker then waits on a queue that nothing will write to again."""
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
-    threading.Thread(target=watch, daemon=True).start()
-
-
 def _map_groups(fit_group, costs) -> list:
-    """``[fit_group(a) for a in range(len(costs))]``, in worker processes
-    where ``_workers(costs)`` says forking pays, else on the calling thread.
-
-    Workers are forked, so they inherit ``fit_group`` and everything it
-    reads; only ``a`` and the result are pickled.  ``fork`` copies only the
-    calling thread, which is safe because fairthresh starts no other thread
-    that could hold a lock across it.  Groups are submitted largest cost
-    first, and the results are returned in group order.  An exception in a
-    worker is raised here, and the pool joins every worker before this
-    returns or raises; if this process is killed, :func:`_exit_with_parent`
-    ends each worker, so no process outlives the call.
+    """``[fit_group(a) for a in range(len(costs))]`` by :func:`~fairthresh.core.fork_map`,
+    in ``_workers(costs)`` processes, largest cost first.
 
     Threads would not do: an epoch is about a dozen numpy calls of 5-40 us
     each at 20,000 rows, and a thread retakes the interpreter lock between
     them, so two threads fit five groups only 10-20% faster than one.
     """
-    workers = _workers(costs)
-    if workers == 1:
-        return [fit_group(a) for a in range(len(costs))]
-    global _work
-    _work = fit_group
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
-            futures = {a: pool.submit(_run, a)
-                       for a in sorted(range(len(costs)), key=costs.__getitem__, reverse=True)}
-            return [futures[a].result() for a in range(len(costs))]
-    finally:
-        _work = None
+    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
+    return fork_map(fit_group, len(costs), _workers(costs), order)
 
 
 def _design(xs, extra):

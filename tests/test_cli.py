@@ -364,6 +364,21 @@ def test_jobs_parallel_matches_sequential(tmp_path):
     assert seq.read_bytes() == par.read_bytes()
 
 
+def test_jobs_forks_no_more_workers_than_repetitions(monkeypatch, capsys):
+    # eight usable CPUs, six jobs, two repetitions (FAST): two workers, not six
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    code, _, _ = run_main(["synth", "--seed", "9", "--format", "csv", "--jobs", "6", *FAST], capsys)
+    assert code == 0
+    assert forks == [os.getpid()] * 2
+
+
 def test_rep_seed_rule_is_stable():
     # the documented derivation must never change silently
     assert cli.rep_seeds(0, 0) == cli.rep_seeds(0, 0)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairthresh as ft
-from fairthresh import cli
+from fairthresh import cli, core
 from fairthresh import gaussian as ga
 from fairthresh import scores as sc
 
@@ -459,7 +459,7 @@ def test_descent_receives_column_major_designs(monkeypatch, per_group):
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(sc.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def _forking_always_pays(monkeypatch):
@@ -483,7 +483,7 @@ def _no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was constructed")
 
-    monkeypatch.setattr(sc, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(core, "ProcessPoolExecutor", refuse)
 
 
 def test_five_group_data_mixes_converged_and_unconverged_fits():
@@ -507,8 +507,8 @@ def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, 
 
 
 @pytest.mark.parametrize("n_cpus", [2, 8])
-def test_a_helper_thread_fits_a_group(monkeypatch, n_cpus):
-    # the helpers are worker processes: every group is fitted in one
+def test_a_worker_process_fits_each_group(monkeypatch, n_cpus):
+    # every group is fitted in a worker, none in this process
     _cpus(monkeypatch, n_cpus)
     _forking_always_pays(monkeypatch)
     _pid_recording_descend(monkeypatch)
@@ -522,8 +522,8 @@ def test_a_helper_thread_fits_a_group(monkeypatch, n_cpus):
     assert threading.active_count() == before
 
 
-def test_one_cpu_starts_no_thread(monkeypatch):
-    # nor a worker process: one CPU fits every group in this process
+def test_one_cpu_starts_no_worker_process(monkeypatch):
+    # nor a thread: one CPU fits every group in this process
     _cpus(monkeypatch, 1)
     _forking_always_pays(monkeypatch)
     _no_pool(monkeypatch)
@@ -557,13 +557,12 @@ def test_a_failed_group_fit_is_re_raised_after_every_helper_stopped(monkeypatch,
     assert threading.active_count() == before
 
 
-def test_map_groups_runs_every_group_once_under_fast_switching(monkeypatch):
+def test_fork_map_runs_every_task_once_under_fast_switching(monkeypatch):
     # more workers than cores, and the pool's threads in this process switch
-    # every microsecond: a lost or doubled group would show in the counts, a
+    # every microsecond: a lost or doubled task would show in the counts, a
     # misplaced result in the order
     _cpus(monkeypatch, 16)
-    _forking_always_pays(monkeypatch)
-    costs = [(a * 37) % 64 for a in range(64)]  # submitted out of group order
+    order = [(a * 37) % 64 for a in range(64)]  # submitted out of index order
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -575,7 +574,7 @@ def test_map_groups_runs_every_group_once_under_fast_switching(monkeypatch):
                     counts[a] += 1
                 return a * a, os.getpid()
 
-            out = sc._map_groups(fit, costs)
+            out = core.fork_map(fit, 64, 16, order)
             assert list(counts) == [1] * 64
             assert [square for square, _ in out] == [a * a for a in range(64)]
             assert os.getpid() not in {pid for _, pid in out}
@@ -649,31 +648,41 @@ def test_a_fit_inside_a_jobs_worker_constructs_no_pool(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-# A process that fits five groups in two forked workers, each fit recording
-# its worker's pid and then running on for a minute, so the pool is alive
-# when the process is killed.
-_KILLED_FIT = """
+# A process that runs one of the two pooled layers in two forked workers, on
+# two usable CPUs whatever the host has: the group fits of one per-group fit
+# (layer "groups", five groups, forking made to pay) or the repetitions of
+# `synth --jobs 2` (layer "jobs", four repetitions).  Each task records its
+# worker's pid and then runs on for a minute, so the pool is alive when the
+# process is killed.
+_KILLED_RUN = """
 import os, sys, time
 import numpy as np
 import fairthresh as ft
+from fairthresh import cli
 from fairthresh import scores as sc
 
-sc._FORK_SAVING = 0
-sc._usable_cpus = lambda: 2
-descend = sc._descend
+pid_file, layer = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}
 
-def recording_descend(design, y, config):
-    with open(sys.argv[1], "a") as f:
-        f.write(f"{os.getpid()}\\n")
-    fit = descend(design, y, config)
-    time.sleep(60)
-    return fit
+def recording(fn):
+    def slowed(*args):
+        with open(pid_file, "a") as f:
+            f.write(f"{os.getpid()}\\n")
+        time.sleep(60)
+        return fn(*args)
+    return slowed
 
-sc._descend = recording_descend
-rng = np.random.default_rng(0)
-group = np.repeat(np.arange(5), 20)
-ft.fit_logistic(ft.Dataset(rng.normal(size=(100, 2)), group, rng.integers(0, 2, 100)),
-                ft.TrainConfig(epochs=5, per_group=True))
+if layer == "groups":
+    sc._FORK_SAVING = 0
+    sc._descend = recording(sc._descend)
+    rng = np.random.default_rng(0)
+    group = np.repeat(np.arange(5), 20)
+    ft.fit_logistic(ft.Dataset(rng.normal(size=(100, 2)), group, rng.integers(0, 2, 100)),
+                    ft.TrainConfig(epochs=5, per_group=True))
+else:
+    sc.fit_logistic = recording(sc.fit_logistic)
+    cli.main(["synth", "--jobs", "2", "--reps", "4", "--n-train", "300", "--n-test", "200",
+              "--epochs", "5"])
 """
 
 
@@ -690,11 +699,12 @@ def _start_time(pid):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc/self"),
                     reason="needs fork and /proc")
-def test_group_fit_workers_exit_when_their_parent_is_killed(tmp_path):
+@pytest.mark.parametrize("layer", ["groups", "jobs"])
+def test_pool_workers_exit_when_their_parent_is_killed(tmp_path, layer):
     pid_file = tmp_path / "pids"
     src = os.path.dirname(os.path.dirname(ft.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-c", _KILLED_FIT, str(pid_file)], env=env,
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_RUN, str(pid_file), layer], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     workers = {}
     try:

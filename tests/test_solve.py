@@ -551,6 +551,23 @@ def test_one_scan_serves_a_shuffled_grid_as_fresh_samples_would(sample, families
             assert (res.t_hat, res.saturated) == first_crossing(shared, measure, delta, cost)
 
 
+@given(scanned_samples(),
+       st.sampled_from(FAMILIES),
+       st.lists(st.sampled_from((0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0)), min_size=1, max_size=4),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_reads_the_disparity_the_solver_achieved(sample, family, deltas, randomize):
+    # two rate paths: the solver's scan of the curve, and evaluate's per-stratum
+    # expected positives under the returned (possibly tie-randomized) rule
+    gs = make_gs(*sample)
+    measure, cost = family
+    field = {"dp": "ddp", "eo": "deo", "pe": "dpe", "oa": "doa"}[measure]
+    for delta in deltas:
+        res = ft.solve(gs, ft.FairnessConstraint(measure, delta, cost), randomize)
+        report = ft.evaluate(res.rule, gs, cost)
+        assert abs(getattr(report, field) - res.achieved_disparity) <= 1e-12
+
+
 def test_scans_are_kept_per_cost():
     rng = np.random.default_rng(3)
     gs = _random_gs(rng)
