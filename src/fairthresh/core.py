@@ -143,7 +143,7 @@ class ThresholdRule:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Classifier evaluation on one sample: accuracy, risk and disparities.
+    """Classifier evaluation on a sample or a population: accuracy, risk and disparities.
 
     Rates are expectations under the tie-randomized rule. ``rate_gap_sum``
     is the summed absolute gap between each group's positive rate and the

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DELTA_SLACK, ThresholdRule, _frozen_array
-from .metrics import ThresholdCurve
+from .metrics import ThresholdCurve, evaluate
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -209,6 +209,13 @@ def eta(pop: GaussianPopulation, x, a: int):
 # ---------------------------------------------------------------------------
 
 
+def _require_continuous(pop: GaussianPopulation) -> None:
+    """Raise unless every group's rates are continuous in the cutoff, as root searches need."""
+    for a in range(pop.n_groups):
+        if pop.score_law(a).sd == 0.0:
+            raise ValueError(f"degenerate score law in group {a}")
+
+
 def t_star(pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.5) -> float:
     """Shift at which the population disparity reaches the signed tolerance.
 
@@ -217,7 +224,8 @@ def t_star(pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.
     disparity does, and otherwise the shift nearest 0 on its side at which
     the disparity equals the tolerance plus the slack.  The disparity is
     continuous and strictly decreasing in the searched direction for
-    non-degenerate score laws, so ``_root`` locates that crossing to 1e-13.
+    non-degenerate score laws (a search on a degenerate one raises), so
+    ``_root`` locates that crossing to 1e-13.
     """
     if not delta >= 0:
         raise ValueError("delta must be >= 0")
@@ -226,6 +234,7 @@ def t_star(pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.
     bound = delta + DELTA_SLACK
     if abs(star) <= bound:
         return 0.0
+    _require_continuous(pop)
     lo, hi = curve.bracket()
     sign, end = (1.0, hi) if star > 0 else (-1.0, -lo)
     over = lambda u: sign * curve.disparity(pop, sign * u) - bound  # noqa: E731
@@ -243,13 +252,7 @@ def t_star(pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.
 
 def fair_accuracy(pop: GaussianPopulation, rule: ThresholdRule) -> float:
     """Exact accuracy of a (possibly tie-randomized) group-thresholding rule."""
-    if rule.n_groups != pop.n_groups:
-        raise ValueError("rule and population disagree on the number of groups")
-    acc = 0.0
-    for a, (q, tau) in enumerate(zip(rule.thresholds.tolist(), rule.tie_prob.tolist())):
-        py = float(pop.p_ya[a])
-        acc += float(pop.p_a[a]) * (py * pop.rate(a, 1, q, tau) + (1.0 - py) * (1.0 - pop.rate(a, 0, q, tau)))
-    return acc
+    return evaluate(rule, pop).accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +274,10 @@ class MulticlassOracle:
 def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
     """Solve sum_a t_a = 0 with all marginal rates equal, by a root search on the common rate.
 
-    Requires a non-degenerate score law in every group (the rate-to-shift map
-    must be continuous and strictly decreasing).  Each evaluation of the sum
-    finds every group's cutoff at the common rate by an inner root search.
+    A degenerate score law in any group raises, as in :func:`t_star`.  Each
+    evaluation of the sum finds every group's cutoff by an inner root search.
     """
-    for a in range(pop.n_groups):
-        if pop.score_law(a).sd == 0.0:
-            raise ValueError(f"degenerate score law in group {a}")
-
+    _require_continuous(pop)
     curve = ThresholdCurve("dp", pop.p_a, pop.p_ya)
 
     def cutoff(a: int, s: float) -> float:

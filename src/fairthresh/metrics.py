@@ -1,4 +1,4 @@
-"""Empirical disparity functions and classifier evaluation.
+"""Disparity functions and classifier evaluation on any source of stratum rates.
 
 The four group-fairness measures handled here compare, between the two
 protected groups, the positive rate (dp), the true-positive rate (eo), the
@@ -6,9 +6,9 @@ false-positive rate (pe), and TPR - FPR (oa): the oa statistic is
 (TPR_1 - FPR_1) - (TPR_0 - FPR_0), not a gap in per-group accuracy.  Each
 measure gives every group a cutoff map of its own shift; the
 :class:`ThresholdCurve` below holds these maps, the binary family that
-shifts two groups by (-t, t), and the disparity of its rules on any source
-of stratum rates: a sample (:class:`GroupedScores`) or the exact Gaussian
-population.
+shifts two groups by (-t, t), and the disparity of its rules; it and
+:func:`evaluate` read any source of ``rate(a, y, q, tau)`` and weights
+``p_a``, ``p_ya``: a sample (:class:`GroupedScores`) or the population.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class GroupedScores:
     what is derived from them is cached on first use.
     The counts and plug-in rates are read off the strata sizes:
     ``n_ay[a, y]`` rows have group ``a`` and label ``y``,
-    ``p_hat_a[a] = n_a / n`` and ``p_hat_ya[a] = n_{a,1} / n_a``.
+    ``p_a[a] = n_a / n`` and ``p_ya[a] = n_{a,1} / n_a``.
     """
 
     by_group: tuple
@@ -103,11 +103,11 @@ class GroupedScores:
         return int(self.n_a.sum())
 
     @cached_property
-    def p_hat_a(self) -> np.ndarray:
+    def p_a(self) -> np.ndarray:
         return _frozen_array(self.n_a / self.n, np.float64)
 
     @cached_property
-    def p_hat_ya(self) -> np.ndarray:
+    def p_ya(self) -> np.ndarray:
         return _frozen_array(self.n_ay[:, 1] / self.n_a, np.float64)
 
     @cached_property
@@ -175,9 +175,9 @@ class ThresholdCurve:
     """Each group's cutoff as a function of its own shift, for two or K groups.
 
     The one family for sample and population: the plug-in method builds it
-    from a sample's ``p_hat_a`` and ``p_hat_ya``, the oracle from the
-    population's ``p_a`` and ``p_ya``; only these, the cost c and the
-    measure's ``MEASURES`` row enter the maps.  Group a's signed stratum sum
+    from a sample's group weights ``p_a`` and positive rates ``p_ya``, the
+    oracle from the population's; only these, the cost c and the measure's
+    ``MEASURES`` row enter the maps.  Group a's signed stratum sum
     is g_a = E[Yhat (A_a + B_a eta) | a], and the cost-c risk plus s g_a is
     least at q_a(s) = c + s k_a / (p_a - s B_a) (FairBayes' Neyman-Pearson
     cutoff; see :func:`_group_slopes`), with s = t_a / scale at the group's
@@ -329,41 +329,29 @@ class ThresholdCurve:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(rule: ThresholdRule, gs: GroupedScores, cost: float = 0.5) -> EvalReport:
-    """Expected metrics of a (possibly tie-randomized) rule on one sample."""
-    k = gs.n_groups
+def evaluate(rule: ThresholdRule, source, cost: float = 0.5) -> EvalReport:
+    """Expected metrics of a (possibly tie-randomized) rule on a sample or a population.
+
+    TPR and FPR are the label-1 and label-0 rates of ``source``, nan on a
+    sample's empty stratum; every other metric sums the strata's masses.
+    """
+    k = len(source.p_a)
     if rule.n_groups != k:
-        raise ValueError("rule and sample disagree on the number of groups")
-    pos_mass = np.zeros((k, 2))  # expected positives per (group, label)
-    for a in range(k):
-        q = float(rule.thresholds[a])
-        tau = float(rule.tie_prob[a])
-        for y in (0, 1):
-            s = gs.stratum(a, y)
-            if s.size:
-                pos_mass[a, y] = gs.rate(a, y, q, tau) * s.size
-    n_ay = gs.n_ay
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tpr = np.where(n_ay[:, 1] > 0, pos_mass[:, 1] / n_ay[:, 1], np.nan)
-        fpr = np.where(n_ay[:, 0] > 0, pos_mass[:, 0] / n_ay[:, 0], np.nan)
-    rate_a = pos_mass.sum(axis=1) / gs.n_a
-
-    fp = pos_mass[:, 0].sum()
-    fn = (n_ay[:, 1] - pos_mass[:, 1]).sum()
-    accuracy = 1.0 - (fp + fn) / gs.n
-    cost_risk = (cost * fp + (1.0 - cost) * fn) / gs.n
-
-    overall = pos_mass.sum() / gs.n
+        raise ValueError("rule and source disagree on the number of groups")
+    w = np.stack([1.0 - source.p_ya, source.p_ya], axis=1)  # P(Y = y | A = a), 0 on an empty stratum
+    cuts = enumerate(zip(rule.thresholds.tolist(), rule.tie_prob.tolist()))
+    r = np.array([[source.rate(a, y, q, tau) if w[a, y] else 0.0 for y in (0, 1)] for a, (q, tau) in cuts])
+    pos, neg = w * r, w * (1.0 - r)  # P(Yhat = 1, Y = y | A = a) and P(Yhat = 0, Y = y | A = a)
+    rate_a = pos[:, 1] + pos[:, 0]
+    per_group = np.stack([pos[:, 1] + neg[:, 0], cost * pos[:, 0] + (1.0 - cost) * neg[:, 1], rate_a], axis=1)
+    # summed over the groups in order, as a loop does (np.sum pairs the terms of longer arrays)
+    accuracy, cost_risk, overall = np.add.accumulate(source.p_a[:, None] * per_group)[-1]
+    fpr, tpr = np.where(w > 0.0, r, np.nan).T
     rate_gap_sum = float(np.abs(rate_a - overall).sum())
-    if k == 2:
-        ddp = float(rate_a[1] - rate_a[0])
-        deo = float(tpr[1] - tpr[0])
-        dpe = float(fpr[1] - fpr[0])
-        doa = float((tpr[1] - fpr[1]) - (tpr[0] - fpr[0]))
+    if k == 2:  # each disparity is group 1's rate minus group 0's
+        ddp, deo, dpe, doa = (float(v[1] - v[0]) for v in (rate_a, tpr, fpr, tpr - fpr))
     else:
-        ddp = rate_gap_sum
-        deo = dpe = doa = math.nan
-
+        ddp, deo, dpe, doa = rate_gap_sum, math.nan, math.nan, math.nan
     return EvalReport(
         accuracy=float(accuracy),
         cost_risk=float(cost_risk),

@@ -127,7 +127,7 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
     initial disparity is not searched.  Every tolerance solved on one ``gs``
     reads the same scan (see :func:`_scan`) and adds only the rule's tail.
     """
-    curve = ThresholdCurve(constraint.measure, gs.p_hat_a, gs.p_hat_ya, constraint.cost)
+    curve = ThresholdCurve(constraint.measure, gs.p_a, gs.p_ya, constraint.cost)
     delta = constraint.delta
     d0 = curve.disparity(gs, 0.0)
     lo, hi = curve.bracket()
@@ -278,7 +278,7 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     k = gs.n_groups
     if k < 2:
         raise SolverError("multi-class solving requires at least two groups")
-    curve = ThresholdCurve("dp", gs.p_hat_a, gs.p_hat_ya)
+    curve = ThresholdCurve("dp", gs.p_a, gs.p_ya)
     tables = [_count_intervals(gs.by_group[a], curve, a) for a in range(k)]
 
     ref_cs, ref_lo, ref_hi = tables[0][:3]

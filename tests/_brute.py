@@ -181,8 +181,8 @@ def brute_force_family_best(gs, measure, delta, randomize=True):
     Returns (accuracy, rule_description), or (None, None) when the
     half-family holds no feasible rule.
     """
-    p = tuple(float(v) for v in gs.p_hat_a)
-    py = tuple(float(v) for v in gs.p_hat_ya)
+    p = tuple(float(v) for v in gs.p_a)
+    py = tuple(float(v) for v in gs.p_ya)
     upper = _disparity(measure, gs, 0.5, 0.5) > 0.0
     end = _half_bracket_end(measure, p, py, upper)
     ts = [0.0, end]
@@ -236,7 +236,7 @@ def _multiclass_loop_pick(gs):
     it by more than 1e-15; the loop stops at the first zero gap.
     """
     k = gs.n_groups
-    tables = [_count_intervals_loop(gs.by_group[a], float(gs.p_hat_a[a])) for a in range(k)]
+    tables = [_count_intervals_loop(gs.by_group[a], float(gs.p_a[a])) for a in range(k)]
 
     def match(a, s):
         cs, t_lo, t_hi = tables[a][:3]
@@ -294,7 +294,7 @@ def multiclass_dp_loop(gs):
             for a in range(k)
         ]
     )
-    thresholds = np.clip(0.5 + t_hats / (2.0 * gs.p_hat_a), 0.0, 1.0)  # the cutoff map, clipped
+    thresholds = np.clip(0.5 + t_hats / (2.0 * gs.p_a), 0.0, 1.0)  # the cutoff map, clipped
     for a in range(k):
         q_lo, q_hi = tables[a][3][js[a]], tables[a][4][js[a]]
         if frac == 0.0 or q_lo == q_hi:

@@ -221,7 +221,7 @@ def _random_gs_for_monotone(rng):
 
 
 def _grid_monotone(gs, measure):
-    curve = ft.ThresholdCurve(measure, gs.p_hat_a, gs.p_hat_ya)
+    curve = ft.ThresholdCurve(measure, gs.p_a, gs.p_ya)
     lo, hi = curve.bracket()
     grid = np.linspace(lo, hi, 401)
     vals = curve.disparity(gs, grid)
@@ -303,7 +303,7 @@ def test_criterion_6_randomized_exact_tolerance():
         label[n0 : n0 + 2] = [0, 1]
         gs = ft.GroupedScores.from_arrays(scores, group, label)
         for measure in ("dp", "eo", "pe", "oa"):
-            d0 = ft.ThresholdCurve(measure, gs.p_hat_a, gs.p_hat_ya).disparity(gs, 0.0)
+            d0 = ft.ThresholdCurve(measure, gs.p_a, gs.p_ya).disparity(gs, 0.0)
             if abs(d0) < 0.05:
                 continue
             delta = abs(d0) / 2

@@ -22,9 +22,9 @@ def test_group_stats_hand_counts():
     gs = GroupedScores.from_arrays(np.zeros(4), np.array([1, 1, 0, 0]), np.array([1, 0, 1, 1]))
     assert gs.n == 4
     assert gs.n_a.tolist() == [2, 2]
-    assert gs.p_hat_a[1] == 0.5
-    assert gs.p_hat_ya[1] == 0.5
-    assert gs.p_hat_ya[0] == 1.0
+    assert gs.p_a[1] == 0.5
+    assert gs.p_ya[1] == 0.5
+    assert gs.p_ya[0] == 1.0
     assert gs.n_ay.tolist() == [[0, 2], [1, 1]]
     with pytest.raises(ValueError, match="read-only"):
         gs.n_a[0] = 3
@@ -34,8 +34,8 @@ def test_group_stats_hand_counts():
 
 def test_group_stats_single_group_degenerate():
     gs = GroupedScores.from_arrays(np.full(3, 0.5), np.zeros(3, dtype=int), np.ones(3, dtype=int))
-    assert gs.p_hat_a[0] == 1.0
-    assert gs.p_hat_ya[0] == 1.0
+    assert gs.p_a[0] == 1.0
+    assert gs.p_ya[0] == 1.0
 
 
 def test_group_stats_empty_inputs():
@@ -101,8 +101,8 @@ def test_counts_from_the_strata_match_a_direct_count(seed, k):
     n_a = n_ay.sum(axis=1)
     assert gs.n_ay.tolist() == n_ay.tolist() and gs.n_a.tolist() == n_a.tolist()
     assert gs.n == scores.size
-    assert gs.p_hat_a.tobytes() == (n_a / int(n_a.sum())).tobytes()
-    assert gs.p_hat_ya.tobytes() == (n_ay[:, 1] / n_a).tobytes()
+    assert gs.p_a.tobytes() == (n_a / int(n_a.sum())).tobytes()
+    assert gs.p_ya.tobytes() == (n_ay[:, 1] / n_a).tobytes()
 
 
 def test_fairness_constraint_validation():

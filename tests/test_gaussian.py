@@ -247,6 +247,51 @@ def test_t_star_cost_family():
     assert (q0, q1) == (0.3, 0.3)
 
 
+def _measure_disparity(pop, measure, t, cost):
+    """The measure's disparity of the family's rule at t, read from :func:`ft.evaluate`."""
+    rule = ft.ThresholdRule(np.array(curve_of(pop, measure, cost).thresholds(t)))
+    report = ft.evaluate(rule, pop, cost)
+    return {"dp": report.ddp, "eo": report.deo, "pe": report.dpe, "oa": report.doa}[measure]
+
+
+@pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
+@pytest.mark.parametrize("cost", [0.5, 0.3])
+def test_the_rule_at_t_star_meets_the_tolerance_through_evaluate(measure, cost):
+    # _root locates the shift to 1e-13, which the disparity's slope maps to its excess over
+    # delta: on seeds 0-39, 1,238 searched cases lay in [-2.2e-13, 1.44e-12] of delta
+    for seed in range(10):
+        pop = draw_population(SynthSpec.binary(seed=seed))
+        d0 = _measure_disparity(pop, measure, 0.0, cost)
+        for delta in (0.0, 0.02, 0.05, 0.1):
+            t = ga.t_star(pop, measure, delta, cost)
+            d = _measure_disparity(pop, measure, t, cost)
+            if t == 0.0:
+                assert abs(d) <= delta + DELTA_SLACK
+            else:
+                assert delta - DELTA_SLACK <= abs(d) <= delta + 2 * DELTA_SLACK
+                assert np.sign(d) == np.sign(d0)
+
+
+# group 0's stratum means coincide, so its eta is the constant p_ya[0] = 0.4, a point mass
+DEGENERATE = ga.GaussianPopulation(p_a=np.array([0.3, 0.7]), p_ya=np.array([0.4, 0.7]),
+                                   mu=np.array([[[0.0], [0.0]], [[0.0], [1.5]]]), sigma=1.0)
+
+
+@pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])
+def test_t_star_rejects_a_degenerate_law_when_it_must_search(measure):
+    # without the check, dp, eo and pe stop at t = 0.06, where group 0's cutoff crosses its
+    # atom and the disparity jumps past the tolerance: to -0.266, -0.110 and +0.362
+    assert abs(unconstrained(DEGENERATE, measure)) > 0.4
+    for delta in (0.0, 0.05):
+        with pytest.raises(ValueError, match="^degenerate score law in group 0$"):
+            ga.t_star(DEGENERATE, measure, delta)
+
+
+def test_t_star_on_a_degenerate_law_returns_0_when_the_tolerance_is_met():
+    assert unconstrained(DEGENERATE, "dp") == pytest.approx(0.762, abs=1e-3)
+    assert ga.t_star(DEGENERATE, "dp", 0.8) == 0.0
+
+
 def bisect_one(pop, measure, delta, cost):
     """Referee for one tolerance: plain bisection of the disparity against the tolerance plus
     DELTA_SLACK, stopped at width 1e-13 or 200 steps."""
@@ -279,6 +324,9 @@ class _Counted:
     def rate(self, a, y, q, tau=0.0):
         self.reads += 1
         return self.pop.rate(a, y, q, tau)
+
+    def __getattr__(self, name):  # the rest of the population, such as its score laws
+        return getattr(self.pop, name)
 
 
 REFEREE_CASES = [("dp", 0.5), ("dp", 0.3), ("eo", 0.5), ("pe", 0.5), ("oa", 0.5), ("eo", 0.3), ("pe", 0.7), ("oa", 0.3)]

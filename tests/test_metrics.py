@@ -24,7 +24,7 @@ def make_gs(scores, group, label):
 
 def curve_of(gs, measure, cost=0.5):
     """The measure's threshold family with the sample's plug-in rates."""
-    return ThresholdCurve(measure, gs.p_hat_a, gs.p_hat_ya, cost)
+    return ThresholdCurve(measure, gs.p_a, gs.p_ya, cost)
 
 
 def disparity(gs, measure, t):
@@ -684,9 +684,60 @@ def test_evaluate_constant_classifier():
 def test_evaluate_cost_identity_at_half():
     rng = np.random.default_rng(3)
     gs = _random_gs(rng)
+    pop = ga.GaussianPopulation(p_a=np.array([0.3, 0.7]), p_ya=np.array([0.4, 0.7]),
+                                mu=rng.normal(size=(2, 2, 3)), sigma=1.0)
     rule = ft.ThresholdRule(np.array([0.4, 0.6]))
-    rep = ft.evaluate(rule, gs, cost=0.5)
-    assert rep.cost_risk == pytest.approx((1.0 - rep.accuracy) / 2)
+    for source in (gs, pop):
+        rep = ft.evaluate(rule, source, cost=0.5)
+        assert rep.cost_risk == pytest.approx((1.0 - rep.accuracy) / 2)
+
+
+def _row_metrics(rule, scores, group, label, cost):
+    """(accuracy, cost risk, positive rates, TPRs, FPRs) of the rule, averaged over the rows
+    from each row's probability of a positive prediction; nan for a stratum without a row."""
+    pi = rule.predict_prob(scores, group)
+    accuracy = np.mean(label * pi + (1 - label) * (1.0 - pi))
+    cost_risk = np.mean(cost * (1 - label) * pi + (1.0 - cost) * label * (1.0 - pi))
+    groups = range(rule.n_groups)
+    mean = lambda rows: pi[rows].mean() if rows.any() else np.nan  # noqa: E731
+    positive = [mean(group == a) for a in groups]
+    tpr, fpr = ([mean((group == a) & (label == y)) for a in groups] for y in (1, 0))
+    return accuracy, cost_risk, positive, tpr, fpr
+
+
+def _assert_matches_the_rows(rule, scores, group, label, cost):
+    rep = ft.evaluate(rule, make_gs(scores, group, label), cost)
+    got = rep.accuracy, rep.cost_risk, rep.positive_rate_a, rep.tpr_a, rep.fpr_a
+    for value, want in zip(got, _row_metrics(rule, scores, group, label, cost)):
+        assert np.allclose(value, want, rtol=0.0, atol=1e-14, equal_nan=True)
+
+
+def test_evaluate_matches_the_row_average_of_the_rule():
+    # scores on a grid of 8 values, and cutoffs among them, so that many rows tie
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        n = int(rng.integers(k, 60))
+        scores = rng.integers(0, 8, n) / 7
+        group = rng.permutation(np.arange(n) % k)
+        label = rng.integers(0, 2, n)
+        rule = ft.ThresholdRule(rng.integers(0, 8, k) / 7, rng.random(k) * (rng.random() < 0.8))
+        _assert_matches_the_rows(rule, scores, group, label, float(rng.random()))
+
+
+def test_evaluate_on_a_group_without_a_positive_row():
+    scores = np.array([0.2, 0.5, 0.5, 0.9, 0.5, 0.7, 0.1])
+    group = np.array([0, 0, 0, 0, 1, 1, 1])
+    label = np.array([0, 1, 0, 1, 0, 0, 0])
+    rule = ft.ThresholdRule(np.array([0.5, 0.5]), np.array([0.3, 0.6]))
+    rep = ft.evaluate(rule, make_gs(scores, group, label), 0.3)
+    assert np.isnan(rep.tpr_a[1]) and np.isnan(rep.deo) and np.isnan(rep.doa)
+    assert rep.fpr_a[1] == pytest.approx(1.6 / 3)
+    # expected errors at the ties: group 0 has 0.3 false positives and 0.7 false negatives,
+    # group 1 has 0.6 + 1 false positives
+    assert rep.accuracy == pytest.approx(1.0 - (0.3 + 0.7 + 1.6) / 7)
+    assert rep.cost_risk == pytest.approx((0.3 * (0.3 + 1.6) + 0.7 * 0.7) / 7)
+    _assert_matches_the_rows(rule, scores, group, label, 0.3)
 
 
 def test_evaluate_ddp_matches_positive_rate():

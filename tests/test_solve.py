@@ -145,7 +145,7 @@ def test_solve_oa_shift_sign_follows_initial_gap():
         [1, 1, 0, 0, 0, 0],
         [1, 0, 0, 1, 1, 0],
     )
-    d0 = ft.ThresholdCurve("oa", gs.p_hat_a, gs.p_hat_ya).disparity(gs, 0.0)
+    d0 = ft.ThresholdCurve("oa", gs.p_a, gs.p_ya).disparity(gs, 0.0)
     res = solve(gs, "oa", 0.0)
     assert d0 > 0
     assert res.t_hat > 0
@@ -303,7 +303,7 @@ def test_multiclass_binary_crosscheck():
         # zero-sum up to one breakpoint gap (the step functions may leave a
         # hole around zero, in which case the nearest endpoint is used)
         widest = max(
-            2.0 * gs.p_hat_a[a] * np.diff(
+            2.0 * gs.p_a[a] * np.diff(
                 np.concatenate([[0.0], np.unique(gs.by_group[a]), [1.0]])
             ).max()
             for a in (0, 1)
@@ -463,7 +463,7 @@ def test_solve_keeps_the_constraint_it_is_given(measure):
     res = ft.solve(HAND, constraint)
     assert res.constraint == constraint
     # the cost moves the family: at t = 0 both cutoffs sit at the cost, not at 1/2
-    curve = ft.ThresholdCurve(measure, HAND.p_hat_a, HAND.p_hat_ya, 0.3)
+    curve = ft.ThresholdCurve(measure, HAND.p_a, HAND.p_ya, 0.3)
     assert curve.thresholds(0.0) == (0.3, 0.3)
     plain = ft.solve(HAND, ft.FairnessConstraint(measure, 0.0))
     assert not np.array_equal(res.rule.thresholds, plain.rule.thresholds)
@@ -490,7 +490,7 @@ def assert_same_result(res, ref):
 def first_crossing(gs, measure, delta, cost):
     """(t_hat, saturated) by walking the searched candidates one at a time,
     each checked at itself and at the midpoint of the interval after it."""
-    curve = ft.ThresholdCurve(measure, gs.p_hat_a, gs.p_hat_ya, cost)
+    curve = ft.ThresholdCurve(measure, gs.p_a, gs.p_ya, cost)
     d0 = curve.disparity(gs, 0.0)
     bound = delta + DELTA_SLACK
     if abs(d0) <= bound:
