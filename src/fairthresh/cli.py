@@ -104,8 +104,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in COLUMNS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.deltas is not None and not all(d >= 0 for d in self.deltas):  # also rejects nan
-            raise ValueError("delta values must be >= 0")
+        if self.deltas is not None and not all(0.0 <= d < float("inf") for d in self.deltas):  # also rejects nan
+            raise ValueError("delta values must be finite and >= 0")
         if self.deltas is not None and not len(self.deltas):
             raise ValueError("deltas (--delta) must list at least one tolerance")
         if len(self.fractions) != 3:
@@ -240,10 +240,6 @@ def _constraint(cfg, delta) -> FairnessConstraint:
     return FairnessConstraint(cfg.measure, float(delta), cfg.cost)
 
 
-def _measure_value(report, measure: str) -> float:
-    return {"dp": report.ddp, "eo": report.deo, "pe": report.dpe, "oa": report.doa}[measure]
-
-
 def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
     """One cell per tolerance: solve on ``gs_cal``, evaluate on ``gs_test``.
 
@@ -265,7 +261,7 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
         rep_eval = evaluate(res.rule, gs_test, cfg.cost)
         cell = {
             "delta": float(delta),
-            "disparity": _measure_value(rep_eval, cfg.measure),
+            "disparity": rep_eval.disparity(cfg.measure),
             "acc": rep_eval.accuracy,
             "cal_disparity": res.achieved_disparity,
             "cal_plugin_accuracy": res.plugin_accuracy,

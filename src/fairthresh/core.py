@@ -80,7 +80,7 @@ class Dataset:
 class FairnessConstraint:
     """A fairness measure with a disparity tolerance.
 
-    ``measure`` is one of "dp", "eo", "pe", "oa". ``cost`` is the
+    ``measure`` is a key of ``MEASURES``. ``cost`` is the
     false-positive cost c of the risk c FP + (1 - c) FN that the rule
     minimizes, for every measure; 0.5 recovers the plain 0-1 risk.
     """
@@ -145,21 +145,16 @@ class ThresholdRule:
 class EvalReport:
     """Classifier evaluation on a sample or a population: accuracy, risk and disparities.
 
-    Rates are expectations under the tie-randomized rule. ``rate_gap_sum``
-    is the summed absolute gap between each group's positive rate and the
-    overall rate, for any number of groups. For two groups ``ddp`` is the
-    signed gap rate_1 - rate_0; for more it is ``rate_gap_sum``, and the
-    stratified disparities are set to nan.
+    Rates are expectations under the tie-randomized rule, nan in ``tpr_a`` and
+    ``fpr_a`` on a sample's empty stratum. ``rate_gap_sum`` sums each group's
+    absolute gap from the overall positive rate, for any number of groups;
+    :meth:`disparity` is a measure's signed gap between two groups.
     """
 
     accuracy: float
     cost_risk: float
     cost: float
-    ddp: float
     rate_gap_sum: float
-    deo: float
-    dpe: float
-    doa: float
     positive_rate_a: np.ndarray
     tpr_a: np.ndarray
     fpr_a: np.ndarray
@@ -168,6 +163,17 @@ class EvalReport:
         object.__setattr__(self, "positive_rate_a", _frozen_array(self.positive_rate_a, np.float64))
         object.__setattr__(self, "tpr_a", _frozen_array(self.tpr_a, np.float64))
         object.__setattr__(self, "fpr_a", _frozen_array(self.fpr_a, np.float64))
+
+    def disparity(self, measure: str) -> float:
+        """g_1 - g_0, g_a summing group a's signed rates of the strata that ``MEASURES[measure]``
+        lists; nan where a read stratum is empty.  Two groups only: ``rate_gap_sum`` covers K."""
+        if measure not in MEASURES:
+            raise ValueError(f"unknown measure {measure!r}")
+        if self.positive_rate_a.size != 2:
+            raise ValueError("binary measures require exactly two groups")
+        rates = {None: self.positive_rate_a, 1: self.tpr_a, 0: self.fpr_a}
+        g0, g1 = (sum(sgn * rates[y][a] for y, sgn in MEASURES[measure]) for a in (0, 1))
+        return float(g1 - g0)
 
 
 def _usable_cpus() -> int:

@@ -295,6 +295,6 @@ def oracle_multiclass_dp(pop: GaussianPopulation) -> MulticlassOracle:
         t_a=t_a,
         common_rate=float(s_star),
         rule=rule,
-        accuracy=fair_accuracy(pop, rule),
+        accuracy=evaluate(rule, pop).accuracy,
         sum_residual=float(t_a.sum()),
     )

@@ -13,7 +13,6 @@ shifts two groups by (-t, t), and the disparity of its rules; it and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -335,8 +334,7 @@ def evaluate(rule: ThresholdRule, source, cost: float = 0.5) -> EvalReport:
     TPR and FPR are the label-1 and label-0 rates of ``source``, nan on a
     sample's empty stratum; every other metric sums the strata's masses.
     """
-    k = len(source.p_a)
-    if rule.n_groups != k:
+    if rule.n_groups != len(source.p_a):
         raise ValueError("rule and source disagree on the number of groups")
     w = np.stack([1.0 - source.p_ya, source.p_ya], axis=1)  # P(Y = y | A = a), 0 on an empty stratum
     cuts = enumerate(zip(rule.thresholds.tolist(), rule.tie_prob.tolist()))
@@ -347,20 +345,11 @@ def evaluate(rule: ThresholdRule, source, cost: float = 0.5) -> EvalReport:
     # summed over the groups in order, as a loop does (np.sum pairs the terms of longer arrays)
     accuracy, cost_risk, overall = np.add.accumulate(source.p_a[:, None] * per_group)[-1]
     fpr, tpr = np.where(w > 0.0, r, np.nan).T
-    rate_gap_sum = float(np.abs(rate_a - overall).sum())
-    if k == 2:  # each disparity is group 1's rate minus group 0's
-        ddp, deo, dpe, doa = (float(v[1] - v[0]) for v in (rate_a, tpr, fpr, tpr - fpr))
-    else:
-        ddp, deo, dpe, doa = rate_gap_sum, math.nan, math.nan, math.nan
     return EvalReport(
         accuracy=float(accuracy),
         cost_risk=float(cost_risk),
         cost=cost,
-        ddp=ddp,
-        rate_gap_sum=rate_gap_sum,
-        deo=deo,
-        dpe=dpe,
-        doa=doa,
+        rate_gap_sum=float(np.abs(rate_a - overall).sum()),
         positive_rate_a=rate_a,
         tpr_a=tpr,
         fpr_a=fpr,

@@ -199,6 +199,7 @@ def encode_rows(rows: list, schema: ColumnSchema) -> tuple:
         features=np.asarray(feats, dtype=np.float64),
         group=np.asarray(groups, dtype=np.int64),
         label=np.asarray(labels, dtype=np.int64),
+        n_groups=len(protected.group_values) or 2,  # the schema's, so every part of a split agrees
     )
     return data, report
 

@@ -60,7 +60,7 @@ def synth_runs():
                 rule_or = ft.ThresholdRule(np.array(curve.thresholds(t_or)))
                 runs[(measure, delta)].append(
                     {
-                        "test_disparity": ev.ddp if measure == "dp" else ev.deo,
+                        "test_disparity": ev.disparity(measure),
                         "test_acc": ev.accuracy,
                         "oracle_acc": ga.fair_accuracy(pop, rule_or),
                         "pop_acc_fit": ga.fair_accuracy(pop, res.rule),
@@ -357,7 +357,7 @@ def test_criterion_7_multiclass(k, reps, ddp_bound):
         res = ft.solve_multiclass_dp(gs_train)
         ev = ft.evaluate(res.rule, gs_test)
         orc = ga.oracle_multiclass_dp(pop)
-        ddps.append(ev.ddp)
+        ddps.append(ev.rate_gap_sum)
         fit_accs.append(ga.fair_accuracy(pop, res.rule))
         oracle_accs.append(orc.accuracy)
     mean_ddp = float(np.mean(ddps))

@@ -136,10 +136,12 @@ def _error(err):
     return json.loads(err.strip().splitlines()[-1])
 
 
-def _lettered_files(tmp_path, group_values):
-    """400 rows whose protected value is a, b, c or z, and a schema listing ``group_values``."""
-    data = sample(draw_population(SynthSpec.binary(dim=3, seed=1)), 400, seed=2)
-    letters = np.random.default_rng(3).choice(list("abcz"), size=data.n)
+def _lettered_files(tmp_path, group_values, letters=None):
+    """Rows whose protected values are ``letters`` (default 400 values, each a, b, c or z),
+    and a schema listing ``group_values``."""
+    if letters is None:
+        letters = np.random.default_rng(3).choice(list("abcz"), size=400)
+    data = sample(draw_population(SynthSpec.binary(dim=3, seed=1)), len(letters), seed=2)
     paths = tmp_path / "data.csv", tmp_path / "schema.json"
     with open(paths[0], "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -173,10 +175,24 @@ def test_three_listed_group_values_are_rejected_by_binary_measures(tmp_path, cap
     assert _error(err) == {"error": "ValueError", "message": "binary measures require exactly two groups"}
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_a_group_missing_from_a_split_part_is_a_structured_error(tmp_path, capsys, seed):
+    # the schema lists a, b and c, and c is on one row only, so at least one part of
+    # every split lacks group 2; the run must not compare a with b alone
+    letters = np.random.default_rng(3).choice(list("ab"), size=300)
+    letters[0] = "c"
+    _, _, (csv_path, schema_path) = _lettered_files(tmp_path, ("a", "b", "c"), letters)
+    code, out, err = run_main(["tabular", "--data", csv_path, "--schema", schema_path,
+                               "--reps", "1", "--epochs", "10", "--seed", str(seed)], capsys)
+    assert code == 1 and out == ""
+    message = _error(err)["message"]
+    assert message == "empty protected group 2" or message.startswith("group 2 has no training rows")
+
+
 def test_nan_delta_is_structured_error(capsys):
     code, out, err = run_main(["synth", "--delta", "0,nan", *FAST], capsys)
     assert code == 1 and out == ""
-    assert _error(err) == {"error": "ValueError", "message": "delta values must be >= 0"}
+    assert _error(err) == {"error": "ValueError", "message": "delta values must be finite and >= 0"}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -223,6 +239,7 @@ def test_nan_delta_is_structured_error(capsys):
     (["synth", "--sigma", "inf"], "sigma (--sigma) must be finite and > 0"),
     (["synth", "--seed", "-1"], "seed (--seed) must be >= 0"),
     (["multiclass", "--groups", "1"], "multiclass compares at least two groups: n_groups (--groups) must be >= 2"),
+    (["synth", "--delta", "0,inf", "--format", "json"], "delta values must be finite and >= 0"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     # FAST first, so that a row's own --n-train or --n-test wins

@@ -250,8 +250,7 @@ def test_t_star_cost_family():
 def _measure_disparity(pop, measure, t, cost):
     """The measure's disparity of the family's rule at t, read from :func:`ft.evaluate`."""
     rule = ft.ThresholdRule(np.array(curve_of(pop, measure, cost).thresholds(t)))
-    report = ft.evaluate(rule, pop, cost)
-    return {"dp": report.ddp, "eo": report.deo, "pe": report.dpe, "oa": report.doa}[measure]
+    return ft.evaluate(rule, pop, cost).disparity(measure)
 
 
 @pytest.mark.parametrize("measure", ["dp", "eo", "pe", "oa"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fairthresh as ft
 from fairthresh import gaussian as ga
+from fairthresh.core import MEASURES
 from fairthresh.metrics import (
     GroupedScores,
     ThresholdCurve,
@@ -668,16 +669,16 @@ def test_evaluate_perfect_scores():
     gs = make_gs(scores, group, label)
     rep = ft.evaluate(ft.ThresholdRule(np.array([0.5, 0.5])), gs)
     assert rep.accuracy == 1.0
-    assert rep.ddp == pytest.approx(1 / 3 - 2 / 3)
+    assert rep.disparity("dp") == pytest.approx(1 / 3 - 2 / 3)
 
 
 def test_evaluate_constant_classifier():
     gs = make_gs([0.9, 0.1, 0.6, 0.2], [0, 0, 1, 1], [1, 0, 1, 0])
     rule = ft.ThresholdRule(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     rep = ft.evaluate(rule, gs)
-    assert rep.ddp == 0.0
-    assert rep.deo == 0.0
-    assert rep.dpe == 0.0
+    assert rep.disparity("dp") == 0.0
+    assert rep.disparity("eo") == 0.0
+    assert rep.disparity("pe") == 0.0
     assert rep.accuracy == pytest.approx(0.5)  # base positive rate
 
 
@@ -731,7 +732,7 @@ def test_evaluate_on_a_group_without_a_positive_row():
     label = np.array([0, 1, 0, 1, 0, 0, 0])
     rule = ft.ThresholdRule(np.array([0.5, 0.5]), np.array([0.3, 0.6]))
     rep = ft.evaluate(rule, make_gs(scores, group, label), 0.3)
-    assert np.isnan(rep.tpr_a[1]) and np.isnan(rep.deo) and np.isnan(rep.doa)
+    assert np.isnan(rep.tpr_a[1]) and np.isnan(rep.disparity("eo")) and np.isnan(rep.disparity("oa"))
     assert rep.fpr_a[1] == pytest.approx(1.6 / 3)
     # expected errors at the ties: group 0 has 0.3 false positives and 0.7 false negatives,
     # group 1 has 0.6 + 1 false positives
@@ -748,7 +749,7 @@ def test_evaluate_ddp_matches_positive_rate():
         rep = ft.evaluate(rule, gs)
         r1 = gs.rate(1, None, rule.thresholds[1], rule.tie_prob[1])
         r0 = gs.rate(0, None, rule.thresholds[0], rule.tie_prob[0])
-        assert rep.ddp == pytest.approx(r1 - r0)
+        assert rep.disparity("dp") == pytest.approx(r1 - r0)
         assert rep.positive_rate_a[1] == pytest.approx(r1)
 
 
@@ -762,9 +763,9 @@ def test_rate_gap_sum_two_groups_is_swap_invariant_and_nonnegative():
         swapped = ft.evaluate(flipped, swap_groups(gs))
         assert rep.rate_gap_sum >= 0.0
         assert swapped.rate_gap_sum == pytest.approx(rep.rate_gap_sum, abs=1e-15)
-        assert swapped.ddp == pytest.approx(-rep.ddp, abs=1e-15)
+        assert swapped.disparity("dp") == pytest.approx(-rep.disparity("dp"), abs=1e-15)
         # |r0 - r| + |r1 - r| = |r1 - r0| when r is the pooled rate
-        assert rep.rate_gap_sum == pytest.approx(abs(rep.ddp), abs=1e-15)
+        assert rep.rate_gap_sum == pytest.approx(abs(rep.disparity("dp")), abs=1e-15)
 
 
 def test_evaluate_multiclass_summed_gap():
@@ -773,6 +774,17 @@ def test_evaluate_multiclass_summed_gap():
     label = np.array([1, 0, 1, 0, 1, 0])
     gs = make_gs(scores, group, label)
     rep = ft.evaluate(ft.ThresholdRule(np.array([0.5, 0.5, 0.5])), gs)
-    assert rep.ddp == pytest.approx(0.0)  # all groups at rate 1/2
-    assert rep.rate_gap_sum == rep.ddp
-    assert np.isnan(rep.deo)
+    assert rep.rate_gap_sum == pytest.approx(0.0)  # all groups at rate 1/2
+    for measure in MEASURES:  # the signed measures compare two groups
+        with pytest.raises(ValueError, match="^binary measures require exactly two groups$"):
+            rep.disparity(measure)
+
+
+def test_disparity_of_each_measure():
+    # group 0 at cutoff 0.3: rate 2/3, TPR 1, FPR 0; group 1 at cutoff 0.6: rate, TPR and FPR 1/2
+    gs = make_gs([0.9, 0.1, 0.4, 0.8, 0.2, 0.7, 0.5], [0, 0, 0, 1, 1, 1, 1], [1, 0, 1, 1, 0, 0, 1])
+    rep = ft.evaluate(ft.ThresholdRule(np.array([0.3, 0.6])), gs)
+    want = {"dp": 1 / 2 - 2 / 3, "eo": 1 / 2 - 1, "pe": 1 / 2 - 0, "oa": (1 / 2 - 1 / 2) - (1 - 0)}
+    assert {m: rep.disparity(m) for m in MEASURES} == pytest.approx(want)
+    with pytest.raises(ValueError, match="^unknown measure 'xx'$"):
+        rep.disparity("xx")
