@@ -523,12 +523,16 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     flags = vars(args).copy()
     path, loaded = flags.pop("config", None), {}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
         loaded.pop("kind", None)
     fields = {**loaded, **flags}
     for name in ("deltas", "fractions"):  # JSON lists
         if name in fields:
+            if not isinstance(fields[name], (list, tuple)):
+                raise ValueError(f"config field {name!r} must be a list")
             fields[name] = tuple(fields[name])
     return ExperimentConfig(**fields)
 

@@ -108,8 +108,8 @@ class GaussianPopulation:
             raise ValueError("mu must have shape (n_groups, 2, dim)")
         if not np.all(np.isfinite(mu)):
             raise ValueError("means must be finite")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "p_a", p_a)
         object.__setattr__(self, "p_ya", p_ya)
         object.__setattr__(self, "mu", mu)

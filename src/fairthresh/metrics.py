@@ -200,6 +200,8 @@ class ThresholdCurve:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
+        if not 0.0 <= self.cost <= 1.0:  # also rejects nan
+            raise ValueError("cost must lie in [0, 1]")
         p_a = tuple(float(p) for p in self.p_a)
         p_ya = tuple(float(p) for p in self.p_ya)
         # a positive rate of 0 (1) leaves no label-1 (label-0) row: exact for a
@@ -336,6 +338,8 @@ def evaluate(rule: ThresholdRule, source, cost: float = 0.5) -> EvalReport:
     """
     if rule.n_groups != len(source.p_a):
         raise ValueError("rule and source disagree on the number of groups")
+    if not 0.0 <= cost <= 1.0:  # also rejects nan
+        raise ValueError("cost must lie in [0, 1]")
     w = np.stack([1.0 - source.p_ya, source.p_ya], axis=1)  # P(Y = y | A = a), 0 on an empty stratum
     cuts = enumerate(zip(rule.thresholds.tolist(), rule.tie_prob.tolist()))
     r = np.array([[source.rate(a, y, q, tau) if w[a, y] else 0.0 for y in (0, 1)] for a, (q, tau) in cuts])

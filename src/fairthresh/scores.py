@@ -40,10 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0 < self.learning_rate < math.inf:  # also rejects nan
+            raise ValueError("learning rate must be positive and finite")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError("l2 must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """CSV ingestion for real tabular benchmarks: schema, encoding, splitting.
 
-A :class:`ColumnSchema` names each column and its role.  Numeric columns are
-parsed as floats; categorical columns are one-hot encoded against a
-vocabulary learned from training data (values unseen at fit time encode to
-all zeros and are counted); rows with unparseable values or the wrong
-number of fields are dropped and counted.  Exactly one column is the binary
-label and exactly one the protected attribute.  No dataset ships with the package: real data is
+A :class:`ColumnSchema` names each column and its role.  Numeric columns are parsed as
+floats; categorical columns are one-hot encoded against a vocabulary learned from
+training data (values unseen at fit time encode to all zeros and are counted).  A row is
+dropped and counted when it has the wrong width, a missing cell (empty or ``?``; never
+imputed), a number that does not parse or is not finite (``nan``, ``inf``, ``1e999``) or
+a protected value outside ``group_values``.  Exactly one column is the binary label and
+exactly one the protected attribute.  No dataset ships with the package: real data is
 acquired through a fetch manifest (URL plus SHA-256) into a local cache.
 """
 
@@ -14,12 +15,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
 import urllib.request
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -30,6 +32,7 @@ from .core import Dataset
 DATA_DIR_ENV = "FAIRTHRESH_DATA_DIR"
 
 COLUMN_KINDS = ("numeric", "categorical", "protected", "label")
+_MISSING = ("", "?")  # missing-value markers: a row holding one is dropped, never imputed
 
 
 @dataclass
@@ -98,7 +101,7 @@ class ColumnSchema:
     def load(cls, path) -> "ColumnSchema":
         """Read a schema file; a malformed one raises a ValueError that names the file."""
         try:
-            return cls.from_json(Path(path).read_text(encoding="utf-8"))
+            return cls.from_json(Path(path).read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"schema file {path} is not valid JSON: {exc}") from None
         except ValueError as exc:
@@ -107,17 +110,15 @@ class ColumnSchema:
 
 @dataclass
 class LoadReport:
-    n_read: int = 0
     n_dropped: int = 0
     n_unseen_categories: int = 0
-    feature_names: list = field(default_factory=list)
 
 
 def read_rows(path, schema: ColumnSchema) -> list:
     """Raw parsed rows (lists of stripped strings), header checked if present;
-    blank lines are skipped, and :func:`encode_rows` drops and counts the rows
-    of the wrong width or with missing values, all-empty ones (``,,,``) too."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    a UTF-8 byte-order mark and blank lines are skipped, and :func:`encode_rows`
+    drops and counts the rows it cannot use, all-empty ones (``,,,``) too."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = [[cell.strip() for cell in row] for row in reader if row]
     if not rows:
@@ -135,73 +136,62 @@ def fit_schema(schema: ColumnSchema, rows: list) -> ColumnSchema:
     rows = [r for r in rows if len(r) == len(schema.columns)]
     for j, col in enumerate(schema.columns):
         if col.kind == "categorical":
-            seen = sorted({r[j] for r in rows if r[j] not in ("", "?")})
+            seen = sorted({r[j] for r in rows if r[j] not in _MISSING})
             if not seen:
                 raise ValueError(f"no usable values for categorical column {col.name!r}")
             col.vocabulary = tuple(seen)
     return schema
 
 
+def _encode_row(row: list, columns: list) -> tuple:
+    """One row's ``(features, group, label, unseen)``; raises ValueError when
+    the row has the wrong width, a missing cell, a number that does not parse
+    or is not finite, or a protected value outside ``group_values``."""
+    if len(row) != len(columns) or any(cell in _MISSING for cell in row):
+        raise ValueError("unusable row")
+    vec, group, label, unseen = [], None, None, 0
+    for cell, col in zip(row, columns):
+        if col.kind == "numeric":
+            vec.append(float(cell))
+        elif col.kind == "categorical":
+            vec.extend(float(cell == v) for v in col.vocabulary)
+            unseen += cell not in col.vocabulary
+        elif col.kind == "protected":
+            group = col.group_values.index(cell) if col.group_values else int(cell in col.positive_values)
+        else:  # label
+            label = int(cell in col.positive_values)
+    if not all(map(math.isfinite, vec)):
+        raise ValueError("non-finite number")
+    return vec, group, label, unseen
+
+
 def encode_rows(rows: list, schema: ColumnSchema) -> tuple:
-    """Encode parsed rows against a fitted schema; returns (Dataset, LoadReport)."""
+    """Encode parsed rows against a fitted schema; returns (Dataset, LoadReport).
+    Each row :func:`_encode_row` rejects is dropped and counted; unseen categories count on kept rows."""
     if not schema.fitted:
         raise ValueError("schema has unfitted categorical vocabularies")
-    report = LoadReport(n_read=len(rows), feature_names=schema.feature_names())
-    feats, groups, labels = [], [], []
-    protected = next(c for c in schema.columns if c.kind == "protected")
+    report, encoded = LoadReport(), []
     for row in rows:
-        vec = []
-        ok = True
-        group = label = None
-        unseen = 0
-        for cell, col in zip(row, schema.columns):
-            if col.kind != "numeric" and cell in ("", "?"):
-                ok = False  # missing values drop the row, never impute
-                break
-            if col.kind == "numeric":
-                try:
-                    vec.append(float(cell))
-                except ValueError:
-                    ok = False
-                    break
-            elif col.kind == "categorical":
-                onehot = [0.0] * len(col.vocabulary)
-                if cell in col.vocabulary:
-                    onehot[col.vocabulary.index(cell)] = 1.0
-                else:
-                    unseen += 1
-                vec.extend(onehot)
-            elif col.kind == "protected":
-                if protected.group_values:
-                    if cell not in protected.group_values:
-                        ok = False
-                        break
-                    group = protected.group_values.index(cell)
-                else:
-                    group = 1 if cell in col.positive_values else 0
-            else:  # label
-                label = 1 if cell in col.positive_values else 0
-        if not ok or len(row) != len(schema.columns):
+        try:
+            encoded.append(_encode_row(row, schema.columns))
+        except ValueError:
             report.n_dropped += 1
-            continue
-        report.n_unseen_categories += unseen
-        feats.append(vec)
-        groups.append(group)
-        labels.append(label)
-    if not feats:
+    if not encoded:
         raise ValueError("zero usable rows")
+    feats, groups, labels, unseen = zip(*encoded)
+    report.n_unseen_categories = sum(unseen)
     if report.n_unseen_categories:
         warnings.warn(
             f"{report.n_unseen_categories} categorical values outside the fitted "
             "vocabulary encoded as all-zeros"
         )
-    data = Dataset(
+    protected = next(c for c in schema.columns if c.kind == "protected")
+    return Dataset(
         features=np.asarray(feats, dtype=np.float64),
         group=np.asarray(groups, dtype=np.int64),
         label=np.asarray(labels, dtype=np.int64),
         n_groups=len(protected.group_values) or 2,  # the schema's, so every part of a split agrees
-    )
-    return data, report
+    ), report
 
 
 def split_indices(n: int, fractions, seed: int) -> list:

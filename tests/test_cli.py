@@ -373,6 +373,28 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert lines[1].split(",")[2] == "1"  # flag overrode the config reps
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config file {path} must hold a JSON object"),
+    ('{"deltas": 0.1}', "config field 'deltas' must be a list"),
+    ('{"fractions": 0.5}', "config field 'fractions' must be a list"),
+])
+def test_malformed_config_file_is_a_structured_error(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, out, err = run_main(["synth", "--config", str(cfg_path), *FAST], capsys)
+    assert code == 1 and out == ""
+    payload = _error(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == message.format(path=cfg_path)
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"deltas": [0.0, 0.2], "reps": 3}), encoding="utf-8-sig")
+    cfg = cli.config_from_args(cli.build_parser().parse_args(["synth", "--config", str(cfg_path)]))
+    assert (cfg.deltas, cfg.reps) == ((0.0, 0.2), 3)
+
+
 def test_jobs_parallel_matches_sequential(tmp_path):
     argv = ["synth", "--seed", "9", "--format", "csv", *FAST]
     seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairthresh
-from fairthresh import Dataset, FairnessConstraint, GroupedScores, ThresholdRule
+from fairthresh import Dataset, FairnessConstraint, GroupedScores, SynthSpec, ThresholdCurve, ThresholdRule
+from fairthresh import draw_population, evaluate, t_star
 
 
 def test_public_names_resolve():
@@ -112,9 +113,17 @@ def test_fairness_constraint_validation():
             FairnessConstraint("dp", delta)
     with pytest.raises(ValueError, match="unknown measure"):
         FairnessConstraint("xx", 0.1)
-    for cost in (1.5, np.nan):
-        with pytest.raises(ValueError, match=r"cost must lie in \[0, 1\]"):
-            FairnessConstraint("dp", 0.1, cost=cost)
+    pop = draw_population(SynthSpec.binary(seed=0))
+    gs = GroupedScores.from_arrays(np.array([0.2, 0.8]), np.array([0, 1]), np.array([0, 1]))
+    for cost in (1.5, -0.5, np.nan):
+        # the constraint, the threshold family, t_star through it, and evaluate
+        for check in (lambda: FairnessConstraint("dp", 0.1, cost=cost),
+                      lambda: ThresholdCurve("dp", (0.5, 0.5), (0.5, 0.5), cost),
+                      lambda: t_star(pop, "dp", 0.05, cost=cost),
+                      lambda: evaluate(ThresholdRule(np.array([0.5, 0.5])), gs, cost),
+                      lambda: evaluate(ThresholdRule(np.array([0.5, 0.5])), pop, cost)):
+            with pytest.raises(ValueError, match=r"cost must lie in \[0, 1\]"):
+                check()
 
 
 def test_threshold_rule_validation_and_prediction():

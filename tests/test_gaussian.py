@@ -599,5 +599,6 @@ def test_population_validation():
         ga.GaussianPopulation(np.array([0.5, 0.6]), np.array([0.5, 0.5]), np.zeros((2, 2, 1)), 1.0)
     with pytest.raises(ValueError):
         ga.GaussianPopulation(np.array([0.5, 0.5]), np.array([0.0, 0.5]), np.zeros((2, 2, 1)), 1.0)
-    with pytest.raises(ValueError):
-        ga.GaussianPopulation(np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.zeros((2, 2, 1)), 0.0)
+    for sigma in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ga.GaussianPopulation(np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.zeros((2, 2, 1)), sigma)

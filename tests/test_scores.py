@@ -138,6 +138,12 @@ def test_fit_validation_errors():
         ft.fit_logistic(data, ft.TrainConfig(epochs=0))
     with pytest.raises(ValueError):
         ft.TrainConfig(learning_rate=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            ft.TrainConfig(learning_rate=bad)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="l2 must be >= 0 and finite"):
+            ft.TrainConfig(l2=bad)
 
 
 @pytest.mark.parametrize("per_group", [False, True])

@@ -37,10 +37,11 @@ def load(path, schema):
 
 def test_load_csv_feature_width(tmp_path):
     path = write(tmp_path, "toy.csv", TOY)
-    data, report = load(path, toy_schema())
+    schema = toy_schema()
+    data, report = load(path, schema)
     # one numeric column plus a two-level one-hot
     assert data.features.shape == (3, 3)
-    assert report.feature_names == ["age", "color=blue", "color=red"]
+    assert schema.feature_names() == ["age", "color=blue", "color=red"]
     assert data.group.tolist() == [1, 0, 0]
     assert data.label.tolist() == [1, 0, 1]
     assert data.features[0].tolist() == [31.0, 0.0, 1.0]
@@ -69,16 +70,59 @@ def test_wrong_width_rows_are_dropped_and_counted(tmp_path):
     # four data rows: one short (no color field to fit a vocabulary on), one long
     text = "age,color,sex,hired\n31,red,M,yes\n45\n27,red,F,yes\n52,green,M,no,extra\n"
     schema = toy_schema()
-    data, report = load(write(tmp_path, "toy.csv", text), schema)
-    assert (report.n_read, report.n_dropped, data.n) == (4, 2, 2)
+    path = write(tmp_path, "toy.csv", text)
+    data, report = load(path, schema)
+    assert (len(tb.read_rows(path, schema)), report.n_dropped, data.n) == (4, 2, 2)
     assert schema.columns[1].vocabulary == ("red",)  # the long row's value is not fitted either
 
 
 def test_an_all_empty_row_is_read_dropped_and_counted(tmp_path):
     # ",,," has four empty fields, unlike a blank line, which has none
     text = "age,color,sex,hired\n31,red,M,yes\n,,,\n\n27,red,F,yes\n"
-    data, report = load(write(tmp_path, "toy.csv", text), toy_schema())
-    assert (report.n_read, report.n_dropped, data.n) == (3, 1, 2)
+    path = write(tmp_path, "toy.csv", text)
+    data, report = load(path, toy_schema())
+    assert (len(tb.read_rows(path, toy_schema())), report.n_dropped, data.n) == (3, 1, 2)
+
+
+ROW = ["31", "red", "M", "yes"]
+
+
+@pytest.mark.parametrize("bad", [
+    ROW[:3],  # short
+    ROW + ["extra"],  # long
+    *(ROW[:j] + [m] + ROW[j + 1:] for m in ("", "?") for j in range(4)),  # missing, in each column kind
+    ["3l", *ROW[1:]],  # a number that does not parse
+    *([x, *ROW[1:]] for x in ("nan", "inf", "-inf", "1e999")),  # or is not finite
+    [*ROW[:2], "X", "yes"],  # a protected value outside group_values
+])
+def test_each_unusable_row_is_dropped_and_counted(bad):
+    schema = tb.ColumnSchema(columns=[
+        tb.ColumnSpec(name="age", kind="numeric"),
+        tb.ColumnSpec(name="color", kind="categorical", vocabulary=("blue", "red")),
+        tb.ColumnSpec(name="sex", kind="protected", group_values=("F", "M")),
+        tb.ColumnSpec(name="hired", kind="label", positive_values=("yes",)),
+    ])
+    good = [ROW, ["45", "blue", "F", "no"], ["27", "red", "F", "yes"]]
+    data, report = tb.encode_rows([good[0], bad, *good[1:]], schema)
+    assert report.n_dropped == 1 and report.n_unseen_categories == 0
+    assert data.features.tolist() == [[31.0, 0.0, 1.0], [45.0, 1.0, 0.0], [27.0, 0.0, 1.0]]
+    assert (data.group.tolist(), data.label.tolist()) == ([1, 0, 0], [1, 0, 1])
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet programs often save UTF-8 with a leading BOM
+    schema = toy_schema()
+    schema.columns[1].vocabulary = ("blue", "red")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(schema.to_json(), encoding="utf-8-sig")
+    loaded = tb.ColumnSchema.load(schema_path)
+    assert loaded.to_json() == schema.to_json()
+    path = tmp_path / "bom.csv"
+    path.write_text(TOY, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    data, report = load(path, loaded)
+    expect, _ = load(write(tmp_path, "toy.csv", TOY), schema)
+    assert data.features.tolist() == expect.features.tolist() and report.n_dropped == 0
 
 
 def test_all_rows_unusable(tmp_path):
