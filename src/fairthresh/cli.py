@@ -295,6 +295,7 @@ def _binary_rep(cfg, rep):
 def _multiclass_rep(cfg, rep):
     pop, *samples = _data(cfg, rep)
     gs_train, gs_test = _fit_and_score(cfg, *samples)
+    del samples  # the features are scored: free them before the solve
     res = solve_multiclass_dp(gs_train)
     rep_eval = evaluate(res.rule, gs_test)
     orc = ga.oracle_multiclass_dp(pop)

@@ -20,9 +20,33 @@ MEASURES = {"dp": ((None, 1.0),), "eo": ((1, 1.0),), "pe": ((0, 1.0),), "oa": ((
 DELTA_SLACK = 1e-12
 
 
+# Rows per chunk of the passes over a feature matrix that would otherwise
+# make temporaries of the whole matrix: sampling, standardizing and scoring.
+_CHUNK = 8192
+
+
+def _row_chunks(n: int):
+    """Slices of consecutive rows that cover ``range(n)``, ``_CHUNK`` rows
+    each but the last, which has up to ``_CHUNK + 1``: a lone last row joins
+    the chunk before it, because numpy computes a one-row matrix-vector
+    product as a dot product, whose sum runs in another order."""
+    start = 0
+    while start < n:
+        stop = n if n - start <= _CHUNK + 1 else start + _CHUNK
+        yield slice(start, stop)
+        start = stop
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.base is not None or arr is values:
+    """``values`` as a read-only, C-ordered array of ``dtype`` that nothing else writes.
+
+    A read-only array that owns its data and needs no conversion is adopted
+    as it is: whoever froze it hands it over and must not thaw it.  A
+    writable array or a view (whose base may still be written) is copied,
+    and anything else is converted into a new array.
+    """
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if arr.base is not None or (arr is values and arr.flags.writeable):
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -34,7 +58,10 @@ class Dataset:
 
     ``features`` is an (n, d) float matrix, ``group`` an (n,) integer array
     with values in {0, ..., n_groups - 1}, ``label`` an (n,) array in {0, 1}.
-    All arrays are read-only after construction.
+    All arrays are read-only and C-ordered after construction.  Each is
+    copied unless it is a read-only array that owns its data, which is
+    adopted (``_frozen_array``), so a caller that freezes its arrays hands
+    them over without a second copy.
     """
 
     features: np.ndarray

@@ -209,10 +209,20 @@ def eta(pop: GaussianPopulation, x, a: int):
 # ---------------------------------------------------------------------------
 
 
+# A stratum rate Phi((m - cut) / sd) moves by up to ulp(cut) / (sqrt(2 pi) sd)
+# between adjacent float cutoffs; it stays within DELTA_SLACK where
+# sd > _NARROWEST * max(1, |cut|), cutoffs near the law's means being the steepest.
+_NARROWEST = math.ulp(1.0) / (math.sqrt(2.0 * math.pi) * DELTA_SLACK)
+
+
 def _require_continuous(pop: GaussianPopulation) -> None:
-    """Raise unless every group's rates are continuous in the cutoff, as root searches need."""
+    """Raise unless every group's rates are continuous in the cutoff at float
+    resolution, as root searches need: a point mass (``sd == 0``) or a law so
+    narrow that a rate steps by more than ``DELTA_SLACK`` between adjacent
+    float cutoffs is degenerate."""
     for a in range(pop.n_groups):
-        if pop.score_law(a).sd == 0.0:
+        law = pop.score_law(a)
+        if law.sd <= _NARROWEST * max(1.0, abs(law.mean[0]), abs(law.mean[1])):
             raise ValueError(f"degenerate score law in group {a}")
 
 
@@ -224,7 +234,8 @@ def t_star(pop: GaussianPopulation, measure: str, delta: float, cost: float = 0.
     disparity does, and otherwise the shift nearest 0 on its side at which
     the disparity equals the tolerance plus the slack.  The disparity is
     continuous and strictly decreasing in the searched direction for
-    non-degenerate score laws (a search on a degenerate one raises), so
+    non-degenerate score laws (a search on a point mass, or on a law that
+    is one at float resolution, raises: :func:`_require_continuous`), so
     ``_root`` locates that crossing to 1e-13.
     """
     if not delta >= 0:

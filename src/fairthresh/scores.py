@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _usable_cpus, fork_map
+from .core import Dataset, _row_chunks, _usable_cpus, fork_map
 
 _fit_calls = 0
 
@@ -283,14 +283,42 @@ def _map_groups(fit_group, costs) -> list:
     return fork_map(fit_group, len(costs), _workers(costs), order)
 
 
-def _design(xs, extra):
-    """``np.hstack([xs, extra])`` in column-major (Fortran) order, where
-    ``design @ theta`` and ``design.T @ p`` take about half the time at the
-    benchmark's sizes; their sums run in another order than on a row-major
-    design, so the logits differ from its logits in the last bits."""
-    design = np.empty((xs.shape[0], xs.shape[1] + extra.shape[1]), order="F")
-    design[:, :xs.shape[1]] = xs
-    design[:, xs.shape[1]:] = extra
+def _column_stats(x):
+    """``(x.mean(axis=0), x.std(axis=0))`` bit for bit, making temporaries of
+    one row chunk, not of the whole matrix.
+
+    numpy sums axis 0 of a C-ordered matrix of two or more columns one row
+    after another, starting from 0, so each chunk is summed with the running
+    sum as its first row; the squared deviations from the mean likewise.  It
+    sums a single column pairwise, as one vector, and that is reduced whole.
+    """
+    n = x.shape[0]
+    if x.shape[1] == 1:
+        return x.mean(axis=0), x.std(axis=0)
+
+    def column_sum(part):
+        total = np.zeros(x.shape[1])
+        for rows in _row_chunks(n):
+            total = np.vstack([total, part(rows)]).sum(axis=0)
+        return total
+
+    mean = column_sum(lambda rows: x[rows]) / n
+    return mean, np.sqrt(column_sum(lambda rows: np.square(x[rows] - mean)) / n)
+
+
+def _design(x, mean, scale, extra, index=None):
+    """``np.hstack([(x[index] - mean) / scale, <extra columns>])`` in
+    column-major (Fortran) order, where ``design @ theta`` and
+    ``design.T @ p`` take about half the time at the benchmark's sizes; their
+    sums run in another order than on a row-major design, so the logits
+    differ from its logits in the last bits.  The standardized rows are
+    written one chunk at a time; the caller fills the ``extra`` columns.
+    """
+    n, d = x.shape[0] if index is None else index.size, x.shape[1]
+    design = np.empty((n, d + extra), order="F")
+    for rows in _row_chunks(n):
+        part = x[rows] if index is None else x[index[rows]]
+        design[rows, :d] = (part - mean) / scale
     return design
 
 
@@ -309,6 +337,10 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     order does not depend on the process that makes it, so the model is the
     same bits either way.  The joint model is one fit on the calling thread.
     Features whose standardization overflows are rejected before any fit.
+
+    The features are held once: the column statistics are summed a row chunk
+    at a time, and each fit standardizes its own rows into its design (in its
+    worker, when the fits fork).
     """
     global _fit_calls
     rows = np.bincount(data.group, minlength=data.n_groups)
@@ -317,12 +349,12 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
                          "a per-group fit needs rows of every group")
 
     x = data.features
-    y = data.label.astype(np.float64)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    mean, std = _column_stats(x)
     scale = np.where(std > 0, std, 1.0)
-    xs = (x - mean) / scale
-    finite = np.isfinite(mean) & np.isfinite(scale) & np.isfinite(xs).all(axis=0)
+    # standardizing is monotone, so each column's extremes stand for all its values
+    finite = np.isfinite(mean) & np.isfinite(scale)
+    for extreme in (x.min(axis=0), x.max(axis=0)):
+        finite &= np.isfinite((extreme - mean) / scale)
     if not finite.all():
         raise ValueError(f"feature column {np.flatnonzero(~finite)[0]} is too large to "
                          "standardize: its mean or standard deviation overflows float64")
@@ -331,16 +363,20 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     if config.per_group:
 
         def fit_group(a):
-            in_a = data.group == a
-            return _descend(_design(xs[in_a], np.ones((int(rows[a]), 1))), y[in_a], config)
+            in_a = np.flatnonzero(data.group == a)
+            design = _design(x, mean, scale, 1, in_a)
+            design[:, -1] = 1.0
+            return _descend(design, data.label[in_a].astype(np.float64), config)
 
         thetas, iterations, final_loss = zip(*_map_groups(fit_group, (rows * config.epochs).tolist()))
         weights = np.array([theta[:-1] for theta in thetas])
         bias = np.array([theta[-1] for theta in thetas])
         kind = "per-group"
     else:
-        design = _design(xs, np.eye(data.n_groups)[data.group])
-        weights, iterations, final_loss = _descend(design, y, config)
+        design = _design(x, mean, scale, data.n_groups)
+        design[:, data.dim:] = 0.0
+        design[np.arange(data.n), data.dim + data.group] = 1.0
+        weights, iterations, final_loss = _descend(design, data.label.astype(np.float64), config)
         iterations, final_loss = (iterations,), (final_loss,)
         bias = np.zeros(1)
         kind = "joint"
@@ -373,13 +409,15 @@ def predict_proba(model: LogisticModel, x, a):
     groups = np.broadcast_to(np.asarray(a, dtype=np.int64), (xs.shape[0],))
     if groups.size and (groups.min() < 0 or groups.max() >= model.n_groups):
         raise ValueError("group label out of range")
-    std = (xs - model.feat_mean) / model.feat_scale
-    if model.kind == "joint":
-        onehot = np.eye(model.n_groups)[groups]
-        z = np.hstack([std, onehot]) @ model.weights + model.bias[0]
-    else:
-        z = np.einsum("ij,ij->i", std, model.weights[groups]) + model.bias[groups]
-    out = _sigmoid(z)
+    out = np.empty(xs.shape[0])
+    for rows in _row_chunks(xs.shape[0]):
+        std = (xs[rows] - model.feat_mean) / model.feat_scale
+        g = groups[rows]
+        if model.kind == "joint":
+            z = np.hstack([std, np.eye(model.n_groups)[g]]) @ model.weights + model.bias[0]
+        else:
+            z = np.einsum("ij,ij->i", std, model.weights[g]) + model.bias[g]
+        out[rows] = _sigmoid(z)
     return float(out[0]) if single else out
 
 

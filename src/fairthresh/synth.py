@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _row_chunks
 from .gaussian import GaussianPopulation
 
 FAMILIES = ("binary", "multiclass")
@@ -82,5 +82,12 @@ def sample(pop: GaussianPopulation, n: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     a = rng.choice(pop.n_groups, size=n, p=pop.p_a)
     y = (rng.random(n) < pop.p_ya[a]).astype(np.int64)
-    x = pop.mu[a, y] + pop.sigma * rng.standard_normal((n, pop.dim))
+    x = rng.standard_normal((n, pop.dim))
+    x *= pop.sigma
+    # addition commutes, so adding the means a row chunk at a time gives the
+    # bits of mu[a, y] + sigma * noise without an n x dim gather
+    for rows in _row_chunks(n):
+        x[rows] += pop.mu[a[rows], y[rows]]
+    for arr in (x, a, y):
+        arr.setflags(write=False)  # so that Dataset adopts them
     return Dataset(features=x, group=a, label=y, n_groups=pop.n_groups)

@@ -1,8 +1,8 @@
 """CSV ingestion for real tabular benchmarks: schema, encoding, splitting.
 
 A :class:`ColumnSchema` names each column and its role.  Numeric columns are parsed as
-floats; categorical columns are one-hot encoded against a vocabulary learned from
-training data (values unseen at fit time encode to all zeros and are counted).  A row is
+floats; categorical columns are one-hot encoded against a vocabulary learned from the
+training rows kept (values unseen at fit time encode to all zeros and are counted).  A row is
 dropped and counted when it has the wrong width, a missing cell (empty or ``?``; never
 imputed), a number that does not parse or is not finite (``nan``, ``inf``, ``1e999``) or
 a protected value outside ``group_values``.  Exactly one column is the binary label and
@@ -19,7 +19,6 @@ import math
 import os
 import shutil
 import tempfile
-import urllib.request
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -132,14 +131,27 @@ def read_rows(path, schema: ColumnSchema) -> list:
 
 
 def fit_schema(schema: ColumnSchema, rows: list) -> ColumnSchema:
-    """Learn categorical vocabularies from the given (training) rows of the schema's width."""
-    rows = [r for r in rows if len(r) == len(schema.columns)]
-    for j, col in enumerate(schema.columns):
-        if col.kind == "categorical":
-            seen = sorted({r[j] for r in rows if r[j] not in _MISSING})
-            if not seen:
-                raise ValueError(f"no usable values for categorical column {col.name!r}")
-            col.vocabulary = tuple(seen)
+    """Learn categorical vocabularies from the (training) rows that :func:`encode_rows` keeps.
+
+    A category seen only on a dropped row would be an all-zero training
+    feature.  The row rule (:func:`_encode_row`) is applied with every
+    vocabulary empty, as it never reads a categorical cell, and "zero usable
+    rows" is raised when it keeps no row.
+    """
+    categorical = [(j, col) for j, col in enumerate(schema.columns) if col.kind == "categorical"]
+    for _, col in categorical:
+        col.vocabulary = ()
+    kept = []
+    for row in rows:
+        try:
+            _encode_row(row, schema.columns)
+        except ValueError:
+            continue
+        kept.append(row)
+    if not kept:
+        raise ValueError("zero usable rows")
+    for j, col in categorical:
+        col.vocabulary = tuple(sorted({r[j] for r in kept}))
     return schema
 
 
@@ -244,8 +256,12 @@ def fetch(manifest: FetchManifest, dest_dir: Optional[Path] = None, timeout: flo
 
     The download goes to a temporary file in the cache directory and replaces
     the target only once its checksum matches, so an interrupted or corrupt
-    download never sits at the target.
+    download never sits at the target.  ``urllib.request`` is imported here,
+    not with the module: with ``ssl`` and ``http.client`` it costs about half
+    of ``import fairthresh.cli``, which every run pays and few runs download.
     """
+    import urllib.request
+
     dest = Path(dest_dir) if dest_dir else data_dir()
     dest.mkdir(parents=True, exist_ok=True)
     target = dest / manifest.filename

@@ -72,6 +72,24 @@ def test_dataset_arrays_read_only():
         data.features[0, 0] = 1.0
 
 
+def test_dataset_copies_what_others_can_write_and_adopts_a_frozen_array():
+    x = np.arange(12.0).reshape(6, 2).copy()  # owns its data, unlike the reshaped view
+    group, label = np.array([0, 1, 0, 1, 0, 1]), np.array([0, 1, 1, 0, 1, 0])
+    assert not np.shares_memory(Dataset(x, group, label).features, x)  # writable
+    view = x[::2]
+    view.setflags(write=False)
+    assert not np.shares_memory(Dataset(view, group[:3], label[:3]).features, x)  # a view of writable data
+    for arr in (x, group, label):
+        arr.setflags(write=False)
+    data = Dataset(x, group, label)
+    assert data.features is x and data.group is group and data.label is label
+    column_major = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+    column_major.setflags(write=False)
+    features = Dataset(column_major, group, label).features
+    assert features.flags.c_contiguous and not features.flags.writeable
+    assert features.tolist() == column_major.tolist()
+
+
 def _random_sample(seed, k=3):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(k + 1, 40))

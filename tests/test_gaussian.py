@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
@@ -289,6 +291,52 @@ def test_t_star_rejects_a_degenerate_law_when_it_must_search(measure):
 def test_t_star_on_a_degenerate_law_returns_0_when_the_tolerance_is_met():
     assert unconstrained(DEGENERATE, "dp") == pytest.approx(0.762, abs=1e-3)
     assert ga.t_star(DEGENERATE, "dp", 0.8) == 0.0
+
+
+# Populations whose group-0 score law is a point mass (coincident stratum
+# means) or nearly one (means 1e-15 to 1e-2 apart), beside an ordinary group 1
+_near_degenerate = st.builds(
+    lambda gap, mu1, p_ya, p0: ga.GaussianPopulation(
+        p_a=np.array([p0, 1.0 - p0]), p_ya=np.array(p_ya),
+        mu=np.array([[[0.0, 0.0], [gap, 0.0]], [[0.0, 0.0], list(mu1)]]), sigma=1.0),
+    gap=st.just(0.0) | st.builds(lambda e, s: s * 10.0 ** e, st.floats(-15.0, -2.0), st.sampled_from([-1.0, 1.0])),
+    mu1=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    p_ya=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    p0=st.floats(0.1, 0.9),
+)
+
+
+def _narrow(pop):
+    """Whether some group's law is a point mass at float resolution (``_require_continuous``)."""
+    laws = (pop.score_law(a) for a in range(pop.n_groups))
+    return any(law.sd <= ga._NARROWEST * max(1.0, *map(abs, law.mean)) for law in laws)
+
+
+@given(pop=_near_degenerate, measure=st.sampled_from(sorted(MEASURES)), cost=st.sampled_from([0.5, 0.3]),
+       delta=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+@settings(max_examples=300, deadline=None)
+def test_t_star_on_point_mass_and_near_degenerate_laws(pop, measure, cost, delta):
+    # t_star raises "degenerate score law" exactly when it must search a law whose rates step
+    # by more than DELTA_SLACK between adjacent cutoffs (a point mass among them; searched, a
+    # law of sd 1e-15 gives a shift whose rule misses the tolerance by up to 0.49).  Otherwise
+    # the rule's disparity, read back through evaluate, is within DELTA_SLACK of t_star's
+    # target delta + DELTA_SLACK, give or take what it moves within the 1e-13 to which the
+    # shift is located (near a cutoff of 0 or 1 that can reach 1e-3), or inside the
+    # tolerance at t = 0
+    star = curve_of(pop, measure, cost).disparity(pop, 0.0)
+    searched = abs(star) > delta + DELTA_SLACK
+    if searched and _narrow(pop):
+        with pytest.raises(ValueError, match="^degenerate score law in group [01]$"):
+            ga.t_star(pop, measure, delta, cost)
+        return
+    t = ga.t_star(pop, measure, delta, cost)
+    d = _measure_disparity(pop, measure, t, cost)
+    if not searched:
+        assert t == 0.0 and abs(d) <= delta + DELTA_SLACK
+        return
+    lo, hi = curve_of(pop, measure, cost).bracket()
+    window = [_measure_disparity(pop, measure, min(max(t + e, lo), hi), cost) for e in (-1e-13, 1e-13)]
+    assert abs(np.sign(star) * d - (delta + DELTA_SLACK)) <= DELTA_SLACK + abs(window[1] - window[0])
 
 
 def bisect_one(pop, measure, delta, cost):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
@@ -18,6 +19,7 @@ import fairthresh as ft
 from fairthresh import cli, core
 from fairthresh import gaussian as ga
 from fairthresh import scores as sc
+from fairthresh.synth import SynthSpec, draw_population, sample
 
 
 def toy_data(rng, n=60, d=2):
@@ -401,6 +403,17 @@ def test_features_too_large_to_standardize_are_rejected_before_any_fit(monkeypat
     assert sc.fit_count() == 0
 
 
+def test_the_overflow_message_names_the_first_bad_column():
+    # column 2's squared deviations overflow (its mean does not), column 4's mean overflows
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(40, 5))
+    x[:, 2] = np.tile([1e308, -1e308], 20)
+    x[:, 4] = rng.uniform(1e308, 1.7e308, size=40)
+    data = ft.Dataset(x, np.tile([0, 1], 20), rng.integers(0, 2, 40))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="^feature column 2 is too large"):
+        ft.fit_logistic(data, ft.TrainConfig(epochs=3))
+
+
 def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch):
     # every step off zero raises the loss: the epoch keeps the 60th candidate,
     # made with lr * 2**-59, although lr is halved once more after it; lr = 4
@@ -440,7 +453,8 @@ def _sequential_group_fits(data, config):
     fits = []
     for a in range(data.n_groups):
         in_a = data.group == a
-        fits.append(sc._descend(sc._design(xs[in_a], np.ones((int(in_a.sum()), 1))), y[in_a], config))
+        design = np.asfortranarray(np.hstack([xs[in_a], np.ones((int(in_a.sum()), 1))]))
+        fits.append(sc._descend(design, y[in_a], config))
     thetas, iterations, final_loss = zip(*fits)
     return np.array(thetas), iterations, final_loss
 
@@ -735,3 +749,71 @@ def test_pool_workers_exit_when_their_parent_is_killed(tmp_path, layer):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+# ------------------------------------------------ one copy of the features
+
+
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 100003])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_chunked_column_stats_equal_numpys_bit_for_bit(n, d):
+    # magnitudes over seven decades, so that another summation order (numpy's
+    # pairwise sum, say, should it reduce axis 0 in another way) moves the last bits
+    rng = np.random.default_rng(n + d)
+    x = rng.normal(3.0, 1.0, size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    mean, std = sc._column_stats(x)
+    assert_same_bits(mean, x.mean(axis=0))
+    assert_same_bits(std, x.std(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["joint", "per-group"])
+@pytest.mark.parametrize("n", [257, 513, 3 * 256 + 77])  # a lone row after one and two chunks; a part
+def test_chunked_scores_equal_the_whole_batch_expression_bit_for_bit(monkeypatch, kind, n):
+    # 256-row chunks keep every whole-batch product below the size at which
+    # OpenBLAS splits it over threads, so the reference is the same on every
+    # host; the logits are compared, as the sigmoid can round a last-bit
+    # difference away, and it acts on each element alone
+    monkeypatch.setattr(core, "_CHUNK", 256)
+    monkeypatch.setattr(sc, "_sigmoid", lambda z: z)
+    rng = np.random.default_rng(n)
+    d, k = 9, 3
+    model = sc.LogisticModel(
+        kind=kind, n_groups=k, dim=d, feat_mean=rng.normal(size=d), feat_scale=rng.uniform(0.5, 2.0, d),
+        weights=rng.normal(size=d + k if kind == "joint" else (k, d)),
+        bias=rng.normal(size=1 if kind == "joint" else k), iterations=(), final_loss=())
+    x, g = rng.normal(size=(n, d)), rng.integers(0, k, n)
+    std = (x - model.feat_mean) / model.feat_scale
+    if kind == "joint":
+        z = np.hstack([std, np.eye(k)[g]]) @ model.weights + model.bias[0]
+    else:
+        z = np.einsum("ij,ij->i", std, model.weights[g]) + model.bias[g]
+    assert_same_bits(sc.predict_proba(model, x, g), z)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated above what was allocated before, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_fit_and_score_hold_one_copy_of_the_features():
+    # 100,000 rows of the five-group benchmark population (3.8 MiB of
+    # features); 5 epochs keep the group fits in this process.  Temporaries
+    # of the whole matrix give peaks of 2.9, 2.2 and 2.2 times the features
+    # and 2.1 times the joint design
+    pop = draw_population(SynthSpec.multiclass(5, sigma=1.0, seed=0))
+    data, sampled = _traced_peak(lambda: sample(pop, 100_000, 1))
+    features = data.features.nbytes
+    model, per_group = _traced_peak(lambda: ft.fit_logistic(data, ft.TrainConfig(epochs=5, per_group=True)))
+    _, scored = _traced_peak(lambda: sc.score_dataset(model, data))
+    _, joint = _traced_peak(lambda: ft.fit_logistic(data, ft.TrainConfig(epochs=5)))
+    design = data.n * (data.dim + data.n_groups) * 8
+    assert sampled < 1.6 * features
+    assert per_group < 1.0 * features
+    assert scored < 0.75 * features
+    assert joint < 1.6 * design

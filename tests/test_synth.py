@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from fairthresh import core
 from fairthresh import tabular as tb
 from fairthresh.synth import SynthSpec, draw_population, sample
 
@@ -18,6 +19,23 @@ def test_binary_defaults():
     assert pop.mu.shape == (2, 2, 10)
     assert np.all((pop.mu >= 0.0) & (pop.mu <= 1.0))
     assert pop.sigma == 1.0
+
+
+@pytest.mark.parametrize("family", ["binary", "multiclass"])
+def test_sample_equals_the_whole_matrix_expression_bit_for_bit(family):
+    # the same generator calls in the same order; the means are added a row
+    # chunk at a time, after the noise, over rows that straddle two chunk edges
+    spec = SynthSpec.binary(dim=3, seed=4) if family == "binary" else SynthSpec.multiclass(3, sigma=1.5, seed=4)
+    pop = draw_population(spec)
+    n = 2 * core._CHUNK + 5
+    data = sample(pop, n, seed=9)
+    rng = np.random.default_rng(9)
+    a = rng.choice(pop.n_groups, size=n, p=pop.p_a)
+    y = (rng.random(n) < pop.p_ya[a]).astype(np.int64)
+    x = pop.mu[a, y] + pop.sigma * rng.standard_normal((n, pop.dim))
+    assert np.array_equal(data.group, a) and np.array_equal(data.label, y)
+    assert np.array_equal(data.features.view(np.int64), x.view(np.int64))
+    assert not data.features.flags.writeable and data.features.base is None  # adopted, not copied
 
 
 def test_multiclass_group_weights_follow_sqrt_rule():

@@ -1,5 +1,7 @@
 import hashlib
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +76,16 @@ def test_wrong_width_rows_are_dropped_and_counted(tmp_path):
     data, report = load(path, schema)
     assert (len(tb.read_rows(path, schema)), report.n_dropped, data.n) == (4, 2, 2)
     assert schema.columns[1].vocabulary == ("red",)  # the long row's value is not fitted either
+
+
+def test_vocabularies_are_learned_from_the_rows_kept_only(tmp_path):
+    # the non-finite and the missing-label rows are dropped, so neither of
+    # their colors is fitted: the kept row is not encoded as [31, 0, 0, 1]
+    text = "age,color,sex,hired\n31,red,M,yes\nnan,green,F,no\n27,blue,F,?\n"
+    schema = toy_schema()
+    data, report = load(write(tmp_path, "toy.csv", text), schema)
+    assert schema.columns[1].vocabulary == ("red",)
+    assert (report.n_dropped, data.features.tolist()) == (2, [[31.0, 1.0]])
 
 
 def test_an_all_empty_row_is_read_dropped_and_counted(tmp_path):
@@ -257,7 +269,7 @@ def _serve(monkeypatch, responses):
         calls.append(url)
         return responses.pop(0)
 
-    monkeypatch.setattr(tb.urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
     return calls
 
 
@@ -304,3 +316,11 @@ def test_adult_schema_shape():
     kinds = [c.kind for c in schema.columns]
     assert kinds.count("label") == 1 and kinds.count("protected") == 1
     assert len(schema.columns) == 15
+
+
+def test_importing_the_cli_leaves_out_the_download_stack():
+    # urllib.request brings ssl, http.client and email, about half of the
+    # CLI's import time; only fetch imports it
+    code = "import sys, fairthresh.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
