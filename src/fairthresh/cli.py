@@ -236,10 +236,6 @@ def _scored_rep(cfg: ExperimentConfig, rep: int) -> tuple:
     return _scored(replace(cfg, **defaults), rep, files)
 
 
-def _constraint(cfg, delta) -> FairnessConstraint:
-    return FairnessConstraint(cfg.measure, float(delta), cfg.cost)
-
-
 def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
     """One cell per tolerance: solve on ``gs_cal``, evaluate on ``gs_test``.
 
@@ -257,7 +253,7 @@ def _cells(cfg: ExperimentConfig, deltas, gs_cal, gs_test, pop=None) -> list:
         curve = ThresholdCurve(cfg.measure, pop.p_a, pop.p_ya, cfg.cost)
     out = []
     for delta in deltas:
-        res = solve(gs_cal, _constraint(cfg, delta), cfg.randomize)
+        res = solve(gs_cal, FairnessConstraint(cfg.measure, float(delta), cfg.cost), cfg.randomize)
         rep_eval = evaluate(res.rule, gs_test, cfg.cost)
         cell = {
             "delta": float(delta),
@@ -363,7 +359,7 @@ def run_tradeoff(cfg: ExperimentConfig) -> tuple:
         deltas = cfg.deltas
     else:
         # default grid: from perfect fairness up to the unconstrained disparity
-        res0 = solve(gs_cal, _constraint(cfg, 0.0), cfg.randomize)
+        res0 = solve(gs_cal, FairnessConstraint(cfg.measure, 0.0, cfg.cost), cfg.randomize)
         deltas = np.linspace(0.0, abs(res0.disparity_at_zero), cfg.n_deltas).tolist()
     t0 = time.perf_counter()
     cells = _cells(cfg, sorted(deltas), gs_cal, gs_test)

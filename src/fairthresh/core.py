@@ -142,13 +142,9 @@ class ThresholdRule:
             raise ValueError("thresholds must be a non-empty vector")
         if not np.all((thr >= 0.0) & (thr <= 1.0)):  # also rejects nan
             raise ValueError("thresholds must lie in [0, 1]")
-        if self.tie_prob is None:
-            tie = np.zeros_like(thr)
-        else:
-            tie = _frozen_array(self.tie_prob, np.float64)
+        tie = _frozen_array(np.zeros_like(thr) if self.tie_prob is None else self.tie_prob, np.float64)
         if tie.shape != thr.shape or not np.all((tie >= 0.0) & (tie <= 1.0)):
             raise ValueError("tie probabilities must lie in [0, 1]")
-        tie.setflags(write=False)
         object.__setattr__(self, "thresholds", thr)
         object.__setattr__(self, "tie_prob", tie)
 

@@ -135,16 +135,10 @@ class GaussianPopulation:
             return 0.0
         law = self.score_law(a)
         py = float(self.p_ya[a])
-        if law.sd == 0.0:
-            above = 1.0 if py > q else 0.0
-            if y is None:  # the mix of two equal strata, rounded as any mix is
-                above = py * above + (1.0 - py) * above
-        else:  # a stratum's rate is the normal tail of its score above the cutoff's logit
-            cut = _logit(q)
-            if y is None:
-                above = py * _ndtr((law.mean[1] - cut) / law.sd) + (1.0 - py) * _ndtr((law.mean[0] - cut) / law.sd)
-            else:
-                above = _ndtr((law.mean[y] - cut) / law.sd)
+        cut = _logit(q)
+        # a stratum's rate: the normal tail of its score above the cutoff's logit, or the point mass at p_ya
+        stratum = lambda y: float(py > q) if law.sd == 0.0 else _ndtr((law.mean[y] - cut) / law.sd)  # noqa: E731
+        above = stratum(y) if y is not None else py * stratum(1) + (1.0 - py) * stratum(0)
         # the atom counts once: a cutoff below p_ya already counts its mass as above
         if tau and law.sd == 0.0 and q >= py and math.isclose(py, q, rel_tol=0.0, abs_tol=1e-15):
             return above + tau  # the atom term last, after the mix of the strata
@@ -157,22 +151,19 @@ class GaussianPopulation:
     @cached_property
     def _score_laws(self) -> tuple:
         # computed once: the oracle's root searches read a law on every tail rate
-        return tuple(self._score_law(a) for a in range(self.n_groups))
-
-    def _score_law(self, a: int) -> "ScoreLaw":
-        mu1 = self.mu[a, 1]
-        mu0 = self.mu[a, 0]
         var = self.sigma**2
-        w = (mu1 - mu0) / var
-        prior = math.log(self.p_ya[a]) - math.log1p(-self.p_ya[a])
-        b = prior + (float(mu0 @ mu0) - float(mu1 @ mu1)) / (2.0 * var)
-        gap = float((mu1 - mu0) @ (mu1 - mu0)) / var  # Mahalanobis-squared gap
-        return ScoreLaw(
-            mean=(prior - 0.5 * gap, prior + 0.5 * gap),
-            sd=math.sqrt(gap),
-            weight=_frozen_array(w, np.float64),
-            bias=b,
-        )
+        laws = []
+        for a in range(self.n_groups):
+            mu0, mu1 = self.mu[a]
+            prior = _logit(self.p_ya[a])
+            gap = float((mu1 - mu0) @ (mu1 - mu0)) / var  # Mahalanobis-squared gap
+            laws.append(ScoreLaw(
+                mean=(prior - 0.5 * gap, prior + 0.5 * gap),
+                sd=math.sqrt(gap),
+                weight=_frozen_array((mu1 - mu0) / var, np.float64),
+                bias=prior + (float(mu0 @ mu0) - float(mu1 @ mu1)) / (2.0 * var),
+            ))
+        return tuple(laws)
 
 
 @dataclass(frozen=True)

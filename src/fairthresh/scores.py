@@ -287,23 +287,20 @@ def _column_stats(x):
     """``(x.mean(axis=0), x.std(axis=0))`` bit for bit, making temporaries of
     one row chunk, not of the whole matrix.
 
-    numpy sums axis 0 of a C-ordered matrix of two or more columns one row
-    after another, starting from 0, so each chunk is summed with the running
-    sum as its first row; the squared deviations from the mean likewise.  It
-    sums a single column pairwise, as one vector, and that is reduced whole.
+    The mean's axis-0 sum makes no temporary; the standard deviation's
+    squared deviations would make one of the whole matrix.  numpy sums axis 0
+    of a C-ordered matrix of two or more columns one row after another,
+    starting from 0, so each chunk of squared deviations is summed with the
+    running sum as its first row.  It sums a single column pairwise, as one
+    vector, and that is reduced whole.
     """
-    n = x.shape[0]
+    mean = x.mean(axis=0)
     if x.shape[1] == 1:
-        return x.mean(axis=0), x.std(axis=0)
-
-    def column_sum(part):
-        total = np.zeros(x.shape[1])
-        for rows in _row_chunks(n):
-            total = np.vstack([total, part(rows)]).sum(axis=0)
-        return total
-
-    mean = column_sum(lambda rows: x[rows]) / n
-    return mean, np.sqrt(column_sum(lambda rows: np.square(x[rows] - mean)) / n)
+        return mean, x.std(axis=0)
+    total = np.zeros(x.shape[1])
+    for rows in _row_chunks(x.shape[0]):
+        total = np.vstack([total, np.square(x[rows] - mean)]).sum(axis=0)
+    return mean, np.sqrt(total / x.shape[0])
 
 
 def _design(x, mean, scale, extra, index=None):
