@@ -23,6 +23,7 @@ import functools
 import hashlib
 import io
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -75,6 +76,20 @@ COLUMNS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# What a field of each annotated type takes, and how an error names it; an Optional field also takes None.
+_FIELD_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -102,15 +117,24 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            base, value = f.type.removeprefix("Optional[").removesuffix("]"), getattr(self, f.name)
+            accepts, what = _FIELD_TYPES[base]
+            if not (accepts(value) or value is None and base != f.type):
+                raise ValueError(f"config field {f.name!r} must be {what}")
         if self.kind not in COLUMNS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.measure not in MEASURES:
+            raise ValueError(f"unknown measure {self.measure!r}")
         if self.deltas is not None and not all(0.0 <= d < float("inf") for d in self.deltas):  # also rejects nan
             raise ValueError("delta values must be finite and >= 0")
         if self.deltas is not None and not len(self.deltas):
             raise ValueError("deltas (--delta) must list at least one tolerance")
         if len(self.fractions) != 3:
             raise ValueError("fractions must give three parts: train, validation, test")
-        object.__setattr__(self, "fractions", tuple(self.fractions))  # hashable, for the memo key
+        for name in ("deltas", "fractions"):  # JSON lists, kept as tuples: hashable, for the memo key
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for name in ("n_train", "n_test", "jobs", "epochs", "dim"):
@@ -206,8 +230,16 @@ def _fit_and_score(cfg, train, val, test) -> tuple:
     model = sc.fit_logistic(
         train, sc.TrainConfig(learning_rate=cfg.learning_rate, epochs=cfg.epochs, per_group=cfg.per_group)
     )
-    return tuple(GroupedScores.from_dataset(d, sc.score_dataset(model, d))
-                 for d in (val if val is not None else train, test))
+    return tuple(_in_part(name, GroupedScores.from_dataset, d, sc.score_dataset(model, d))
+                 for name, d in (("train", train) if val is None else ("validation", val), ("test", test)))
+
+
+def _in_part(name: str, fn, *args):
+    """``fn(*args)``, with a ValueError's message prefixed by the part of the data it concerns."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name} part: {exc}") from None
 
 
 # Fields that only the solve and the report read: they change neither the data nor the fit.
@@ -384,11 +416,9 @@ def _load_tabular_splits(cfg: ExperimentConfig, split_seed: int):
             raise ValueError(
                 f"the {name} part of the split is empty: fractions {cfg.fractions} of {len(rows)} rows"
             )
-    tb.fit_schema(schema, parts[0])
-    train, _ = tb.encode_rows(parts[0], schema)
-    val, _ = tb.encode_rows(parts[1], schema) if parts[1] else (None, None)
-    test, _ = tb.encode_rows(parts[2], schema)
-    return train, val, test
+    _in_part("train", tb.fit_schema, schema, parts[0])
+    return tuple(_in_part(name, tb.encode_rows, part, schema)[0] if part else None
+                 for name, part in zip(("train", "validation", "test"), parts))
 
 
 RUNNERS = {
@@ -525,13 +555,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
         loaded.pop("kind", None)
-    fields = {**loaded, **flags}
-    for name in ("deltas", "fractions"):  # JSON lists
-        if name in fields:
-            if not isinstance(fields[name], (list, tuple)):
-                raise ValueError(f"config field {name!r} must be a list")
-            fields[name] = tuple(fields[name])
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**{**loaded, **flags})
 
 
 def main(argv=None) -> int:

@@ -335,9 +335,9 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     same bits either way.  The joint model is one fit on the calling thread.
     Features whose standardization overflows are rejected before any fit.
 
-    The features are held once: the column statistics are summed a row chunk
-    at a time, and each fit standardizes its own rows into its design (in its
-    worker, when the fits fork).
+    The features are held once: the squared deviations of the column
+    statistics are summed a row chunk at a time, and each fit standardizes
+    its own rows into its design (in its worker, when the fits fork).
     """
     global _fit_calls
     rows = np.bincount(data.group, minlength=data.n_groups)

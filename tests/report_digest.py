@@ -16,6 +16,11 @@ run from the root of each checkout and compare::
     python tests/report_digest.py --rows new.json    # in the changed checkout
     python tests/report_digest.py --compare old.json new.json
 
+``--parent REV`` does all three in one command: it checks ``REV`` out with
+``git worktree add --detach`` into a temporary directory, runs that tree's
+own ``report_digest.py --rows`` and then this checkout's, prints the
+``--compare`` table, and removes the worktree, also when a run fails.
+
 ``perfbench/run.py`` is imported before numpy loads, so its one-BLAS-thread
 setting applies, and it imports ``fairthresh`` from the same checkout's
 ``src/``.  A run takes about ten seconds on a 2-vCPU host.
@@ -23,11 +28,14 @@ setting applies, and it imports ``fairthresh`` from the same checkout's
 
 import argparse
 import json
+import subprocess
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import run  # noqa: E402  (sets the BLAS thread count before numpy loads)
 
@@ -76,13 +84,32 @@ def compare(old_path, new_path) -> int:
     return 0
 
 
+def compare_with(rev) -> int:
+    """Write the reports of commit ``rev`` and of this checkout, each run by
+    its own tree's script, and compare them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, old, new = (Path(tmp) / name for name in ("tree", "old.json", "new.json"))
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run([*git, "add", "--detach", str(tree), rev], check=True, stdout=subprocess.DEVNULL)
+        try:
+            for checkout, rows in ((tree, old), (ROOT, new)):
+                subprocess.run([sys.executable, "tests/report_digest.py", "--rows", str(rows)],
+                               cwd=checkout, check=True, stdout=subprocess.DEVNULL)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+        return compare(old, new)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", metavar="FILE", help="also write every report's digest and rows to FILE")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --rows files")
+    parser.add_argument("--parent", metavar="REV", help="compare the reports of commit REV with this checkout's")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    if args.parent:
+        return compare_with(args.parent)
     digest_reports(args.rows)
     return 0
 

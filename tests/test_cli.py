@@ -186,7 +186,8 @@ def test_a_group_missing_from_a_split_part_is_a_structured_error(tmp_path, capsy
                                "--reps", "1", "--epochs", "10", "--seed", str(seed)], capsys)
     assert code == 1 and out == ""
     message = _error(err)["message"]
-    assert message == "empty protected group 2" or message.startswith("group 2 has no training rows")
+    assert (message in ("validation part: empty protected group 2", "test part: empty protected group 2")
+            or message.startswith("group 2 has no training rows"))
 
 
 def test_nan_delta_is_structured_error(capsys):
@@ -375,8 +376,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "config file {path} must hold a JSON object"),
-    ('{"deltas": 0.1}', "config field 'deltas' must be a list"),
-    ('{"fractions": 0.5}', "config field 'fractions' must be a list"),
+    ('{"deltas": 0.1}', "config field 'deltas' must be a list of numbers"),
+    ('{"fractions": 0.5}', "config field 'fractions' must be a list of numbers"),
 ])
 def test_malformed_config_file_is_a_structured_error(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
@@ -386,6 +387,80 @@ def test_malformed_config_file_is_a_structured_error(tmp_path, capsys, text, mes
     payload = _error(err)
     assert payload["error"] == "ValueError"
     assert payload["message"] == message.format(path=cfg_path)
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"randomize": "false"}, "config field 'randomize' must be true or false"),
+    ({"fixed_population": "no"}, "config field 'fixed_population' must be true or false"),
+    ({"per_group": 0}, "config field 'per_group' must be true or false"),
+    ({"out": True}, "config field 'out' must be a string"),
+    ({"out": 5}, "config field 'out' must be a string"),
+    ({"reps": "2"}, "config field 'reps' must be an integer"),
+    ({"reps": True}, "config field 'reps' must be an integer"),
+    ({"seed": 1.0}, "config field 'seed' must be an integer"),
+    ({"cost": "0.3"}, "config field 'cost' must be a number"),
+    ({"sigma": False}, "config field 'sigma' must be a number"),
+    ({"deltas": ["0.1"]}, "config field 'deltas' must be a list of numbers"),
+    ({"deltas": [0.1, True]}, "config field 'deltas' must be a list of numbers"),
+])
+def test_config_values_are_checked_against_their_field_types(tmp_path, capsys, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(value))
+    code, out, err = run_main(["synth", "--config", str(cfg_path), *FAST[:-2]], capsys)  # reps from the file
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": message}
+    with pytest.raises(ValueError) as exc:  # library callers get the same check
+        cli.ExperimentConfig(kind="synth", **value)
+    assert str(exc.value) == message
+
+
+def test_number_fields_take_integers_and_numpy_scalars():
+    cfg = cli.ExperimentConfig(kind="synth", cost=0, sigma=2, reps=np.int64(3), deltas=[0, np.float64(0.1)])
+    assert (cfg.cost, cfg.sigma, cfg.reps, cfg.deltas) == (0, 2, 3, (0, 0.1))
+
+
+@pytest.mark.parametrize("kind", ["synth", "oracle-compare", "tradeoff", "tabular"])
+def test_an_unknown_measure_in_a_config_file_fails_before_any_work(tmp_path, capsys, monkeypatch, kind):
+    data, schema = _tabular_files(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"measure": "xx"}))
+    monkeypatch.setattr(cli, "_data", None)  # any draw or load would fail with a TypeError
+    files = ["--data", data, "--schema", schema] if kind in ("tradeoff", "tabular") else FAST
+    code, out, err = run_main([kind, "--config", str(cfg_path), *files], capsys)
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": "unknown measure 'xx'"}
+
+
+def _split_run(tmp_path, capsys, fractions, part, column, value):
+    """A tabular run at seed 123 on 60 rows split by ``fractions``, with
+    ``column`` set to ``value`` on every row of split part ``part``."""
+    data, schema = _tabular_files(tmp_path, n=60)
+    with open(data, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for i in tb.split_indices(60, fractions, cli.rep_seeds(123, 0)[0])[part]:
+        rows[1 + i][column] = value
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fractions": fractions}))
+    return run_main(["tabular", "--config", str(cfg_path), "--data", data, "--schema", schema,
+                     "--seed", "123", "--reps", "1", "--epochs", "10"], capsys)
+
+
+@pytest.mark.parametrize("part, name", [(0, "train"), (1, "validation"), (2, "test")])
+def test_a_split_part_with_no_usable_row_is_named(tmp_path, capsys, part, name):
+    # at (0.84, 0.07, 0.09) the validation part has 5 rows; an empty one would calibrate on train
+    code, out, err = _split_run(tmp_path, capsys, [0.84, 0.07, 0.09], part, 0, "?")
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": f"{name} part: zero usable rows"}
+
+
+@pytest.mark.parametrize("part, name", [(1, "validation"), (2, "test")])
+def test_a_split_part_without_a_group_is_named(tmp_path, capsys, part, name):
+    # at (0.6, 0.2, 0.2) each part holds both groups until its group-1 rows are recoded to 0
+    code, out, err = _split_run(tmp_path, capsys, [0.6, 0.2, 0.2], part, 3, "0")
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError", "message": f"{name} part: empty protected group 1"}
 
 
 def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):

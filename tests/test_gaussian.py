@@ -111,6 +111,21 @@ def test_tail_rate_point_mass():
     assert pop.rate(0, None, 0.6, tau=1.0) == 1.0
 
 
+def test_the_marginal_rate_is_the_label_mix_of_the_stratum_rates():
+    # group 0 has a normal score law, group 1 the point mass at p_ya[1] = 0.45
+    mu = np.array([[[0.0, 0.3], [1.2, -0.4]], [[0.5, 0.5], [0.5, 0.5]]])
+    pop = ga.GaussianPopulation(p_a=np.array([0.4, 0.6]), p_ya=np.array([0.3, 0.45]), mu=mu, sigma=1.3)
+    assert pop.score_law(0).sd > 0.0 and pop.score_law(1).sd == 0.0
+    for a in (0, 1):
+        py = float(pop.p_ya[a])
+        for q in (1e-12, 0.1, 0.3, np.nextafter(0.45, 0.0), 0.45, np.nextafter(0.45, 1.0), 0.8, 1.0 - 1e-12):
+            mix = py * pop.rate(a, 1, q) + (1.0 - py) * pop.rate(a, 0, q)
+            assert pop.rate(a, None, q) == mix
+            # the tie probability adds the point mass's atom once, after the mix
+            atom = a == 1 and py <= q <= py + 1e-15
+            assert pop.rate(a, None, q, tau=0.3) == (mix + 0.3 if atom else mix)
+
+
 def test_score_law_shape():
     law = POP.score_law(1)
     gap = np.linalg.norm(POP.mu[1, 1] - POP.mu[1, 0]) / POP.sigma
