@@ -68,27 +68,24 @@ class LogisticModel:
     final_loss: tuple
 
 
-def _sigmoid(z, e=None):
+def _sigmoid(z):
     """The logistic function as ``max(e, z >= 0) / (1 + e)`` with ``e = exp(-|z|)``.
 
     ``e`` never overflows, and where ``z >= 0`` it is at most 1, so the
-    numerator is 1 there and ``e`` below.  A caller that has ``e`` already
-    passes it, and it is overwritten.
+    numerator is 1 there and ``e`` below.
     """
-    if e is None:
-        e = np.abs(z)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     p = np.maximum(e, z >= 0)
     e += 1.0
     p /= e
     return p
 
 
-def _grad(theta, design, y, l2, z, e=None):
-    """``loss_and_grad``'s gradient at ``theta`` from its logits ``z = design @ theta``
-    (and ``e = exp(-|z|)``, overwritten), the same bits without the loss."""
-    p = _sigmoid(z, e)
+def _grad(theta, design, y, l2, z):
+    """``loss_and_grad``'s gradient from the logits ``z = design @ theta``, without the loss."""
+    p = _sigmoid(z)
     p -= y
     grad = design.T @ p / design.shape[0]
     return grad + l2 * theta if l2 else grad
@@ -97,22 +94,14 @@ def _grad(theta, design, y, l2, z, e=None):
 def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: float = 0.0):
     """Mean cross-entropy of a linear logit (bias folded into the design).
 
-    Returns (loss, gradient).  The loss uses the softplus form, stable for
-    any logit magnitude.  The temporaries are reused in place; every value is
-    the one the plain softplus expression gives, bit for bit.
+    Returns (loss, gradient); the softplus form is stable for any logit magnitude.
     """
     z = design @ theta
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
     # softplus(z) - y z = -log p(y | z)
-    terms = np.maximum(z, 0.0)
-    terms += np.log1p(e)
-    terms -= y * z
-    loss = float(np.mean(terms))
+    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
     if l2:
         loss += 0.5 * l2 * float(theta @ theta)
-    return loss, _grad(theta, design, y, l2, z, e)
+    return loss, _grad(theta, design, y, l2, z)
 
 
 _SLACK = 1e-12  # a step is accepted when its loss is at most this above the current loss
@@ -326,7 +315,7 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     on the steps its smoothness certificate does not accept in advance, with
     the weights of descent that evaluates it every epoch, bit for bit.
 
-    With ``per_group`` every group needs training rows, and the groups' fits
+    Every group needs training rows.  With ``per_group`` the groups' fits
     are independent, so ``_map_groups`` runs them in forked worker
     processes, largest group first, where the saved row-epochs reach
     ``_FORK_SAVING``, and else one after another on the calling thread.
@@ -341,9 +330,9 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     """
     global _fit_calls
     rows = np.bincount(data.group, minlength=data.n_groups)
-    if config.per_group and not rows.all():
+    if not rows.all():
         raise ValueError(f"group {np.flatnonzero(rows == 0)[0]} has no training rows; "
-                         "a per-group fit needs rows of every group")
+                         "the score model needs rows of every group")
 
     x = data.features
     mean, std = _column_stats(x)

@@ -19,10 +19,11 @@ accuracy can only fall as ``|t|`` grows, so the first crossing is the most
 accurate rule of that half-family (for the cost-sensitive family: the one
 with the least plug-in cost risk).
 
-With ``randomize=True`` the returned rule additionally randomizes predictions
-for scores sitting exactly on a group's cutoff, choosing the tie probability
-so the achieved disparity equals the signed tolerance exactly.  The
-deterministic rule can instead overshoot by up to one score atom.
+With ``randomize=True`` the rule also randomizes predictions for scores on a
+group's cutoff: group 0's tie probability first, clamped to [0, 1], then
+group 1's for what is left, so an unsaturated solve meets the signed
+tolerance exactly.  The deterministic rule can instead overshoot by up to
+one score atom.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class SolveResult:
     """A calibrated rule plus how it was found.
 
     ``achieved_disparity`` is the expected disparity of ``rule`` on the
-    solving sample (exactly the signed tolerance when randomization is on and
-    a crossing exists).  ``plugin_accuracy`` and ``plugin_cost_risk`` treat
+    solving sample (the signed tolerance when randomization is on and the
+    solve is not saturated).  ``plugin_accuracy`` and ``plugin_cost_risk`` treat
     each score as the true positive probability of its row, which is the
     objective the threshold family optimizes.
 
@@ -98,7 +99,7 @@ def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> 
     """``(us, falls, n_candidates)`` of the side ``sign`` of t = 0, once per (measure, cost).
 
     In u = sign * t and sign * disparity both sides are one search (negation
-    is exact).  ``us`` holds 0, the breakpoints and the bracket end, ascending;
+    is exact).  ``us`` holds the breakpoints u in [0, sign * end], ascending;
     ``falls[i]`` is minus the least signed disparity at some ``us[j]``, j <= i,
     or at the midpoint after it, which stands for that interval's step.  It
     never decreases, so a tolerance's first crossing is one ``searchsorted``.
@@ -107,7 +108,7 @@ def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> 
     if key not in gs.scans:
         cands = curve.breakpoints(gs)
         us = sign * cands
-        us = np.unique(np.concatenate([[0.0], us[(us >= 0.0) & (us <= sign * end)], [sign * end]]))
+        us = np.unique(us[(us >= 0.0) & (us <= sign * end)])
         at = sign * curve.disparity(gs, sign * us)
         mid = sign * curve.disparity(gs, sign * (0.5 * (us[:-1] + us[1:])))
         least = np.minimum(at, np.append(mid, np.inf))
@@ -160,14 +161,12 @@ def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = F
     tie = [0.0, 0.0]
     if randomize and branch != "within-tolerance":
         needed = target - achieved
-        if needed != 0.0:
-            for a in (0, 1):  # group 0's tie first; group 1's if group 0's cannot carry it
-                eff = curve.tie_effect(gs, thresholds, a)
-                if eff != 0.0:
-                    tau = needed / eff
-                    if -1e-9 <= tau <= 1.0 + 1e-9:
-                        tie[a] = min(max(tau, 0.0), 1.0)
-                        break
+        for a in (0, 1):  # group 0's tie first; group 1's takes what is left
+            eff = curve.tie_effect(gs, thresholds, a)
+            if eff != 0.0:
+                tau = needed / eff
+                tie[a] = min(max(0.0, tau), 1.0)  # 0.0 first: a tau of -0.0 gives the tie +0.0
+                needed = (tau - tie[a]) * eff
 
     rule = ThresholdRule(np.array(thresholds), np.array(tie))
     randomized = bool(tie[0] or tie[1])
@@ -233,17 +232,14 @@ def _count_intervals(sorted_scores: np.ndarray, curve: ThresholdCurve, a: int):
 
 
 def _kept_gap(gaps: np.ndarray) -> tuple:
-    """(index, gap) that the multiclass scan keeps; see :func:`solve_multiclass_dp`.
-
-    The first gap is kept; a later one replaces it only if it is below it by
-    more than 1e-15.
-    """
-    prefix_min = np.minimum.accumulate(gaps)
-    minima = np.flatnonzero(gaps[1:] < prefix_min[:-1]) + 1
+    """(index, gap) kept of the multiclass gaps: the first, replaced by a later
+    one only if it is lower by more than 1e-15, up to the first zero gap."""
     i_best, best_gap = 0, float(gaps[0])
-    for i, gap in zip(minima.tolist(), gaps[minima].tolist()):
+    for i, gap in enumerate(gaps.tolist()):
         if gap < best_gap - 1e-15:
             i_best, best_gap = i, gap
+        if gap == 0.0:
+            break
     return i_best, best_gap
 
 
@@ -260,20 +256,13 @@ def solve_multiclass_dp(gs: GroupedScores) -> MulticlassSolveResult:
     at its interval's lower end (or the interval is the point ``[1, 1]``),
     else the image of the shift, kept below ``q_hi``.
 
-    The scan is one array pass.  Each other group matches every reference
-    rate ``s`` with one ``searchsorted`` of ``s * n_a`` into its decreasing
-    counts, taking the count just above (``idx - 1``) unless the one at
-    ``idx`` is closer by more than 1e-15.  The interval ends are summed in
-    group order from 0, giving each reference count's ``gap``: 0 when the
-    summed interval holds zero, else its distance from zero.  The first
-    reference count is kept, and a later one replaces it only if its gap is
-    below the kept gap minus 1e-15.  Only strict prefix minima of the gaps
-    are visited, and that is exact: a gap is rejected only when it is at
-    least the kept gap minus 1e-15, and the kept gap only falls, so every
-    earlier gap is at least the current kept gap minus 1e-15, and a gap that
-    replaces it lies below all of them.  Nothing after the first zero gap is
-    a strict prefix minimum, so the scan ends there, as a loop that stops at
-    the first zero would.
+    Each other group matches every reference rate ``s`` in one array pass,
+    by a ``searchsorted`` of ``s * n_a`` into its decreasing counts, taking
+    the count just above (``idx - 1``) unless the one at ``idx`` is closer by
+    more than 1e-15.  The interval ends are summed in group order from 0,
+    giving each reference count's ``gap``: 0 when the summed interval holds
+    zero, else its distance from zero.  The kept count is :func:`_kept_gap`'s,
+    a plain loop over the gaps that stops at the first zero.
     """
     k = gs.n_groups
     if k < 2:

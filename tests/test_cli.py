@@ -431,20 +431,20 @@ def test_an_unknown_measure_in_a_config_file_fails_before_any_work(tmp_path, cap
     assert _error(err) == {"error": "ValueError", "message": "unknown measure 'xx'"}
 
 
-def _split_run(tmp_path, capsys, fractions, part, column, value):
-    """A tabular run at seed 123 on 60 rows split by ``fractions``, with
-    ``column`` set to ``value`` on every row of split part ``part``."""
-    data, schema = _tabular_files(tmp_path, n=60)
+def _split_run(tmp_path, capsys, fractions, part, column, value, n=60, seed=123, args=("--epochs", "10")):
+    """A one-rep tabular run at ``seed`` on ``n`` rows split by ``fractions``,
+    with ``column`` set to ``value`` on every row of split part ``part``."""
+    data, schema = _tabular_files(tmp_path, n=n)
     with open(data, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    for i in tb.split_indices(60, fractions, cli.rep_seeds(123, 0)[0])[part]:
+    for i in tb.split_indices(n, fractions, cli.rep_seeds(seed, 0)[0])[part]:
         rows[1 + i][column] = value
     with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"fractions": fractions}))
     return run_main(["tabular", "--config", str(cfg_path), "--data", data, "--schema", schema,
-                     "--seed", "123", "--reps", "1", "--epochs", "10"], capsys)
+                     "--seed", str(seed), "--reps", "1", *args], capsys)
 
 
 @pytest.mark.parametrize("part, name", [(0, "train"), (1, "validation"), (2, "test")])
@@ -461,6 +461,15 @@ def test_a_split_part_without_a_group_is_named(tmp_path, capsys, part, name):
     code, out, err = _split_run(tmp_path, capsys, [0.6, 0.2, 0.2], part, 3, "0")
     assert code == 1 and out == ""
     assert _error(err) == {"error": "ValueError", "message": f"{name} part: empty protected group 1"}
+
+
+def test_a_joint_fit_rejects_a_training_part_without_a_group(tmp_path, capsys):
+    # every training row recoded to group 0, at the default fractions
+    code, out, err = _split_run(tmp_path, capsys, [0.7, 0.1, 0.2], 0, 3, "0", n=300, seed=0,
+                                args=("--joint-model", "--delta", "0,0.1", "--epochs", "50"))
+    assert code == 1 and out == ""
+    assert _error(err) == {"error": "ValueError",
+                           "message": "group 1 has no training rows; the score model needs rows of every group"}
 
 
 def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path):

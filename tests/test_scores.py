@@ -376,7 +376,8 @@ def test_a_per_group_fit_rejects_a_group_without_training_rows():
     data = ft.Dataset(rng.normal(size=(30, 2)), np.tile([0, 2], 15), rng.integers(0, 2, 30), n_groups=3)
     with pytest.raises(ValueError, match="group 1 has no training rows"):
         ft.fit_logistic(data, ft.TrainConfig(epochs=50, per_group=True))
-    ft.fit_logistic(data, ft.TrainConfig(epochs=50))  # the joint model needs no rows of group 1
+    with pytest.raises(ValueError, match="group 1 has no training rows"):  # the joint fit too
+        ft.fit_logistic(data, ft.TrainConfig(epochs=50))
 
 
 def test_a_non_finite_design_gets_no_certificate():

@@ -104,6 +104,43 @@ def test_solve_dp_randomized_exact():
     assert res.plugin_accuracy == pytest.approx(0.7)
 
 
+def test_both_groups_ties_carry_the_step_to_the_tolerance():
+    # both groups hold an atom on their cutoff 0.5 at t = 0, and neither tie alone reaches delta 0
+    gs = make_gs([0.6, 0.5, 0.75, 0.4, 0.5, 0.6, 0.75, 0.6, 0.8],
+                 [0, 0, 0, 0, 1, 1, 1, 1, 1],
+                 [0, 1, 0, 0, 0, 1, 0, 1, 1])
+    res = solve(gs, "oa", 0.0, randomize=True)
+    assert (res.branch, res.saturated, res.randomized) == ("upper", False, True)
+    assert res.rule.thresholds.tolist() == [0.5, 0.5]
+    assert res.rule.tie_prob.tolist() == pytest.approx([1.0, 1 / 3])
+    assert abs(res.achieved_disparity) <= DELTA_SLACK
+
+
+def test_randomized_solves_on_tied_scores_hit_the_signed_tolerance():
+    # scores drawn with replacement from a few values put atoms on both
+    # groups' cutoffs at once; a sample that lacks a (group, label) stratum is
+    # skipped, and so is a saturated solve, which is flagged as missing the tolerance
+    values = (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9)
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(500):
+        n = int(rng.integers(8, 25))
+        scores = rng.choice(values, size=n)
+        group, label = rng.integers(0, 2, n), rng.integers(0, 2, n)
+        if len(set(zip(group.tolist(), label.tolist()))) < 4:
+            continue
+        gs = make_gs(scores, group, label)
+        for measure in MEASURES:
+            for delta in (0.0, 0.05, 0.1):
+                res = solve(gs, measure, delta, randomize=True)
+                if res.branch == "within-tolerance" or res.saturated:
+                    continue
+                target = delta if res.branch == "upper" else -delta
+                assert abs(res.achieved_disparity - target) <= DELTA_SLACK, (measure, delta, scores, group, label)
+                checked += 1
+    assert checked >= 3900
+
+
 def test_solve_dp_validation():
     with pytest.raises(ValueError, match="delta"):
         solve(HAND, "dp", -0.1)
