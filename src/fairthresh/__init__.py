@@ -22,7 +22,6 @@ from .gaussian import (
     GaussianPopulation,
     MulticlassOracle,
     ScoreLaw,
-    eta,
     fair_accuracy,
     oracle_multiclass_dp,
     t_star,
@@ -54,7 +53,6 @@ __all__ = [
     "GaussianPopulation",
     "MulticlassOracle",
     "ScoreLaw",
-    "eta",
     "fair_accuracy",
     "oracle_multiclass_dp",
     "t_star",

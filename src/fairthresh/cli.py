@@ -246,7 +246,9 @@ def _in_part(name: str, fn, *args):
 SOLVE_ONLY = ("measure", "deltas", "cost", "randomize", "n_deltas", "format", "out", "jobs")
 
 
-@functools.lru_cache(maxsize=1)
+_scored_memo = {}  # the last scored repetition, keyed by _scored's arguments
+
+
 def _scored(data_cfg: ExperimentConfig, rep: int, files) -> tuple:
     """(population, calibration scores, test scores) of repetition ``rep``.
 
@@ -254,11 +256,16 @@ def _scored(data_cfg: ExperimentConfig, rep: int, files) -> tuple:
     holds the SHA-256 of the CSV and of the schema file given, so runner
     calls that differ only in measure, tolerances, cost, randomization or
     output share one draw, fit and scoring, while any other field, or a
-    rewritten file, misses.  Only the last entry is kept; its grouped scores
-    and population are read-only.
+    rewritten file, misses.  ``_scored_memo`` keeps only the last entry, and
+    a miss drops it before the draw, so at most one scored repetition is
+    held; its grouped scores and population are read-only.
     """
-    pop, *samples = _data(data_cfg, rep)
-    return (pop, *_fit_and_score(data_cfg, *samples))
+    key = (data_cfg, rep, files)
+    if key not in _scored_memo:
+        _scored_memo.clear()
+        pop, *samples = _data(data_cfg, rep)
+        _scored_memo[key] = (pop, *_fit_and_score(data_cfg, *samples))
+    return _scored_memo[key]
 
 
 def _scored_rep(cfg: ExperimentConfig, rep: int) -> tuple:

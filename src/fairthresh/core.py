@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +242,9 @@ def fork_map(fn, n: int, workers: int, order=None) -> list:
     worker within about 0.2 s, so no process outlives the call.
     """
     workers = min(workers, n, _usable_cpus())
+    if workers > 1:  # imported only where a pool may start: a serial map never loads them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.parent_process() is not None):
         return [fn(i) for i in range(n)]

@@ -181,20 +181,6 @@ class ScoreLaw:
     bias: float
 
 
-def eta(pop: GaussianPopulation, x, a: int):
-    """Posterior positive probability P(Y=1 | A=a, X=x), in log space."""
-    xs = np.asarray(x, dtype=np.float64)
-    single = xs.ndim == 1
-    if single:
-        xs = xs[None, :]
-    if xs.shape[1] != pop.dim:
-        raise ValueError("dimension mismatch")
-    law = pop.score_law(a)
-    z = xs @ law.weight + law.bias
-    out = 1.0 / (1.0 + np.exp(-z))
-    return float(out[0]) if single else out
-
-
 # ---------------------------------------------------------------------------
 # The optimal shift per tolerance
 # ---------------------------------------------------------------------------

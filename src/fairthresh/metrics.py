@@ -143,6 +143,13 @@ def _counts(sorted_scores: np.ndarray, q, with_ties: bool = False) -> tuple:
     return above, hi - np.searchsorted(sorted_scores, q, side="left")
 
 
+def _distinct(values) -> np.ndarray:
+    """``np.unique(values)`` of a float vector without NaN, bit for bit: its sort, then the first of
+    each run of equal values (-0.0 equals 0.0).  numpy's own loads ``numpy.ma`` on first use."""
+    s = np.sort(values)
+    return s[np.append(True, s[1:] != s[:-1])] if s.size else s
+
+
 # ---------------------------------------------------------------------------
 # Per-group cutoff maps and the binary threshold family
 # ---------------------------------------------------------------------------
@@ -301,9 +308,9 @@ class ThresholdCurve:
         lo, hi = self.bracket()
         pts = [np.array([lo, hi, 0.0])]
         for a in (0, 1):
-            t = self.inverse(np.unique(gs.by_group[a]), a)
+            t = self.inverse(_distinct(gs.by_group[a]), a)
             pts.append(t[(t >= lo) & (t <= hi)])  # nan compares false
-        return np.unique(np.concatenate(pts))
+        return _distinct(np.concatenate(pts))
 
     def disparity(self, rates, t):
         """Disparity of the rule at parameter t, on the stratum rates of ``rates``."""

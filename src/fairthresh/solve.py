@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DELTA_SLACK, FairnessConstraint, ThresholdRule
-from .metrics import GroupedScores, ThresholdCurve, _counts
+from .metrics import GroupedScores, ThresholdCurve, _counts, _distinct
 
 
 class SolverError(ValueError):
@@ -107,8 +107,8 @@ def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> 
     key = (curve.measure, curve.cost)
     if key not in gs.scans:
         cands = curve.breakpoints(gs)
-        us = sign * cands
-        us = np.unique(us[(us >= 0.0) & (us <= sign * end)])
+        us = sign * cands[::int(sign)]  # ascending, as the breakpoints are distinct and ascending
+        us = us[(us >= 0.0) & (us <= sign * end)]
         at = sign * curve.disparity(gs, sign * us)
         mid = sign * curve.disparity(gs, sign * (0.5 * (us[:-1] + us[1:])))
         least = np.minimum(at, np.append(mid, np.inf))
@@ -220,7 +220,7 @@ def _count_intervals(sorted_scores: np.ndarray, curve: ThresholdCurve, a: int):
     single point [1, 1] when a score equals 1.  Counts are listed in
     decreasing order; the arrays are (counts, t_lo, t_hi, q_lo, q_hi).
     """
-    u = np.unique(sorted_scores)
+    u = _distinct(sorted_scores)
     cs, _ = _counts(sorted_scores, u)
     q_lo = u
     q_hi = np.concatenate([u[1:], [1.0]])

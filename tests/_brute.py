@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from fairthresh.core import ThresholdRule
-from fairthresh.metrics import GroupedScores, _counts
-from fairthresh.solve import MulticlassSolveResult, _plugin_metrics
+from fairthresh.metrics import GroupedScores
+from fairthresh.solve import MulticlassSolveResult
 
 TOL = 1e-12  # feasibility slack on |disparity| <= delta and on tau in [0, 1]
 
@@ -214,10 +214,9 @@ def swap_groups(gs):
 def _count_intervals_loop(sorted_scores, p_a):
     u = np.unique(sorted_scores)
     n = sorted_scores.size
-    counts, _ = _counts(sorted_scores, u)
+    cs = [int(np.sum(sorted_scores > q)) for q in u]
     q_lo = list(u)
     q_hi = list(u[1:]) + [1.0]
-    cs = list(counts)
     if u[0] > 0.0:
         cs.insert(0, n)
         q_lo.insert(0, 0.0)
@@ -303,7 +302,8 @@ def multiclass_dp_loop(gs):
             thresholds[a] = min(max(thresholds[a], q_lo), np.nextafter(q_hi, 0.0))
     rule = ThresholdRule(thresholds)
     rates = np.array([_rate(gs.by_group[a], thresholds[a]) for a in range(k)])
-    acc, _ = _plugin_metrics(gs, rule, 0.5)
+    # plug-in accuracy: a row scoring s counts s when predicted positive, else 1 - s
+    acc = sum(float(np.sum(np.where(s > q, s, 1.0 - s))) for s, q in zip(gs.by_group, thresholds)) / gs.n
     return MulticlassSolveResult(
         t_hats=t_hats,
         rule=rule,

@@ -20,6 +20,7 @@ from fairthresh import scores as sc
 from fairthresh import tabular as tb
 
 from _brute import brute_force_best, brute_force_family_best
+from _posterior import eta
 
 
 def report(num, ok, detail):
@@ -405,7 +406,7 @@ def test_criterion_8_oracle_tails_and_shifts():
         else:
             y = np.full(n, stratum)
         x = pop.mu[a, y] + pop.sigma * mc.standard_normal((n, pop.dim))
-        est = float(np.mean(ga.eta(pop, x, a) > q))
+        est = float(np.mean(eta(pop, x, a) > q))
         se = max(np.sqrt(max(exact * (1 - exact), 1e-12) / n), 1e-9)
         worst_z = max(worst_z, abs(est - exact) / se)
 

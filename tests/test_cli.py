@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -46,12 +47,34 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_the_program_runs_on_numpy_without_scipy():
+def _last_line_of_fresh_run(code: str) -> str:
+    """The last line that ``code`` prints in a fresh interpreter that imports this checkout's fairthresh."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=300, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    return out.stdout.splitlines()[-1]
+
+
+def test_the_program_runs_on_numpy_without_scipy():
+    assert _last_line_of_fresh_run(_STARTUP) == "[]"
+
+
+# A tiny synth run at --jobs 1 for each measure, then the loaded modules of
+# those that a serial run does not need: numpy.ma (which np.unique loads) and
+# the process pool's
+_SERIAL = """
+import sys
+from fairthresh import cli
+tiny = ["--n-train", "300", "--n-test", "200", "--epochs", "5", "--reps", "2", "--jobs", "1", "--format", "csv"]
+for measure in ("dp", "eo", "pe", "oa"):
+    assert cli.main(["synth", "--measure", measure, *tiny]) == 0
+print(sorted(m for m in ("numpy.ma", "multiprocessing", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def test_a_serial_synth_run_loads_neither_numpy_ma_nor_a_process_pool():
+    assert _last_line_of_fresh_run(_SERIAL) == "[]"
 
 
 def test_synth_csv_report_byte_identical(tmp_path, capsys):
@@ -551,9 +574,9 @@ def test_binary_runs_on_one_sample_share_one_fit():
     cfgs.append(replace(cfgs[0], deltas=(0.05,), cost=0.3, randomize=True))
     cold = []
     for cfg in cfgs:
-        cli._scored.cache_clear()
+        cli._scored_memo.clear()
         cold.append(_csv_report(cfg))
-    cli._scored.cache_clear()
+    cli._scored_memo.clear()
     sc.reset_fit_count()
     assert [_csv_report(cfg) for cfg in cfgs] == cold
     assert sc.fit_count() == 1
@@ -625,9 +648,26 @@ def test_changing_a_data_or_fit_field_misses_the_memo(tmp_path, name):
     if name in ("data_path", "schema_path"):  # the same bytes under another path
         value = str(tmp_path / value)
         shutil.copyfile(getattr(base, name), value)
+    sc.reset_fit_count()
     cli._scored_rep(base, 0)
     cli._scored_rep(replace(base, **{name: value}), 0)
-    assert cli._scored.cache_info().misses == 2
+    assert sc.fit_count() == 2
+
+
+def test_a_miss_drops_the_memoized_repetition_before_the_next_draw(monkeypatch):
+    base = cli.ExperimentConfig(kind="synth", **SMALL)
+    pop, *grouped = cli._scored_rep(base, 0)
+    held = [weakref.ref(obj) for obj in (pop, *grouped)]
+    del pop, grouped
+    alive_at_draw, data = [], cli._data
+
+    def recording(*args):
+        alive_at_draw.append([r() is not None for r in held])
+        return data(*args)
+
+    monkeypatch.setattr(cli, "_data", recording)
+    cli._scored_rep(replace(base, seed=4), 0)
+    assert alive_at_draw == [[False, False, False]]
 
 
 def test_changing_only_solve_fields_hits_the_memo(tmp_path):

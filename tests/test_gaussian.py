@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
@@ -13,6 +13,7 @@ import fairthresh as ft
 from fairthresh import gaussian as ga
 from fairthresh.core import DELTA_SLACK, MEASURES
 from fairthresh.synth import SynthSpec, draw_population
+from _posterior import eta
 
 
 def make_pop(rng, dim=3, p1=0.55, sigma=1.0):
@@ -47,7 +48,7 @@ def test_eta_equidistant_point_is_half():
         p_a=np.array([0.5, 0.5]), p_ya=np.array([0.5, 0.5]), mu=mu, sigma=1.0
     )
     x = 0.5 * (mu[0, 0] + mu[0, 1])
-    assert ga.eta(pop, x, 0) == pytest.approx(0.5, abs=1e-12)
+    assert eta(pop, x, 0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_eta_uninformative_features():
@@ -56,8 +57,8 @@ def test_eta_uninformative_features():
         p_a=np.array([0.4, 0.6]), p_ya=np.array([0.3, 0.7]), mu=mu, sigma=1.0
     )
     x = np.random.default_rng(3).normal(size=3)
-    assert ga.eta(pop, x, 0) == pytest.approx(0.3, abs=1e-14)
-    assert ga.eta(pop, x, 1) == pytest.approx(0.7, abs=1e-14)
+    assert eta(pop, x, 0) == pytest.approx(0.3, abs=1e-14)
+    assert eta(pop, x, 1) == pytest.approx(0.7, abs=1e-14)
 
 
 def test_eta_matches_density_ratio():
@@ -69,12 +70,12 @@ def test_eta_matches_density_ratio():
         py = pop.p_ya[a]
         num = py * np.prod(norm.pdf(x, pop.mu[a, 1], pop.sigma))
         den = num + (1 - py) * np.prod(norm.pdf(x, pop.mu[a, 0], pop.sigma))
-        assert ga.eta(pop, x, a) == pytest.approx(num / den, abs=1e-12)
+        assert eta(pop, x, a) == pytest.approx(num / den, abs=1e-12)
 
 
 def test_eta_dimension_mismatch():
     with pytest.raises(ValueError):
-        ga.eta(POP, np.zeros(POP.dim + 1), 0)
+        eta(POP, np.zeros(POP.dim + 1), 0)
 
 
 # ------------------------------------------------------------------ tail rates
@@ -87,7 +88,7 @@ def test_tail_rate_monte_carlo_half():
     mc = np.random.default_rng(6)
     for a in (0, 1):
         x = pop.mu[a, 1] + pop.sigma * mc.standard_normal((n, pop.dim))
-        est = float(np.mean(ga.eta(pop, x, a) > 0.5))
+        est = float(np.mean(eta(pop, x, a) > 0.5))
         exact = pop.rate(a, 1, 0.5)
         se = max(np.sqrt(exact * (1 - exact) / n), 1e-9)
         assert abs(est - exact) <= 4 * se
@@ -308,12 +309,16 @@ def test_t_star_on_a_degenerate_law_returns_0_when_the_tolerance_is_met():
     assert ga.t_star(DEGENERATE, "dp", 0.8) == 0.0
 
 
+def _two_group_population(gap, mu1, p_ya, p0):
+    """Group 0's stratum means ``gap`` apart on the first axis, group 1's at 0 and ``mu1``."""
+    return ga.GaussianPopulation(p_a=np.array([p0, 1.0 - p0]), p_ya=np.array(p_ya),
+                                 mu=np.array([[[0.0, 0.0], [gap, 0.0]], [[0.0, 0.0], list(mu1)]]), sigma=1.0)
+
+
 # Populations whose group-0 score law is a point mass (coincident stratum
 # means) or nearly one (means 1e-15 to 1e-2 apart), beside an ordinary group 1
 _near_degenerate = st.builds(
-    lambda gap, mu1, p_ya, p0: ga.GaussianPopulation(
-        p_a=np.array([p0, 1.0 - p0]), p_ya=np.array(p_ya),
-        mu=np.array([[[0.0, 0.0], [gap, 0.0]], [[0.0, 0.0], list(mu1)]]), sigma=1.0),
+    _two_group_population,
     gap=st.just(0.0) | st.builds(lambda e, s: s * 10.0 ** e, st.floats(-15.0, -2.0), st.sampled_from([-1.0, 1.0])),
     mu1=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     p_ya=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
@@ -329,19 +334,32 @@ def _narrow(pop):
 
 @given(pop=_near_degenerate, measure=st.sampled_from(sorted(MEASURES)), cost=st.sampled_from([0.5, 0.3]),
        delta=st.sampled_from([0.0, 0.01, 0.05, 0.2]))
+# oa families that cannot reach the tolerance: both cutoffs pinned at cost 1/2, and group 1's at 0.3
+@example(pop=_two_group_population(0.01, (1.0, -0.5), (0.5, 0.5), 0.5), measure="oa", cost=0.5, delta=0.0)
+@example(pop=_two_group_population(0.01, (1.0, -0.5), (0.5, 0.3), 0.5), measure="oa", cost=0.3, delta=0.05)
 @settings(max_examples=300, deadline=None)
 def test_t_star_on_point_mass_and_near_degenerate_laws(pop, measure, cost, delta):
     # t_star raises "degenerate score law" exactly when it must search a law whose rates step
     # by more than DELTA_SLACK between adjacent cutoffs (a point mass among them; searched, a
-    # law of sd 1e-15 gives a shift whose rule misses the tolerance by up to 0.49).  Otherwise
-    # the rule's disparity, read back through evaluate, is within DELTA_SLACK of t_star's
-    # target delta + DELTA_SLACK, give or take what it moves within the 1e-13 to which the
-    # shift is located (near a cutoff of 0 or 1 that can reach 1e-3), or inside the
-    # tolerance at t = 0
+    # law of sd 1e-15 gives a shift whose rule misses the tolerance by up to 0.49), and a
+    # bracket failure when the rule at the searched end of the bracket, read through
+    # evaluate, still misses the tolerance (a cutoff pinned at the cost keeps an oa family
+    # from reaching it).  Otherwise the rule's disparity, read back through evaluate, is
+    # within DELTA_SLACK of t_star's target delta + DELTA_SLACK, give or take what it moves
+    # within the 1e-13 to which the shift is located (near a cutoff of 0 or 1 that can reach
+    # 1e-3), or inside the tolerance at t = 0
     star = curve_of(pop, measure, cost).disparity(pop, 0.0)
     searched = abs(star) > delta + DELTA_SLACK
     if searched and _narrow(pop):
         with pytest.raises(ValueError, match="^degenerate score law in group [01]$"):
+            ga.t_star(pop, measure, delta, cost)
+        return
+    lo, hi = curve_of(pop, measure, cost).bracket()
+    end = hi if star > 0 else lo
+    if searched and np.sign(star) * _measure_disparity(pop, measure, end, cost) > delta + DELTA_SLACK:
+        failure = re.escape(f"bracket failure in shift search: the {measure} family at cost {cost} "
+                            f"cannot reach tolerance {delta!r}")
+        with pytest.raises(ValueError, match=f"^{failure}(; group [01]'s cutoff is pinned at the cost)+$"):
             ga.t_star(pop, measure, delta, cost)
         return
     t = ga.t_star(pop, measure, delta, cost)
@@ -349,7 +367,6 @@ def test_t_star_on_point_mass_and_near_degenerate_laws(pop, measure, cost, delta
     if not searched:
         assert t == 0.0 and abs(d) <= delta + DELTA_SLACK
         return
-    lo, hi = curve_of(pop, measure, cost).bracket()
     window = [_measure_disparity(pop, measure, min(max(t + e, lo), hi), cost) for e in (-1e-13, 1e-13)]
     assert abs(np.sign(star) * d - (delta + DELTA_SLACK)) <= DELTA_SLACK + abs(window[1] - window[0])
 

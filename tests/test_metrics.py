@@ -12,6 +12,7 @@ from fairthresh.metrics import (
     GroupedScores,
     ThresholdCurve,
     ThresholdRangeError,
+    _distinct,
 )
 
 from _brute import swap_groups
@@ -574,6 +575,18 @@ def test_breakpoints_equal_scalar_restatement(case, kind):
         curve = curve_of(gs, measure, cost)
         got = curve.breakpoints(gs)
         assert got.tolist() == _breakpoints_restated(curve, gs).tolist()
+
+
+def test_distinct_equals_numpy_unique_bit_for_bit():
+    # ties, both signed zeros in either order, infinities, subnormals, and the empty vector
+    rng = np.random.default_rng(8)
+    atoms = np.array([0.0, -0.0, 0.25, -1.5, 5e-324, -5e-324, 1e300, np.inf, -np.inf])
+    for n in [0, 1, 2, *rng.integers(3, 300, 200)]:
+        values = np.where(rng.random(n) < 0.6, rng.choice(atoms, n), rng.normal(size=n))
+        values.setflags(write=False)  # a stratum is read-only
+        want = np.unique(values)
+        got = _distinct(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), values
 
 
 # ------------------------------------------------------------------ monotonicity

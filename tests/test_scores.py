@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import fairthresh as ft
 from fairthresh import cli, core
-from fairthresh import gaussian as ga
 from fairthresh import scores as sc
 from fairthresh.synth import SynthSpec, draw_population, sample
+from _posterior import eta
 
 
 def toy_data(rng, n=60, d=2):
@@ -128,7 +128,7 @@ def test_fit_gaussian_synthetic_recovers_posterior():
     for a in (0, 1):
         mask = held.group == a
         err += np.sum(np.abs(
-            sc.predict_proba(model, held.features[mask], a) - ga.eta(pop, held.features[mask], a)
+            sc.predict_proba(model, held.features[mask], a) - eta(pop, held.features[mask], a)
         ))
     assert err / held.n < 0.05
 
@@ -504,7 +504,7 @@ def _no_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was constructed")
 
-    monkeypatch.setattr(core, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)  # fork_map imports it from there
 
 
 def test_five_group_data_mixes_converged_and_unconverged_fits():
@@ -660,9 +660,10 @@ def test_a_fit_inside_a_jobs_worker_constructs_no_pool(monkeypatch):
     _cpus(monkeypatch, 8)
     _forking_always_pays(monkeypatch)
     expected = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
+    pool_type = concurrent.futures.ProcessPoolExecutor  # the jobs pool's, before _no_pool refuses it
     _no_pool(monkeypatch)
     ctx = multiprocessing.get_context("fork")
-    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as jobs:
+    with pool_type(1, mp_context=ctx) as jobs:
         model = jobs.submit(_fit_five_groups_in_a_worker).result()
     assert_same_bits(model.weights, expected.weights)
     assert_same_bits(model.bias, expected.bias)
@@ -818,3 +819,16 @@ def test_sample_fit_and_score_hold_one_copy_of_the_features():
     assert per_group < 1.0 * features
     assert scored < 0.75 * features
     assert joint < 1.6 * design
+    # Each row chunk is standardized in place.  A temporary for each of the
+    # subtraction and the division gives scoring a peak of 0.48 times the
+    # features here (0.40 in place), and at the synth benchmark's sizes, where
+    # a chunk of 8,192 rows is 0.4 of the 20,000 x 10 features, peaks of 2.1
+    # times the features for the per-group fit (1.33 in place) and 1.4 for
+    # scoring (1.0)
+    assert scored < 0.44 * features
+    data = sample(draw_population(SynthSpec.binary(seed=0)), 20_000, 1)
+    features = data.features.nbytes
+    model, per_group = _traced_peak(lambda: ft.fit_logistic(data, ft.TrainConfig(epochs=5, per_group=True)))
+    _, scored = _traced_peak(lambda: sc.score_dataset(model, data))
+    assert per_group < 1.7 * features
+    assert scored < 1.2 * features

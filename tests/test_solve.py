@@ -12,6 +12,7 @@ from _brute import (
     multiclass_matched_counts,
     swap_groups,
 )
+from _posterior import eta
 from fairthresh.solve import DELTA_SLACK, _kept_gap, _snap_to_scores
 
 
@@ -356,7 +357,7 @@ def test_multiclass_rate_gap_bound():
     scores = np.empty(data.n)
     for a in range(3):
         mask = data.group == a
-        scores[mask] = ft.eta(pop, data.features[mask], a)
+        scores[mask] = eta(pop, data.features[mask], a)
     gs = ft.GroupedScores.from_dataset(data, scores)
     res = ft.solve_multiclass_dp(gs)
     assert res.max_rate_gap <= 2.0 / gs.n_a.min()
@@ -442,7 +443,7 @@ def test_multiclass_scan_equals_loop_on_large_groups():
     scores = np.empty(data.n)
     for a in range(5):
         mask = data.group == a
-        scores[mask] = ft.eta(pop, data.features[mask], a)
+        scores[mask] = eta(pop, data.features[mask], a)
     gs = ft.GroupedScores.from_dataset(data, scores)
     assert_same_multiclass(ft.solve_multiclass_dp(gs), multiclass_dp_loop(gs))
 
