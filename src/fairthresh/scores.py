@@ -68,24 +68,25 @@ class LogisticModel:
     final_loss: tuple
 
 
-def _sigmoid(z):
-    """The logistic function as ``max(e, z >= 0) / (1 + e)`` with ``e = exp(-|z|)``.
+def _sigmoid(z, out=None):
+    """The logistic function as ``1 / (1 + exp(-z))``, computed in one buffer
+    (``out``, a new array by default; it may be ``z`` itself).
 
-    ``e`` never overflows, and where ``z >= 0`` it is at most 1, so the
-    numerator is 1 there and ``e`` below.
+    ``exp(-z)`` overflows to inf below ``z = -709.78``, where the result is
+    then 0 (the true value is below 2e-308); nan stays nan.  Against an
+    exact reference the result is within 2 ulp wherever it is a normal float.
     """
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    p = np.maximum(e, z >= 0)
-    e += 1.0
-    p /= e
-    return p
+    p = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(p, out=p)
+    p += 1.0
+    return np.reciprocal(p, out=p)
 
 
 def _grad(theta, design, y, l2, z):
-    """``loss_and_grad``'s gradient from the logits ``z = design @ theta``, without the loss."""
-    p = _sigmoid(z)
+    """``loss_and_grad``'s gradient from the logits ``z = design @ theta``,
+    without the loss; overwrites ``z``."""
+    p = _sigmoid(z, out=z)
     p -= y
     grad = design.T @ p / design.shape[0]
     return grad + l2 * theta if l2 else grad
@@ -97,8 +98,16 @@ def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: floa
     Returns (loss, gradient); the softplus form is stable for any logit magnitude.
     """
     z = design @ theta
-    # softplus(z) - y z = -log p(y | z)
-    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - y * z))
+    # softplus(z) - y z = -log p(y | z), as max(z, 0) + log1p(exp(-|z|)) - y z
+    terms = np.abs(z)
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    np.log1p(terms, out=terms)
+    scratch = np.maximum(z, 0.0)
+    np.add(scratch, terms, out=terms)
+    np.multiply(y, z, out=scratch)
+    terms -= scratch
+    loss = float(np.mean(terms))
     if l2:
         loss += 0.5 * l2 * float(theta @ theta)
     return loss, _grad(theta, design, y, l2, z)
@@ -142,9 +151,15 @@ def _certificate(design, l2):
        within ``u (k + S + 14) (1 + m + l2 theta'theta)`` of ``f(theta)``;
        ``E(theta)`` is twice that, for the higher orders and the rounding of
        the bound itself.
-    2. Gradient.  Each ``p_i - y_i`` is off by ``k u a_i / 4 + 11u``, and each
-       length-``n`` product of ``D'(p - y)`` by ``n u r_j``, so ``|ghat - g|``
-       is below ``e = 2u (sqrt(tr G) (n + k m + 20) + l2 |theta|)``.
+    2. Gradient.  Each ``p_i - y_i`` is off by ``k u a_i / 4 + 11u``: the
+       sigmoid is 1/4-Lipschitz in ``z``, and ``_sigmoid``'s
+       ``1 / (1 + v)`` with ``v = exp(-z)`` costs ``8u`` relative in ``v``,
+       which moves the result by at most ``8u`` since ``v / (1 + v) <= 1``,
+       then ``u`` in the sum and ``u`` in the reciprocal of a value at most
+       1, and the subtraction of ``y`` one more ``u``; where ``v`` overflows
+       (``z < -709.78``) the computed 0 is off by less than ``2.3e-308``.
+       Each length-``n`` product of ``D'(p - y)`` is off by ``n u r_j``, so
+       ``|ghat - g|`` is below ``e = 2u (sqrt(tr G) (n + k m + 20) + l2 |theta|)``.
     3. Step.  The computed ``cand`` is ``theta - lr ghat + q`` with
        ``|q| <= u (lr |ghat| + |cand|)``.  In the descent lemma, with
        ``g = ghat + (g - ghat)`` and ``lr L <= 1`` (1.5 would do, so the
@@ -235,11 +250,12 @@ def _descend(design, y, config: TrainConfig) -> tuple:
 
 
 # Row-epochs (rows x epochs) that forking must save before it is used.  One
-# serial row-epoch of a fit on a column-major design costs about 8 ns at
-# k = 6 (5e7 row-epochs in 390 ms on a shared 2-vCPU Xeon, one BLAS thread),
-# and a pool of forked workers about 50-70 ms in a 100 MiB process: 15 ms to
-# start and stop it, the rest in copy-on-write faults and cold caches in the
-# workers.  The break-even is about 6e6 to 9e6 row-epochs; this is above it.
+# serial row-epoch of a fit on a column-major design costs about 7 ns at
+# k = 6 (5e7 row-epochs in 330-380 ms on a shared 2-vCPU Xeon, one BLAS
+# thread), and a pool of forked workers about 50-70 ms in a 100 MiB process:
+# 15 ms to start and stop it, the rest in copy-on-write faults and cold caches
+# in the workers.  The break-even is about 7e6 to 1e7 row-epochs; this is at
+# its top.
 _FORK_SAVING = 1e7
 
 
@@ -337,10 +353,11 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     x = data.features
     mean, std = _column_stats(x)
     scale = np.where(std > 0, std, 1.0)
-    # standardizing is monotone, so each column's extremes stand for all its values
+    # every standardized value is then finite too: a deviation x - mean that
+    # overflows makes its square, and so std, inf; a finite one is at most
+    # sqrt(n) std, or below 1.5e-154 where its square underflows, while a
+    # positive std is at least sqrt(5e-324 / n)
     finite = np.isfinite(mean) & np.isfinite(scale)
-    for extreme in (x.min(axis=0), x.max(axis=0)):
-        finite &= np.isfinite((extreme - mean) / scale)
     if not finite.all():
         raise ValueError(f"feature column {np.flatnonzero(~finite)[0]} is too large to "
                          "standardize: its mean or standard deviation overflows float64")
