@@ -1,8 +1,10 @@
-"""Shared domain types: datasets, constraints, rules, reports; the one worker pool."""
+"""Shared domain types: datasets, constraints, rules, reports; the one fork map."""
 
 from __future__ import annotations
 
+import itertools
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass
@@ -204,51 +206,141 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_task = None  # a worker's fn, set by _start_worker in the worker only
+# Set in a fork_map child, and in the caller while it runs its own share:
+# every fork_map call made there runs serially, as the CPUs are taken already.
+_serial = False
+
+# Assignments of tasks to bins that _bins searches exhaustively at most.
+_SEARCHED = 256
 
 
-def _start_worker(fn, parent: int) -> None:
-    """Pool initializer: keep ``fn`` for :func:`_run`, and start a thread that
-    ends the worker once ``parent`` has died, as the worker then waits on a
-    queue that nothing will write to again."""
-    global _task
-    _task = fn
+class _RemoteTraceback(Exception):
+    """A fork_map child's formatted traceback, the ``__cause__`` of the exception it raised."""
 
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
+    def __str__(self):
+        return self.args[0]
 
 
-def _run(i):
-    return _task(i)
+def _bins(costs, k: int) -> list:
+    """The task indices ``range(len(costs))`` in at most ``k`` non-empty bins
+    that minimise the largest bin's summed cost, costliest bin first and each
+    bin's tasks in index order.
 
-
-def fork_map(fn, n: int, workers: int, order=None) -> list:
-    """``[fn(i) for i in range(n)]``, in at most ``min(workers, n, usable CPUs)``
-    forked worker processes, submitted in ``order`` (default ``range(n)``).
-
-    Runs on the calling thread instead when that cap is 1, where ``fork`` does
-    not exist, or inside a worker of another pool, whose tasks fill the CPUs
-    already.  Workers are forked, so they inherit ``fn`` (through the pool
-    initializer) and everything it reads; only ``i`` and the result are
-    pickled.  ``fork`` copies only the calling thread, which is safe because
-    fairthresh starts no other thread that could hold a lock across it.  The
-    results come back in index order; an exception in a worker is raised
-    here, and the pool joins every worker before this returns or raises.  If
-    this process is killed instead, :func:`_start_worker`'s thread ends each
-    worker within about 0.2 s, so no process outlives the call.
+    Every assignment is searched where there are at most ``_SEARCHED`` of them
+    (of those with the least largest bin, one with the fewest bins, the first
+    in lexicographic order), and else each task, costliest first, goes to the
+    cheapest bin.
     """
-    workers = min(workers, n, _usable_cpus())
-    if workers > 1:  # imported only where a pool may start: a serial map never loads them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.parent_process() is not None):
+    n = len(costs)
+
+    def loads(assign):
+        out = [0] * k
+        for cost, b in zip(costs, assign):
+            out[b] += cost
+        return out
+
+    if k ** n <= _SEARCHED:
+        assign = min(itertools.product(range(k), repeat=n), key=lambda a: (max(loads(a)), len(set(a))))
+    else:
+        assign, load = [0] * n, [0] * k
+        for i in sorted(range(n), key=lambda i: -costs[i]):
+            assign[i] = load.index(min(load))
+            load[assign[i]] += costs[i]
+    load = loads(assign)
+    order = sorted((b for b in range(k) if b in assign), key=lambda b: -load[b])
+    return [[i for i in range(n) if assign[i] == b] for b in order]
+
+
+def _run_child(fn, tasks, write: int, parent: int):
+    """A forked child's life: run ``fn`` on ``tasks``, pickle ``(results,
+    None)``, or ``(None, (exception, its traceback))``, into the pipe end
+    ``write``, and exit.  A thread ends the child once ``parent`` has died,
+    as nothing would read the pipe then.  Never returns."""
+    global _serial
+    _serial = True
+    status = 1
+    try:
+        def watch():
+            while os.getppid() == parent:
+                time.sleep(0.2)
+            os._exit(1)
+
+        threading.Thread(target=watch, daemon=True).start()
+        try:
+            result = [fn(i) for i in tasks], None
+        except BaseException as exc:
+            import traceback
+            result = None, (exc, "".join(traceback.format_exception(exc)))
+        payload = pickle.dumps(result)  # if this fails, the caller reads no result
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def fork_map(fn, n: int, workers: int, costs=None) -> list:
+    """``[fn(i) for i in range(n)]``, split by :func:`_bins` over at most
+    ``min(workers, n, usable CPUs)`` processes by the tasks' ``costs`` (equal
+    by default): this process runs the costliest bin, and each other bin runs
+    in a child of its own, made by ``os.fork``.
+
+    Runs on the calling thread instead when there is one bin, where ``fork``
+    does not exist, or inside a child or the caller's own share of another
+    ``fork_map``, whose bins fill the CPUs already.  A child inherits ``fn``
+    and everything it reads, and pickles its results, or its exception and
+    traceback, back through a pipe that is read to its end, whatever the
+    size.  ``fork`` copies only the calling thread, which is safe because
+    fairthresh starts no other thread that could hold a lock across it.  The
+    results come back in index order.  An exception in the caller's share,
+    or the first child's in bin order, is raised here, a child's with its
+    traceback as ``__cause__``; the other children are killed first.  Every
+    child is reaped before this returns or raises; if this process is killed
+    instead, each child's watcher thread ends it within about 0.2 s.
+    """
+    global _serial
+    k = min(workers, n, _usable_cpus())
+    bins = _bins([1] * n if costs is None else costs, k) if k > 1 and not _serial else []
+    if len(bins) < 2 or not hasattr(os, "fork"):
         return [fn(i) for i in range(n)]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(fn, os.getpid())) as pool:
-        futures = {i: pool.submit(_run, i) for i in (range(n) if order is None else order)}
-        return [futures[i].result() for i in range(n)]
+    out, children, parent = [None] * n, [], os.getpid()
+    try:
+        for tasks in bins[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_child(fn, tasks, write, parent)
+            os.close(write)
+            children.append((pid, read, tasks))
+        _serial = True
+        try:
+            for i in bins[0]:
+                out[i] = fn(i)
+        finally:
+            _serial = False
+        for pid, read, tasks in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payload = pipe.read()  # to the end, which the child's exit marks
+            if not payload:
+                raise ChildProcessError(f"fork_map child {pid} ended without returning its results")
+            values, failure = pickle.loads(payload)
+            if failure is not None:
+                raise failure[0] from _RemoteTraceback(failure[1])
+            for i, value in zip(tasks, values):
+                out[i] = value
+    except BaseException:
+        import signal
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    return out

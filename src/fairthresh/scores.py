@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _row_chunks, _usable_cpus, fork_map
+from .core import Dataset, _bins, _row_chunks, _usable_cpus, fork_map
 
 _fit_calls = 0
 
@@ -76,17 +76,23 @@ def _sigmoid(z, out=None):
     then 0 (the true value is below 2e-308); nan stays nan.  Against an
     exact reference the result is within 2 ulp wherever it is a normal float.
     """
-    p = np.negative(z, out=out)
+    return _sigmoid_of_negated(np.negative(z, out=out))
+
+
+def _sigmoid_of_negated(nz):
+    """``_sigmoid(-nz)``, written over ``nz``."""
     with np.errstate(over="ignore"):
-        np.exp(p, out=p)
-    p += 1.0
-    return np.reciprocal(p, out=p)
+        np.exp(nz, out=nz)
+    nz += 1.0
+    return np.reciprocal(nz, out=nz)
 
 
-def _grad(theta, design, y, l2, z):
-    """``loss_and_grad``'s gradient from the logits ``z = design @ theta``,
-    without the loss; overwrites ``z``."""
-    p = _sigmoid(z, out=z)
+def _grad(theta, design, y, l2, nz):
+    """``loss_and_grad``'s gradient from the negated logits ``nz = design @
+    -theta``, without the loss; overwrites ``nz``.  IEEE rounding is
+    symmetric in sign, so ``design @ -theta`` is ``-(design @ theta)`` but
+    for the sign of an exact zero, which ``exp`` maps to 1 either way."""
+    p = _sigmoid_of_negated(nz)
     p -= y
     grad = design.T @ p / design.shape[0]
     return grad + l2 * theta if l2 else grad
@@ -110,7 +116,7 @@ def loss_and_grad(theta: np.ndarray, design: np.ndarray, y: np.ndarray, l2: floa
     loss = float(np.mean(terms))
     if l2:
         loss += 0.5 * l2 * float(theta @ theta)
-    return loss, _grad(theta, design, y, l2, z)
+    return loss, _grad(theta, design, y, l2, np.negative(z, out=z))
 
 
 _SLACK = 1e-12  # a step is accepted when its loss is at most this above the current loss
@@ -184,11 +190,16 @@ def _certificate(design, l2):
     root_trace = float(np.sqrt(np.trace(gram)))
     depth = k + 26 + math.log2(n) + n / 8192 + 14  # k + S + 14
 
+    last = None, 0.0, 0.0  # the last candidate, with its m and squared norm
+
     def certified(theta, cand, lr):
+        nonlocal last
         if lr * smooth > 1:
             return False
-        m, m_cand = float(np.abs(theta) @ root), float(np.abs(cand) @ root)
-        sq, sq_cand = float(theta @ theta), float(cand @ cand)
+        # descent passes the accepted candidate back as theta: its norms are known
+        m, sq = last[1:] if theta is last[0] else (float(np.abs(theta) @ root), float(theta @ theta))
+        m_cand, sq_cand = float(np.abs(cand) @ root), float(cand @ cand)
+        last = cand, m_cand, sq_cand
         loss_errors = 2 * _U * depth * (2 + m + m_cand + l2 * (sq + sq_cand))  # E(theta) + E(cand)
         grad_error = 2 * _U * (root_trace * (n + k * m + 20) + l2 * math.sqrt(sq))
         b = _U * math.sqrt(sq_cand) + 2 * lr * grad_error
@@ -232,7 +243,7 @@ def _descend(design, y, config: TrainConfig) -> tuple:
             iterations = epoch
             break
         if certified(theta, cand, lr):
-            theta, loss, grad = cand, None, _grad(cand, design, y, config.l2, design @ cand)
+            theta, loss, grad = cand, None, _grad(cand, design, y, config.l2, design @ -cand)
             continue
         if loss is None:
             loss, grad = loss_and_grad(theta, design, y, config.l2)
@@ -252,40 +263,42 @@ def _descend(design, y, config: TrainConfig) -> tuple:
 # Row-epochs (rows x epochs) that forking must save before it is used.  One
 # serial row-epoch of a fit on a column-major design costs about 7 ns at
 # k = 6 (5e7 row-epochs in 330-380 ms on a shared 2-vCPU Xeon, one BLAS
-# thread), and a pool of forked workers about 50-70 ms in a 100 MiB process:
-# 15 ms to start and stop it, the rest in copy-on-write faults and cold caches
-# in the workers.  The break-even is about 7e6 to 1e7 row-epochs; this is at
-# its top.
-_FORK_SAVING = 1e7
+# thread).  A forked child costs a few milliseconds: the fork itself, the
+# copy-on-write faults and cold caches in the child, and the pipe that brings
+# its results back; the caller fits its own share meanwhile.  In a process
+# with a 40 MiB heap a child with nothing to do costs 4 ms, and forking the
+# synth fit's smaller group already pays at 1.5e5 saved row-epochs (21 ms
+# serial, 16 ms forked, 500 epochs), as each epoch also costs some 20 us of
+# calls; at 1.2e6 it saves 9 of 36 ms.  This sits above both, since a fit
+# that reaches its fixed point early saves fewer row-epochs than it is charged.
+_FORK_SAVING = 1e6
 
 
 def _workers(costs) -> int:
-    """Worker processes to fit groups of the given costs (row-epochs each)
-    in; 1 means a loop on the calling thread.
+    """Processes to fit groups of the given costs (row-epochs each) in; 1
+    means a loop on the calling thread.
 
     Forks only where it pays: on more than one usable CPU and group, and
-    when the saving of the longest-processing-time-first schedule,
+    when the saving of :func:`~fairthresh.core._bins`'s schedule,
     ``sum(costs)`` less its largest bin, reaches ``_FORK_SAVING``.
     """
     workers = min(len(costs), _usable_cpus())
     if workers < 2:
         return 1
-    bins = [0] * workers
-    for cost in sorted(costs, reverse=True):
-        bins[bins.index(min(bins))] += cost
-    return workers if sum(costs) - max(bins) >= _FORK_SAVING else 1
+    largest = max(sum(costs[i] for i in tasks) for tasks in _bins(costs, workers))
+    return workers if sum(costs) - largest >= _FORK_SAVING else 1
 
 
 def _map_groups(fit_group, costs) -> list:
-    """``[fit_group(a) for a in range(len(costs))]`` by :func:`~fairthresh.core.fork_map`,
-    in ``_workers(costs)`` processes, largest cost first.
+    """``[fit_group(a) for a in range(len(costs))]`` by :func:`~fairthresh.core.fork_map`
+    in ``_workers(costs)`` processes, the groups binned by their costs: this
+    process fits the costliest bin, and a forked child each other one.
 
     Threads would not do: an epoch is about a dozen numpy calls of 5-40 us
     each at 20,000 rows, and a thread retakes the interpreter lock between
     them, so two threads fit five groups only 10-20% faster than one.
     """
-    order = sorted(range(len(costs)), key=costs.__getitem__, reverse=True)
-    return fork_map(fit_group, len(costs), _workers(costs), order)
+    return fork_map(fit_group, len(costs), _workers(costs), costs)
 
 
 def _column_stats(x):
@@ -332,9 +345,10 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     the weights of descent that evaluates it every epoch, bit for bit.
 
     Every group needs training rows.  With ``per_group`` the groups' fits
-    are independent, so ``_map_groups`` runs them in forked worker
-    processes, largest group first, where the saved row-epochs reach
-    ``_FORK_SAVING``, and else one after another on the calling thread.
+    are independent, so ``_map_groups`` splits them into bins of balanced
+    row-epochs, fits the costliest bin on the calling thread and each other
+    bin in a forked child, where the saved row-epochs reach
+    ``_FORK_SAVING``, and else fits them one after another on the calling thread.
     Each fit reads only its own group's rows, and a BLAS call's reduction
     order does not depend on the process that makes it, so the model is the
     same bits either way.  The joint model is one fit on the calling thread.
@@ -342,7 +356,7 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
 
     The features are held once: the squared deviations of the column
     statistics are summed a row chunk at a time, and each fit standardizes
-    its own rows into its design (in its worker, when the fits fork).
+    its own rows into its design (in its own process, when the fits fork).
     """
     global _fit_calls
     rows = np.bincount(data.group, minlength=data.n_groups)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from fairthresh import cli
@@ -9,3 +11,17 @@ def _empty_scored_memo():
     cli._scored_memo.clear()
     yield
     cli._scored_memo.clear()
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The pid of the caller of each ``os.fork`` made in this process during
+    the test; a child's own forks stay in the child."""
+    fork, calls = os.fork, []
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls

@@ -77,6 +77,25 @@ def test_a_serial_synth_run_loads_neither_numpy_ma_nor_a_process_pool():
     assert _last_line_of_fresh_run(_SERIAL) == "[]"
 
 
+# A multiclass run on two usable CPUs whose group fits fork a child, then
+# the number of forks and the loaded modules of the process pool, which
+# fork_map does not use
+_FORKING = """
+import os, sys
+from fairthresh import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+assert cli.main(["multiclass", "--groups", "5", "--n-train", "4000", "--n-test", "500", "--epochs", "200",
+                 "--reps", "1", "--format", "csv"]) == 0
+print(len(forks), sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+
+
+def test_a_forking_multiclass_fit_loads_no_process_pool():
+    assert _last_line_of_fresh_run(_FORKING) == "1 []"
+
+
 def test_synth_csv_report_byte_identical(tmp_path, capsys):
     argv = ["synth", "--seed", "5", "--format", "csv", *FAST]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -510,19 +529,28 @@ def test_jobs_parallel_matches_sequential(tmp_path):
     assert seq.read_bytes() == par.read_bytes()
 
 
-def test_jobs_forks_no_more_workers_than_repetitions(monkeypatch, capsys):
-    # eight usable CPUs, six jobs, two repetitions (FAST): two workers, not six
+def test_jobs_forks_no_more_workers_than_repetitions(monkeypatch, capsys, forks):
+    # eight usable CPUs, six jobs, two repetitions (FAST): two processes, this
+    # one and one forked child, not six
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    fork, forks = os.fork, []
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
     code, _, _ = run_main(["synth", "--seed", "9", "--format", "csv", "--jobs", "6", *FAST], capsys)
     assert code == 0
-    assert forks == [os.getpid()] * 2
+    assert forks == [os.getpid()]
+
+
+def test_a_fit_inside_the_callers_own_jobs_share_forks_nothing(monkeypatch, capsys, forks):
+    # forking pays for every fit here: at --jobs 1 each repetition's fit
+    # forks a child, but at --jobs 2 the one fork is the repetitions' own,
+    # and the fit of the repetition this process runs forks nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(sc, "_FORK_SAVING", 0)
+    argv = ["synth", "--seed", "9", "--format", "csv", *FAST]
+    code, serial, _ = run_main(argv + ["--jobs", "1"], capsys)
+    assert code == 0 and forks == [os.getpid()] * 2
+    forks.clear()
+    code, parallel, _ = run_main(argv + ["--jobs", "2"], capsys)
+    assert code == 0 and forks == [os.getpid()]
+    assert parallel == serial
 
 
 def test_rep_seed_rule_is_stable():

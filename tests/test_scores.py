@@ -1,7 +1,7 @@
-import concurrent.futures
 import decimal
+import itertools
 import math
-import multiprocessing
+import mmap
 import os
 import re
 import signal
@@ -10,7 +10,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
 import pytest
@@ -306,9 +305,9 @@ def test_loss_and_grad_equal_their_restatement_bit_for_bit(z, data, l2):
         ref_loss, ref_grad = _plain_loss_and_grad(theta, design, y, l2)
     assert_same_bits(loss, ref_loss)
     assert_same_bits(grad, ref_grad)
-    # the gradient-only step of a certified epoch
+    # the gradient-only step of a certified epoch, from the negated logits
     with np.errstate(all="ignore"):
-        assert_same_bits(sc._grad(theta, design, y, l2, design @ theta), ref_grad)
+        assert_same_bits(sc._grad(theta, design, y, l2, design @ -theta), ref_grad)
 
 
 def _fixed_point_data():
@@ -393,7 +392,9 @@ def test_descent_equals_every_epoch_descent_on_small_designs(design_y, lr, l2):
 
 
 def test_a_benchmark_fit_evaluates_the_loss_twice_per_group(monkeypatch):
-    # at zero, and once at the returned weights: every epoch is certified
+    # at zero, and once at the returned weights: every epoch is certified;
+    # on one CPU, so that every call is made, and counted, in this process
+    _cpus(monkeypatch, 1)
     calls = []
     loss_and_grad = sc.loss_and_grad
     monkeypatch.setattr(sc, "loss_and_grad", lambda *args: calls.append(1) or loss_and_grad(*args))
@@ -485,12 +486,12 @@ def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch
     assert (iterations, final_loss) == (1, 2.0)
 
 
-# ---------------------------------------------------------- group fit workers
+# ---------------------------------------------------------- group fit processes
 #
 # Five groups of unequal size (so a design's row count names its group); with
-# 300 epochs the fits of groups 2 and 4 reach GD's fixed point, the others not.
-# These fits save far fewer row-epochs than _FORK_SAVING, so a test that wants
-# worker processes sets it to 0.
+# 300 epochs the fits of groups 0, 2 and 4 reach GD's fixed point, the others
+# not.  These fits save far fewer row-epochs than _FORK_SAVING, so a test that
+# wants forked children sets it to 0.
 
 _GROUP_SIZES = (60, 90, 130, 180, 240)
 _GROUP_CONFIG = ft.TrainConfig(learning_rate=1.0, epochs=300, per_group=True)
@@ -548,7 +549,7 @@ def _forking_always_pays(monkeypatch):
 
 def _pid_recording_descend(monkeypatch):
     """Wrap ``_descend`` so that each fit's ``iterations`` becomes
-    ``(group size, pid of the process that fitted it)``: a worker's memory
+    ``(group size, pid of the process that fitted it)``: a child's memory
     is its own, so the record travels back through the result."""
     descend = sc._descend
 
@@ -559,11 +560,26 @@ def _pid_recording_descend(monkeypatch):
     monkeypatch.setattr(sc, "_descend", recording)
 
 
-def _no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was constructed")
+def _group_bins(n_cpus):
+    """The five groups' bins on ``n_cpus`` CPUs, this process's first."""
+    costs = [n * _GROUP_CONFIG.epochs for n in _GROUP_SIZES]
+    return core._bins(costs, min(n_cpus, 5)) if n_cpus > 1 else [list(range(5))]
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)  # fork_map imports it from there
+
+def _no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("a process was forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def _no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def test_five_group_data_mixes_converged_and_unconverged_fits():
@@ -573,7 +589,7 @@ def test_five_group_data_mixes_converged_and_unconverged_fits():
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4, 8])
-def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, n_cpus):
+def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, n_cpus, forks):
     data = _five_group_data()
     thetas, iterations, final_loss = _sequential_group_fits(data, _GROUP_CONFIG)
     _cpus(monkeypatch, n_cpus)
@@ -583,22 +599,28 @@ def test_concurrent_group_fits_equal_a_sequential_loop_bit_for_bit(monkeypatch, 
     assert_same_bits(model.bias, thetas[:, -1])
     assert model.iterations == iterations
     assert_same_bits(model.final_loss, final_loss)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == len(_group_bins(n_cpus)) - 1
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("n_cpus", [2, 8])
 def test_a_worker_process_fits_each_group(monkeypatch, n_cpus):
-    # every group is fitted in a worker, none in this process
+    # one process fits each bin of groups: this one the costliest bin, and a
+    # forked child of its own each other bin
     _cpus(monkeypatch, n_cpus)
     _forking_always_pays(monkeypatch)
     _pid_recording_descend(monkeypatch)
     before = threading.active_count()
     model = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
     assert [n for n, _ in model.iterations] == list(_GROUP_SIZES)
-    pids = {pid for _, pid in model.iterations}
-    assert os.getpid() not in pids
-    assert len(pids) <= min(n_cpus, 5)
-    assert multiprocessing.active_children() == []
+    pids = [pid for _, pid in model.iterations]
+    bins = _group_bins(n_cpus)
+    assert len(bins) > 1
+    assert {pids[a] for a in bins[0]} == {os.getpid()}
+    children = [{pids[a] for a in tasks} for tasks in bins[1:]]
+    assert all(len(child) == 1 for child in children)
+    assert len(set.union(*children) - {os.getpid()}) == len(children)
+    assert _no_child_left()
     assert threading.active_count() == before
 
 
@@ -606,7 +628,7 @@ def test_one_cpu_starts_no_worker_process(monkeypatch):
     # nor a thread: one CPU fits every group in this process
     _cpus(monkeypatch, 1)
     _forking_always_pays(monkeypatch)
-    _no_pool(monkeypatch)
+    _no_fork(monkeypatch)
     _pid_recording_descend(monkeypatch)
     before = threading.active_count()
     model = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
@@ -629,38 +651,148 @@ def test_a_failed_group_fit_is_re_raised_after_every_helper_stopped(monkeypatch,
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match=r"^group 3 diverged in process \d+$") as caught:
         ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-    # with more than one CPU the fit failed in a worker, and its traceback came along
-    in_worker = f"in process {os.getpid()}" not in str(caught.value)
-    assert in_worker == (n_cpus > 1)
-    assert in_worker == isinstance(caught.value.__cause__, _RemoteTraceback)
-    assert multiprocessing.active_children() == []
+    # with more than one CPU group 3 lies in a child's bin: the fit failed
+    # there, and the child's traceback came along
+    in_child = f"in process {os.getpid()}" not in str(caught.value)
+    assert in_child == (n_cpus > 1) == (3 not in _group_bins(n_cpus)[0])
+    cause = caught.value.__cause__
+    assert in_child == isinstance(cause, core._RemoteTraceback)
+    if in_child:
+        assert re.search(r"in failing\n.*\nFloatingPointError: group 3 diverged in process \d+\n$",
+                         str(cause))
+    assert _no_child_left()
     assert threading.active_count() == before
 
 
+def test_a_failure_in_the_callers_share_kills_the_children_first(monkeypatch):
+    # the child would sleep for a minute; the caller's failure ends it at once
+    _cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def task(i):
+        if os.getpid() == caller:
+            raise KeyError(f"task {i}")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="task 0"):
+        core.fork_map(task, 2, 2)
+    assert time.monotonic() - start < 30
+    assert _no_child_left()
+
+
 def test_fork_map_runs_every_task_once_under_fast_switching(monkeypatch):
-    # more workers than cores, and the pool's threads in this process switch
-    # every microsecond: a lost or doubled task would show in the counts, a
-    # misplaced result in the order
+    # more processes than cores, and threads in this process switch every
+    # microsecond: a lost or doubled task would show in the counts, which
+    # every process writes in one shared mapping, a misplaced result in the
+    # order, and a task run outside its bin in the pids
     _cpus(monkeypatch, 16)
-    order = [(a * 37) % 64 for a in range(64)]  # submitted out of index order
+    costs = [(a * 37) % 64 + 1 for a in range(64)]  # unequal, and not in index order
+    bins = core._bins(costs, 16)
+    assert len(bins) == 16
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            counts = multiprocessing.get_context("fork").Array("i", 64)
+            counts = np.frombuffer(mmap.mmap(-1, 64 * 8), dtype=np.int64)
 
             def fit(a):
-                with counts.get_lock():
-                    counts[a] += 1
+                counts[a] += 1
                 return a * a, os.getpid()
 
-            out = core.fork_map(fit, 64, 16, order)
-            assert list(counts) == [1] * 64
+            before = threading.active_count()
+            out = core.fork_map(fit, 64, 16, costs)
+            assert counts.tolist() == [1] * 64
             assert [square for square, _ in out] == [a * a for a in range(64)]
-            assert os.getpid() not in {pid for _, pid in out}
-            assert multiprocessing.active_children() == []
+            pids = [{out[a][1] for a in tasks} for tasks in bins]
+            assert pids[0] == {os.getpid()}
+            assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == 16
+            assert _no_child_left()
+            assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
+
+
+_costs = st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, 60), min_size=1, max_size={2: 8, 3: 5, 4: 4}[k])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k_costs=_costs)
+def test_bins_reach_the_least_largest_bin_of_every_assignment(k_costs):
+    k, costs = k_costs
+    bins = core._bins(costs, k)
+    assert sorted(a for tasks in bins for a in tasks) == list(range(len(costs)))
+    assert 1 <= len(bins) <= k and all(tasks and tasks == sorted(tasks) for tasks in bins)
+    loads = [sum(costs[a] for a in tasks) for tasks in bins]
+    assert loads == sorted(loads, reverse=True)
+    # brute force: every map of the tasks onto k bins
+    best = min(max(sum(cost for cost, b in zip(costs, assign) if b == j) for j in range(k))
+               for assign in itertools.product(range(k), repeat=len(costs)))
+    assert loads[0] == best
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, 16), costs=st.lists(st.integers(0, 10**7), min_size=1, max_size=40))
+def test_bins_beyond_the_search_are_longest_first_greedy(k, costs):
+    # outside the exhaustive search, a partition within Graham's list-scheduling bound
+    bins = core._bins(costs, k)
+    assert sorted(a for tasks in bins for a in tasks) == list(range(len(costs)))
+    assert 1 <= len(bins) <= k and all(tasks for tasks in bins)
+    loads = [sum(costs[a] for a in tasks) for tasks in bins]
+    assert loads == sorted(loads, reverse=True)
+    assert loads[0] <= sum(costs) / k + max(costs)
+
+
+class _Deadline:
+    """Raise ``TimeoutError`` in this thread if the block runs longer than ``seconds``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {self.seconds} s")
+
+        self.previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
+@pytest.mark.parametrize("rows", [1, 10_000, 400_000])
+def test_a_result_larger_than_the_pipe_buffer_comes_back_whole(monkeypatch, rows):
+    # 8 bytes to 3.2 MB per task, against a 64 KiB pipe buffer: the child
+    # blocks until the caller reads, which it does to the end
+    _cpus(monkeypatch, 2)
+    with _Deadline(60):
+        out = core.fork_map(lambda a: np.arange(a, a + rows, dtype=np.float64), 2, 2)
+    for a, values in enumerate(out):
+        assert_same_bits(values, np.arange(a, a + rows, dtype=np.float64))
+    assert _no_child_left()
+
+
+def test_no_child_or_thread_outlives_a_call(monkeypatch):
+    _cpus(monkeypatch, 4)
+    before = threading.active_count()
+
+    def fails_in_a_child(a):
+        if a == 3:
+            raise ValueError("task 3")
+        return a
+
+    assert core.fork_map(lambda a: a, 4, 4) == [0, 1, 2, 3]
+    assert core.fork_map(lambda a: a, 4, 1) == [0, 1, 2, 3]
+    assert core.fork_map(lambda a: a, 4, 4, [5, 0, 0, 0]) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="task 3"):
+        core.fork_map(fails_in_a_child, 4, 4, [4, 3, 2, 1])
+    with pytest.raises(ChildProcessError, match="ended without returning its results"):
+        core.fork_map(lambda a: (lambda: a), 4, 4)  # a child cannot pickle a function made in it
+    assert core.fork_map(lambda a: a, 0, 4) == []
+    assert _no_child_left()
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------- when forking pays
@@ -673,26 +805,31 @@ def _benchmark_train(kind, **sizes):
 
 
 def test_a_multiclass_benchmark_plan_clears_the_gate(monkeypatch):
-    # five groups of 12k-27k rows, 500 epochs: the two-bin schedule saves
-    # about 2.2e7 row-epochs, twice _FORK_SAVING; a fifth of the epochs not
+    # five groups of 12k-27k rows, 500 epochs: the balanced bins hold 50,615
+    # and 49,385 rows (largest first gave 55.4k and 44.6k) and save about
+    # 2.5e7 row-epochs, 25 times _FORK_SAVING; at 10 epochs 4.9e5 do not pay
     _cpus(monkeypatch, 2)
     rows = np.bincount(_benchmark_train("multiclass").group)
-    assert rows.sum() == 100000
+    assert rows.tolist() == [11895, 16833, 20657, 23873, 26742]
+    assert [rows[tasks].sum() for tasks in core._bins((rows * 500).tolist(), 2)] == [50615, 49385]
     assert sc._workers((rows * 500).tolist()) == 2
-    assert sc._workers((rows * 100).tolist()) == 1
+    assert sc._workers((rows * 10).tolist()) == 1
 
 
 @pytest.mark.parametrize("n_cpus", [2, 8])
-@pytest.mark.parametrize("kind, sizes", [
-    ("synth", {}),  # the synth benchmark's fit: two groups, saves about 3e6 row-epochs
-    ("multiclass", {"n_train": 400, "epochs": 5}),  # the benchmark's warm-up
+@pytest.mark.parametrize("kind, sizes, children", [
+    ("synth", {}, 1),  # the synth benchmark's fit: groups of 6k and 14k rows, saving 3e6 row-epochs
+    ("multiclass", {"n_train": 400, "epochs": 5}, 0),  # the benchmark's warm-up
 ], ids=["synth", "warm-up"])
-def test_small_fits_construct_no_pool(monkeypatch, n_cpus, kind, sizes):
+def test_small_fits_construct_no_pool(monkeypatch, n_cpus, kind, sizes, children, forks):
+    # no pool at all: the synth fit forks one child, which pays, and the
+    # warm-up none
     data = _benchmark_train(kind, **sizes)
     _cpus(monkeypatch, n_cpus)
-    _no_pool(monkeypatch)
     ft.fit_logistic(data, ft.TrainConfig(learning_rate=1.0, epochs=sizes.get("epochs", 500),
                                          per_group=True))
+    assert len(forks) == children
+    assert _no_child_left()
 
 
 def test_the_column_major_design_moves_benchmark_weights_by_under_1e_12(monkeypatch):
@@ -709,32 +846,32 @@ def test_the_column_major_design_moves_benchmark_weights_by_under_1e_12(monkeypa
     assert np.max(np.abs(model.bias - row_major.bias)) <= 1e-12
 
 
-def _fit_five_groups_in_a_worker():
-    return ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-
-
-def test_a_fit_inside_a_jobs_worker_constructs_no_pool(monkeypatch):
-    # a --jobs worker is a child of another pool, whose repetitions fill the
-    # CPUs already; the patches below reach the worker through the fork
+def test_a_fit_inside_a_jobs_worker_constructs_no_pool(monkeypatch, forks):
+    # two --jobs shares, this process's and a forked child's: each fits all
+    # five groups in its own process, although forking would pay, as the
+    # shares fill the CPUs already; the patches reach the child through the fork
     _cpus(monkeypatch, 8)
     _forking_always_pays(monkeypatch)
     expected = ft.fit_logistic(_five_group_data(), _GROUP_CONFIG)
-    pool_type = concurrent.futures.ProcessPoolExecutor  # the jobs pool's, before _no_pool refuses it
-    _no_pool(monkeypatch)
-    ctx = multiprocessing.get_context("fork")
-    with pool_type(1, mp_context=ctx) as jobs:
-        model = jobs.submit(_fit_five_groups_in_a_worker).result()
-    assert_same_bits(model.weights, expected.weights)
-    assert_same_bits(model.bias, expected.bias)
-    assert multiprocessing.active_children() == []
+    forks.clear()
+    _pid_recording_descend(monkeypatch)
+    models = core.fork_map(lambda rep: ft.fit_logistic(_five_group_data(), _GROUP_CONFIG), 2, 2)
+    assert forks == [os.getpid()]  # the jobs child; this process's share forked nothing
+    pids = [{pid for _, pid in model.iterations} for model in models]
+    assert pids[0] == {os.getpid()}
+    assert len(pids[1]) == 1 and pids[1] != pids[0]
+    for model in models:
+        assert_same_bits(model.weights, expected.weights)
+        assert_same_bits(model.bias, expected.bias)
+    assert _no_child_left()
 
 
-# A process that runs one of the two pooled layers in two forked workers, on
-# two usable CPUs whatever the host has: the group fits of one per-group fit
-# (layer "groups", five groups, forking made to pay) or the repetitions of
-# `synth --jobs 2` (layer "jobs", four repetitions).  Each task records its
-# worker's pid and then runs on for a minute, so the pool is alive when the
-# process is killed.
+# A process that runs one of the two forking layers on two usable CPUs,
+# whatever the host has: the group fits of one per-group fit (layer
+# "groups", five groups, forking made to pay) or the repetitions of
+# `synth --jobs 2` (layer "jobs", four repetitions).  Each task records the
+# pid of its process, this one's or its child's, and then runs on for a
+# minute, so the child is alive when the process is killed.
 _KILLED_RUN = """
 import os, sys, time
 import numpy as np
@@ -778,33 +915,33 @@ def _start_time(pid):
     return None if state == "Z" else fields[18]
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc/self"),
-                    reason="needs fork and /proc")
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"), reason="needs fork and /proc")
 @pytest.mark.parametrize("layer", ["groups", "jobs"])
 def test_pool_workers_exit_when_their_parent_is_killed(tmp_path, layer):
+    # the process is killed inside its own share; its forked child must follow
     pid_file = tmp_path / "pids"
     src = os.path.dirname(os.path.dirname(ft.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-c", _KILLED_RUN, str(pid_file), layer], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    workers = {}
+    children, pids = {}, set()
     try:
         deadline = time.monotonic() + 60
-        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+        while (proc.pid not in pids or not children) and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
             pids = {int(p) for p in pid_file.read_text().split()} if pid_file.exists() else set()
-            workers = {pid: _start_time(pid) for pid in pids}
-        assert len(workers) == 2 and proc.poll() is None
+            children = {pid: _start_time(pid) for pid in pids - {proc.pid}}
+        assert proc.pid in pids and len(children) == 1 and proc.poll() is None
         proc.send_signal(signal.SIGTERM)
         proc.wait(10)
         deadline = time.monotonic() + 10
-        alive = set(workers)
+        alive = set(children)
         while alive and time.monotonic() < deadline:
             time.sleep(0.05)
-            alive = {pid for pid in alive if _start_time(pid) == workers[pid]}
-        assert not alive, f"workers {sorted(alive)} outlived their killed parent"
+            alive = {pid for pid in alive if _start_time(pid) == children[pid]}
+        assert not alive, f"children {sorted(alive)} outlived their killed parent"
     finally:
-        for pid, start in workers.items():
+        for pid, start in children.items():
             if start is not None and _start_time(pid) == start:
                 os.kill(pid, signal.SIGKILL)
         if proc.poll() is None:
