@@ -281,27 +281,30 @@ def _run_child(fn, tasks, write: int, parent: int):
 
 def fork_map(fn, n: int, workers: int, costs=None) -> list:
     """``[fn(i) for i in range(n)]``, split by :func:`_bins` over at most
-    ``min(workers, n, usable CPUs)`` processes by the tasks' ``costs`` (equal
-    by default): this process runs the costliest bin, and each other bin runs
-    in a child of its own, made by ``os.fork``.
+    ``min(workers, n, usable CPUs)`` processes by the tasks' ``costs``, in
+    units of one forked child (1 per task by default): this process runs the
+    costliest bin, and each other bin runs in a child made by ``os.fork``.
 
-    Runs on the calling thread instead when there is one bin, where ``fork``
-    does not exist, or inside a child or the caller's own share of another
-    ``fork_map``, whose bins fill the CPUs already.  A child inherits ``fn``
-    and everything it reads, and pickles its results, or its exception and
-    traceback, back through a pipe that is read to its end, whatever the
-    size.  ``fork`` copies only the calling thread, which is safe because
-    fairthresh starts no other thread that could hold a lock across it.  The
-    results come back in index order.  An exception in the caller's share,
-    or the first child's in bin order, is raised here, a child's with its
-    traceback as ``__cause__``; the other children are killed first.  Every
-    child is reaped before this returns or raises; if this process is killed
-    instead, each child's watcher thread ends it within about 0.2 s.
+    Runs on the calling thread instead where the bins save less than 1 (the
+    summed cost less the costliest bin's; any split of the default saves 1),
+    where ``fork`` does not exist, or inside a child or the caller's own
+    share of another ``fork_map``, whose bins fill the CPUs already.  A child
+    inherits ``fn`` and everything it reads, and pickles its results, or its
+    exception and traceback, back through a pipe that is read to its end,
+    whatever the size.  ``fork`` copies only the calling thread, which is
+    safe because fairthresh starts no other thread that could hold a lock
+    across it.  The results come back in index order.  An exception in the
+    caller's share, or the first child's in bin order, is raised here, a
+    child's with its traceback as ``__cause__``; the other children are
+    killed first.  Every child is reaped before this returns or raises; if
+    this process is killed instead, each child's watcher thread ends it
+    within about 0.2 s.
     """
     global _serial
-    k = min(workers, n, _usable_cpus())
-    bins = _bins([1] * n if costs is None else costs, k) if k > 1 and not _serial else []
-    if len(bins) < 2 or not hasattr(os, "fork"):
+    costs = [1] * n if costs is None else costs
+    k = 1 if _serial else min(workers, n, _usable_cpus())
+    bins = _bins(costs, k) if k > 1 else [range(n)]
+    if sum(costs) - sum(costs[i] for i in bins[0]) < 1 or not hasattr(os, "fork"):
         return [fn(i) for i in range(n)]
     out, children, parent = [None] * n, [], os.getpid()
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _bins, _row_chunks, _usable_cpus, fork_map
+from .core import Dataset, _row_chunks, fork_map
 
 _fit_calls = 0
 
@@ -68,15 +68,15 @@ class LogisticModel:
     final_loss: tuple
 
 
-def _sigmoid(z, out=None):
-    """The logistic function as ``1 / (1 + exp(-z))``, computed in one buffer
-    (``out``, a new array by default; it may be ``z`` itself).
+def _sigmoid(z):
+    """The logistic function as ``1 / (1 + exp(-z))``, computed in one new
+    buffer.
 
     ``exp(-z)`` overflows to inf below ``z = -709.78``, where the result is
     then 0 (the true value is below 2e-308); nan stays nan.  Against an
     exact reference the result is within 2 ulp wherever it is a normal float.
     """
-    return _sigmoid_of_negated(np.negative(z, out=out))
+    return _sigmoid_of_negated(np.negative(z))
 
 
 def _sigmoid_of_negated(nz):
@@ -260,45 +260,19 @@ def _descend(design, y, config: TrainConfig) -> tuple:
     return theta, iterations, loss
 
 
-# Row-epochs (rows x epochs) that forking must save before it is used.  One
-# serial row-epoch of a fit on a column-major design costs about 7 ns at
-# k = 6 (5e7 row-epochs in 330-380 ms on a shared 2-vCPU Xeon, one BLAS
-# thread).  A forked child costs a few milliseconds: the fork itself, the
-# copy-on-write faults and cold caches in the child, and the pipe that brings
-# its results back; the caller fits its own share meanwhile.  In a process
-# with a 40 MiB heap a child with nothing to do costs 4 ms, and forking the
-# synth fit's smaller group already pays at 1.5e5 saved row-epochs (21 ms
-# serial, 16 ms forked, 500 epochs), as each epoch also costs some 20 us of
-# calls; at 1.2e6 it saves 9 of 36 ms.  This sits above both, since a fit
-# that reaches its fixed point early saves fewer row-epochs than it is charged.
+# Row-epochs (rows x epochs) that one forked child costs, the unit of the
+# group fits' fork_map costs.  One serial row-epoch of a fit on a
+# column-major design costs about 7 ns at k = 6 (5e7 row-epochs in 330-380 ms
+# on a shared 2-vCPU Xeon, one BLAS thread).  A child costs a few
+# milliseconds: the fork itself, the copy-on-write faults and cold caches in
+# it, and the pipe that brings its results back; the caller fits its own
+# share meanwhile.  In a process with a 40 MiB heap a child with nothing to
+# do costs 4 ms, and forking the synth fit's smaller group already pays at
+# 1.5e5 saved row-epochs (21 ms serial, 16 ms forked, 500 epochs), as each
+# epoch also costs some 20 us of calls; at 1.2e6 it saves 9 of 36 ms.  This
+# sits above both, since a fit that reaches its fixed point early saves fewer
+# row-epochs than it is charged.
 _FORK_SAVING = 1e6
-
-
-def _workers(costs) -> int:
-    """Processes to fit groups of the given costs (row-epochs each) in; 1
-    means a loop on the calling thread.
-
-    Forks only where it pays: on more than one usable CPU and group, and
-    when the saving of :func:`~fairthresh.core._bins`'s schedule,
-    ``sum(costs)`` less its largest bin, reaches ``_FORK_SAVING``.
-    """
-    workers = min(len(costs), _usable_cpus())
-    if workers < 2:
-        return 1
-    largest = max(sum(costs[i] for i in tasks) for tasks in _bins(costs, workers))
-    return workers if sum(costs) - largest >= _FORK_SAVING else 1
-
-
-def _map_groups(fit_group, costs) -> list:
-    """``[fit_group(a) for a in range(len(costs))]`` by :func:`~fairthresh.core.fork_map`
-    in ``_workers(costs)`` processes, the groups binned by their costs: this
-    process fits the costliest bin, and a forked child each other one.
-
-    Threads would not do: an epoch is about a dozen numpy calls of 5-40 us
-    each at 20,000 rows, and a thread retakes the interpreter lock between
-    them, so two threads fit five groups only 10-20% faster than one.
-    """
-    return fork_map(fit_group, len(costs), _workers(costs), costs)
 
 
 def _column_stats(x):
@@ -345,10 +319,11 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     the weights of descent that evaluates it every epoch, bit for bit.
 
     Every group needs training rows.  With ``per_group`` the groups' fits
-    are independent, so ``_map_groups`` splits them into bins of balanced
-    row-epochs, fits the costliest bin on the calling thread and each other
-    bin in a forked child, where the saved row-epochs reach
-    ``_FORK_SAVING``, and else fits them one after another on the calling thread.
+    are independent, so :func:`~fairthresh.core.fork_map` splits them into
+    bins of balanced row-epochs, each group costing its row-epochs over
+    ``_FORK_SAVING``: it fits the costliest bin on the calling thread and
+    each other bin in a forked child where the bins save at least one
+    child's cost, and else fits them one after another on the calling thread.
     Each fit reads only its own group's rows, and a BLAS call's reduction
     order does not depend on the process that makes it, so the model is the
     same bits either way.  The joint model is one fit on the calling thread.
@@ -385,7 +360,11 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
             design[:, -1] = 1.0
             return _descend(design, data.label[in_a].astype(np.float64), config)
 
-        thetas, iterations, final_loss = zip(*_map_groups(fit_group, (rows * config.epochs).tolist()))
+        # Threads would not do: an epoch is about a dozen numpy calls of 5-40 us
+        # each at 20,000 rows, and a thread retakes the interpreter lock between
+        # them, so two threads fit five groups only 10-20% faster than one.
+        costs = rows * config.epochs / _FORK_SAVING
+        thetas, iterations, final_loss = zip(*fork_map(fit_group, data.n_groups, data.n_groups, costs))
         weights = np.array([theta[:-1] for theta in thetas])
         bias = np.array([theta[-1] for theta in thetas])
         kind = "per-group"

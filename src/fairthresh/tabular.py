@@ -45,9 +45,13 @@ class ColumnSpec:
     def __post_init__(self):
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"unknown column kind {self.kind!r}")
-        self.positive_values = tuple(self.positive_values)
-        self.group_values = tuple(self.group_values)
-        self.vocabulary = tuple(self.vocabulary)
+        for key in ("positive_values", "group_values", "vocabulary"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not all(isinstance(v, str) for v in values):
+                raise ValueError(f"column {self.name!r}: {key!r} must be a list of strings")
+            setattr(self, key, tuple(values))
+        if self.kind == "label" and not self.positive_values:
+            raise ValueError(f"column {self.name!r}: a label column needs 'positive_values'")
 
 
 @dataclass
@@ -58,6 +62,8 @@ class ColumnSchema:
     has_header: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.has_header, bool):
+            raise ValueError("'has_header' must be true or false")
         kinds = [c.kind for c in self.columns]
         if kinds.count("label") != 1:
             raise ValueError("schema needs exactly one label column")

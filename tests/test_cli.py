@@ -543,7 +543,7 @@ def test_a_fit_inside_the_callers_own_jobs_share_forks_nothing(monkeypatch, caps
     # forks a child, but at --jobs 2 the one fork is the repetitions' own,
     # and the fit of the repetition this process runs forks nothing
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    monkeypatch.setattr(sc, "_FORK_SAVING", 0)
+    monkeypatch.setattr(sc, "_FORK_SAVING", 1)
     argv = ["synth", "--seed", "9", "--format", "csv", *FAST]
     code, serial, _ = run_main(argv + ["--jobs", "1"], capsys)
     assert code == 0 and forks == [os.getpid()] * 2
@@ -744,6 +744,21 @@ def test_tradeoff_calibrates_on_the_part_tabular_calibrates_on(tmp_path, capsys)
     ('{"columns": [{"kind": "numeric"}]}', ": column 0 has no 'name' field"),
     ('{"columns": [{"name": "x0", "kind": "bogus"}]}', ": unknown column kind 'bogus'"),
     ('{"columns": [', " is not valid JSON: Expecting"),
+    # a string would be read as its characters, and a label without positive
+    # values would read every label as 0
+    ('{"columns": [{"name": "y", "kind": "label", "positive_values": ">50K"}]}',
+     ": column 'y': 'positive_values' must be a list of strings"),
+    ('{"columns": [{"name": "y", "kind": "label", "positive_values": null}]}',
+     ": column 'y': 'positive_values' must be a list of strings"),
+    ('{"columns": [{"name": "g", "kind": "protected", "group_values": [0, 1]}]}',
+     ": column 'g': 'group_values' must be a list of strings"),
+    ('{"columns": [{"name": "c", "kind": "categorical", "vocabulary": "ab"}]}',
+     ": column 'c': 'vocabulary' must be a list of strings"),
+    ('{"columns": [{"name": "y", "kind": "label"}]}', ": column 'y': a label column needs 'positive_values'"),
+    ('{"columns": [{"name": "y", "kind": "label", "positive_values": []}]}',
+     ": column 'y': a label column needs 'positive_values'"),
+    ('{"has_header": "false", "columns": [{"name": "y", "kind": "label", "positive_values": ["1"]}]}',
+     ": 'has_header' must be true or false"),
 ])
 def test_corrupt_schema_is_structured_error(tmp_path, capsys, text, message):
     data, _ = _tabular_files(tmp_path)

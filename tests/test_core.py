@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import fairthresh
 from fairthresh import Dataset, FairnessConstraint, GroupedScores, SynthSpec, ThresholdCurve, ThresholdRule
 from fairthresh import draw_population, evaluate, t_star
+from fairthresh.core import _bins, fork_map
 
 
 def test_public_names_resolve():
@@ -154,3 +156,52 @@ def test_threshold_rule_validation_and_prediction():
     for bad in ([-0.1], [np.nan]):
         with pytest.raises(ValueError, match=r"tie probabilities must lie in \[0, 1\]"):
             ThresholdRule(np.array([0.5]), np.array(bad))
+
+
+# ------------------------------------------------------------ the fork gate
+#
+# fork_map's costs are in units of one forked child: it forks where its bins
+# save at least 1, the summed cost less the costliest bin's.
+
+def _pid_map(n, workers, costs=None):
+    """``fork_map`` of tasks that return ``(index, pid of their process)``."""
+    out = fork_map(lambda i: (i, os.getpid()), n, workers, costs)
+    assert [i for i, _ in out] == list(range(n))
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+    return {pid for _, pid in out}
+
+
+@pytest.mark.parametrize("costs", [[0.4, 0.4], [0.99, 0.99], [5, 0, 0, 0], [0.3, 0.3, 0.3, 0.3]])
+def test_bins_that_save_less_than_one_child_fork_nothing(monkeypatch, forks, costs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert _pid_map(len(costs), len(costs), costs) == {os.getpid()}
+    assert forks == []
+
+
+@pytest.mark.parametrize("costs, bins", [
+    ([1, 1], 2),  # saves exactly 1
+    ([0.5, 0.5, 0.5], 3),
+    ([3, 1, 1, 1], 2),  # bins {0} and {1, 2, 3}
+    ([2, 2, 2, 2], 4),
+])
+def test_bins_that_save_a_child_fork_one_per_extra_bin(monkeypatch, forks, costs, bins):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert len(_pid_map(len(costs), bins, costs)) == bins
+    assert forks == [os.getpid()] * (bins - 1)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 4])
+def test_default_costs_fork_one_child_per_share_past_the_first(monkeypatch, forks, n_cpus):
+    # as --jobs does: any split of two or more tasks saves at least one
+    # child, so every bin past the caller's forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    for n in range(1, 7):
+        for workers in range(1, 5):
+            forks.clear()
+            k = min(n, workers, n_cpus)
+            shares = len(_bins([1] * n, k)) if k > 1 else 1
+            assert len(_pid_map(n, workers)) == shares
+            assert len(forks) == shares - 1
+    forks.clear()
+    assert fork_map(lambda i: i, 0, 4) == [] and forks == []

@@ -254,10 +254,6 @@ _logits = st.lists(
 def test_sigmoid_equals_its_restatement_bit_for_bit(z):
     with np.errstate(all="ignore"):
         assert_same_bits(sc._sigmoid(z), _plain_sigmoid(z))
-        # in place, as the gradient computes it
-        inplace = z.copy()
-        assert sc._sigmoid(inplace, out=inplace) is inplace
-        assert_same_bits(inplace, _plain_sigmoid(z))
 
 
 def _two_branch_sigmoid(z):
@@ -430,7 +426,7 @@ def test_features_too_large_to_standardize_are_rejected_before_any_fit(monkeypat
     x = np.column_stack([rng.normal(size=30), rng.uniform(1e308, 1.7e308, size=30)])
     data = ft.Dataset(x, np.tile([0, 1], 15), rng.integers(0, 2, 30))
     monkeypatch.setattr(sc, "_descend", lambda *args: pytest.fail("descent started"))
-    monkeypatch.setattr(sc, "_map_groups", lambda *args: pytest.fail("group fits started"))
+    monkeypatch.setattr(sc, "fork_map", lambda *args: pytest.fail("group fits started"))
     sc.reset_fit_count()
     with np.errstate(all="ignore"), pytest.raises(
             ValueError, match="feature column 1 is too large to standardize"):
@@ -491,7 +487,7 @@ def test_an_epoch_of_sixty_failed_halvings_takes_the_last_step_tried(monkeypatch
 # Five groups of unequal size (so a design's row count names its group); with
 # 300 epochs the fits of groups 0, 2 and 4 reach GD's fixed point, the others
 # not.  These fits save far fewer row-epochs than _FORK_SAVING, so a test that
-# wants forked children sets it to 0.
+# wants forked children sets it to 1: a child then costs one row-epoch.
 
 _GROUP_SIZES = (60, 90, 130, 180, 240)
 _GROUP_CONFIG = ft.TrainConfig(learning_rate=1.0, epochs=300, per_group=True)
@@ -544,7 +540,7 @@ def _cpus(monkeypatch, n):
 
 
 def _forking_always_pays(monkeypatch):
-    monkeypatch.setattr(sc, "_FORK_SAVING", 0)
+    monkeypatch.setattr(sc, "_FORK_SAVING", 1)
 
 
 def _pid_recording_descend(monkeypatch):
@@ -804,16 +800,21 @@ def _benchmark_train(kind, **sizes):
     return cli._data(cli.ExperimentConfig(kind=kind, n_groups=n_groups, seed=0, **sizes), 0)[1]
 
 
-def test_a_multiclass_benchmark_plan_clears_the_gate(monkeypatch):
+def test_a_multiclass_benchmark_plan_clears_the_gate(monkeypatch, forks):
     # five groups of 12k-27k rows, 500 epochs: the balanced bins hold 50,615
     # and 49,385 rows (largest first gave 55.4k and 44.6k) and save about
     # 2.5e7 row-epochs, 25 times _FORK_SAVING; at 10 epochs 4.9e5 do not pay
     _cpus(monkeypatch, 2)
     rows = np.bincount(_benchmark_train("multiclass").group)
     assert rows.tolist() == [11895, 16833, 20657, 23873, 26742]
-    assert [rows[tasks].sum() for tasks in core._bins((rows * 500).tolist(), 2)] == [50615, 49385]
-    assert sc._workers((rows * 500).tolist()) == 2
-    assert sc._workers((rows * 10).tolist()) == 1
+    for epochs, children in ((500, 1), (10, 0)):
+        costs = rows * epochs / sc._FORK_SAVING  # the costs fit_logistic passes
+        bins = core._bins(costs, 2)
+        assert [rows[tasks].sum() for tasks in bins] == [50615, 49385]
+        assert (costs.sum() - costs[bins[0]].sum() >= 1) == (children == 1)
+        forks.clear()
+        assert core.fork_map(lambda a: a, 5, 5, costs) == list(range(5))
+        assert len(forks) == children
 
 
 @pytest.mark.parametrize("n_cpus", [2, 8])
@@ -891,7 +892,7 @@ def recording(fn):
     return slowed
 
 if layer == "groups":
-    sc._FORK_SAVING = 0
+    sc._FORK_SAVING = 1
     sc._descend = recording(sc._descend)
     rng = np.random.default_rng(0)
     group = np.repeat(np.arange(5), 20)
