@@ -17,19 +17,6 @@ import numpy as np
 
 from .core import Dataset, _row_chunks, fork_map
 
-_fit_calls = 0
-
-
-def fit_count() -> int:
-    """Number of fit_logistic calls since the last reset (for audit tests)."""
-    return _fit_calls
-
-
-def reset_fit_count() -> None:
-    global _fit_calls
-    _fit_calls = 0
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.5
@@ -333,7 +320,6 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     statistics are summed a row chunk at a time, and each fit standardizes
     its own rows into its design (in its own process, when the fits fork).
     """
-    global _fit_calls
     rows = np.bincount(data.group, minlength=data.n_groups)
     if not rows.all():
         raise ValueError(f"group {np.flatnonzero(rows == 0)[0]} has no training rows; "
@@ -350,7 +336,6 @@ def fit_logistic(data: Dataset, config: TrainConfig = TrainConfig()) -> Logistic
     if not finite.all():
         raise ValueError(f"feature column {np.flatnonzero(~finite)[0]} is too large to "
                          "standardize: its mean or standard deviation overflows float64")
-    _fit_calls += 1
 
     if config.per_group:
 

@@ -28,6 +28,7 @@ one score atom.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,12 @@ def _plugin_metrics(gs: GroupedScores, rule: ThresholdRule, cost: float) -> tupl
     return acc / gs.n, risk / gs.n
 
 
+# Each sample's scans, keyed by (measure, cost); an entry goes with its sample.
+_scans = weakref.WeakKeyDictionary()
+
+
 def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> tuple:
-    """``(us, falls, n_candidates)`` of the side ``sign`` of t = 0, once per (measure, cost).
+    """``(us, falls, n_candidates)`` of the side ``sign`` of t = 0, once per sample, measure and cost.
 
     In u = sign * t and sign * disparity both sides are one search (negation
     is exact).  ``us`` holds the breakpoints u in [0, sign * end], ascending;
@@ -104,16 +109,16 @@ def _scan(gs: GroupedScores, curve: ThresholdCurve, sign: float, end: float) -> 
     or at the midpoint after it, which stands for that interval's step.  It
     never decreases, so a tolerance's first crossing is one ``searchsorted``.
     """
-    key = (curve.measure, curve.cost)
-    if key not in gs.scans:
+    scans, key = _scans.setdefault(gs, {}), (curve.measure, curve.cost)
+    if key not in scans:
         cands = curve.breakpoints(gs)
         us = sign * cands[::int(sign)]  # ascending, as the breakpoints are distinct and ascending
         us = us[(us >= 0.0) & (us <= sign * end)]
         at = sign * curve.disparity(gs, sign * us)
         mid = sign * curve.disparity(gs, sign * (0.5 * (us[:-1] + us[1:])))
         least = np.minimum(at, np.append(mid, np.inf))
-        gs.scans[key] = (us, -np.minimum.accumulate(least), int(cands.size))
-    return gs.scans[key]
+        scans[key] = (us, -np.minimum.accumulate(least), int(cands.size))
+    return scans[key]
 
 
 def solve(gs: GroupedScores, constraint: FairnessConstraint, randomize: bool = False) -> SolveResult:

@@ -52,6 +52,12 @@ class ColumnSpec:
             setattr(self, key, tuple(values))
         if self.kind == "label" and not self.positive_values:
             raise ValueError(f"column {self.name!r}: a label column needs 'positive_values'")
+        if self.kind == "protected" and bool(self.positive_values) == bool(self.group_values):
+            raise ValueError(f"column {self.name!r}: a protected column lists exactly one of "
+                             "'positive_values' and 'group_values'")
+        for i, v in enumerate(self.group_values):
+            if v in self.group_values[:i]:
+                raise ValueError(f"column {self.name!r}: 'group_values' lists {v!r} twice")
 
 
 @dataclass
@@ -74,15 +80,6 @@ class ColumnSchema:
     def fitted(self) -> bool:
         return all(c.vocabulary for c in self.columns if c.kind == "categorical")
 
-    def feature_names(self) -> list:
-        names = []
-        for c in self.columns:
-            if c.kind == "numeric":
-                names.append(c.name)
-            elif c.kind == "categorical":
-                names.extend(f"{c.name}={v}" for v in c.vocabulary)
-        return names
-
     def to_json(self) -> str:
         return json.dumps({"has_header": self.has_header, "columns": [asdict(c) for c in self.columns]}, indent=2)
 
@@ -91,12 +88,17 @@ class ColumnSchema:
         obj = json.loads(text)
         if not isinstance(obj, dict) or "columns" not in obj:
             raise ValueError("no 'columns' field")
-        cols = []
+        if not isinstance(obj["columns"], list):
+            raise ValueError("'columns' must be a list of column objects")
+        known, cols = {f.name for f in fields(ColumnSpec)}, []
         for i, c in enumerate(obj["columns"]):
             for key in ("name", "kind"):
                 if not isinstance(c, dict) or key not in c:
                     raise ValueError(f"column {i} has no {key!r} field")
-            cols.append(ColumnSpec(**{f.name: c[f.name] for f in fields(ColumnSpec) if f.name in c}))
+            for key in c:
+                if key not in known:
+                    raise ValueError(f"column {c['name']!r}: unknown field {key!r}")
+            cols.append(ColumnSpec(**c))
         return cls(columns=cols, has_header=obj.get("has_header", True))
 
     def save(self, path) -> None:

@@ -239,8 +239,8 @@ def test_nan_delta_is_structured_error(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["tradeoff", "--n-deltas", "0"], "n_deltas must be >= 1"),
-    (["tradeoff", "--n-deltas", "-3"], "n_deltas must be >= 1"),
+    (["tradeoff", "--n-deltas", "0"], "n_deltas (--n-deltas) must be >= 1"),
+    (["tradeoff", "--n-deltas", "-3"], "n_deltas (--n-deltas) must be >= 1"),
     (["synth", "--cost", "7"], "cost must lie in [0, 1]"),
     (["synth", "--cost", "nan"], "cost must lie in [0, 1]"),
     (["multiclass", "--cost", "0.3"],
@@ -283,6 +283,7 @@ def test_nan_delta_is_structured_error(capsys):
     (["synth", "--seed", "-1"], "seed (--seed) must be >= 0"),
     (["multiclass", "--groups", "1"], "multiclass compares at least two groups: n_groups (--groups) must be >= 2"),
     (["synth", "--delta", "0,inf", "--format", "json"], "delta values must be finite and >= 0"),
+    (["synth", "--reps", "0"], "reps (--reps) must be >= 1"),
 ])
 def test_bad_n_deltas_and_cost_are_structured_errors(capsys, argv, message):
     # FAST first, so that a row's own --n-train or --n-test wins
@@ -605,20 +606,20 @@ def test_binary_runs_on_one_sample_share_one_fit():
         cli._scored_memo.clear()
         cold.append(_csv_report(cfg))
     cli._scored_memo.clear()
-    sc.reset_fit_count()
+    fits = cli._fit_count
     assert [_csv_report(cfg) for cfg in cfgs] == cold
-    assert sc.fit_count() == 1
+    assert cli._fit_count - fits == 1
 
 
 @pytest.mark.parametrize("flags", [["--seed", "4"], ["--epochs", "41"], ["--joint-model"], ["--dim", "4"]])
 def test_a_new_sample_or_train_config_refits(capsys, flags):
     argv = ["synth", "--seed", "3", "--n-train", "600", "--n-test", "300", "--epochs", "40", "--reps", "1"]
     assert cli.main(argv) == 0
-    sc.reset_fit_count()
+    fits = cli._fit_count
     assert cli.main([*argv, "--measure", "eo"]) == 0
-    assert sc.fit_count() == 0
+    assert cli._fit_count == fits
     assert cli.main([*argv, *flags]) == 0  # the last of a repeated flag wins
-    assert sc.fit_count() == 1
+    assert cli._fit_count - fits == 1
     capsys.readouterr()
 
 
@@ -676,10 +677,10 @@ def test_changing_a_data_or_fit_field_misses_the_memo(tmp_path, name):
     if name in ("data_path", "schema_path"):  # the same bytes under another path
         value = str(tmp_path / value)
         shutil.copyfile(getattr(base, name), value)
-    sc.reset_fit_count()
+    fits = cli._fit_count
     cli._scored_rep(base, 0)
     cli._scored_rep(replace(base, **{name: value}), 0)
-    assert sc.fit_count() == 2
+    assert cli._fit_count - fits == 2
 
 
 def test_a_miss_drops_the_memoized_repetition_before_the_next_draw(monkeypatch):
@@ -721,9 +722,9 @@ def test_rewriting_the_csv_or_the_schema_refits(tmp_path, which):
     else:
         with open(paths[1], "a", encoding="utf-8") as fh:
             fh.write("\n")
-    sc.reset_fit_count()
+    fits = cli._fit_count
     cli._scored_rep(cfg, 0)
-    assert sc.fit_count() == 1
+    assert cli._fit_count - fits == 1
 
 
 def test_tradeoff_calibrates_on_the_part_tabular_calibrates_on(tmp_path, capsys):
@@ -759,6 +760,17 @@ def test_tradeoff_calibrates_on_the_part_tabular_calibrates_on(tmp_path, capsys)
      ": column 'y': a label column needs 'positive_values'"),
     ('{"has_header": "false", "columns": [{"name": "y", "kind": "label", "positive_values": ["1"]}]}',
      ": 'has_header' must be true or false"),
+    # a protected column without values would read every row as group 0, and one
+    # with both would silently use its group values
+    ('{"columns": [{"name": "g", "kind": "protected"}]}',
+     ": column 'g': a protected column lists exactly one of 'positive_values' and 'group_values'"),
+    ('{"columns": [{"name": "g", "kind": "protected", "positive_values": ["1"], "group_values": ["0", "1"]}]}',
+     ": column 'g': a protected column lists exactly one of 'positive_values' and 'group_values'"),
+    ('{"columns": [{"name": "g", "kind": "protected", "positive_value": ["1"]}]}',
+     ": column 'g': unknown field 'positive_value'"),
+    ('{"columns": 5}', ": 'columns' must be a list of column objects"),
+    ('{"columns": [{"name": "g", "kind": "protected", "group_values": ["a", "a"]}]}',
+     ": column 'g': 'group_values' lists 'a' twice"),
 ])
 def test_corrupt_schema_is_structured_error(tmp_path, capsys, text, message):
     data, _ = _tabular_files(tmp_path)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from _brute import (
     swap_groups,
 )
 from _posterior import eta
-from fairthresh.solve import DELTA_SLACK, _kept_gap, _snap_to_scores
+from fairthresh.solve import DELTA_SLACK, _kept_gap, _scans, _snap_to_scores
 
 
 def make_gs(scores, group, label):
@@ -613,4 +616,15 @@ def test_scans_are_kept_per_cost():
     fresh = solve(_random_gs(np.random.default_rng(3)), "dp", 0.0, cost=0.3)
     assert_same_result(at_03, fresh)
     assert at_03.t_hat != at_half.t_hat
-    assert set(gs.scans) == {("dp", 0.5), ("dp", 0.3)}
+    assert set(_scans[gs]) == {("dp", 0.5), ("dp", 0.3)}
+
+
+def test_a_samples_scans_go_with_it():
+    gs = _random_gs(np.random.default_rng(3))
+    solve(gs, "dp", 0.0)
+    held = weakref.ref(gs)
+    gc.collect()
+    n_samples = len(_scans)
+    del gs
+    gc.collect()
+    assert held() is None and len(_scans) == n_samples - 1

@@ -43,7 +43,7 @@ def test_load_csv_feature_width(tmp_path):
     data, report = load(path, schema)
     # one numeric column plus a two-level one-hot
     assert data.features.shape == (3, 3)
-    assert schema.feature_names() == ["age", "color=blue", "color=red"]
+    assert [c.vocabulary for c in schema.columns if c.kind == "categorical"] == [("blue", "red")]
     assert data.group.tolist() == [1, 0, 0]
     assert data.label.tolist() == [1, 0, 1]
     assert data.features[0].tolist() == [31.0, 0.0, 1.0]
